@@ -2,8 +2,8 @@
 
 Quick mode trains with few iterations, so absolute ARs sit below the
 full-budget numbers; the assertions check only the cheap invariants (the
-full shape checks are exercised by the default-budget experiment run
-recorded in EXPERIMENTS.md).
+full shape checks against ``repro.experiments.config.TABLE2_PAPER`` run in
+``python -m repro.experiments table2`` at the default budget).
 """
 
 from conftest import run_once

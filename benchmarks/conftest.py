@@ -2,9 +2,10 @@
 
 Every paper table/figure has a ``bench_*`` module here.  Benchmarks run
 the experiment drivers in ``quick`` mode (reduced optimizer iterations
-and shots) so the whole suite finishes in minutes; the paper-faithful
-numbers in EXPERIMENTS.md come from ``python -m repro.experiments <name>``
-with default settings.
+and shots) so the whole suite finishes in minutes.  Paper-faithful runs
+are ``python -m repro.experiments <name>`` with default settings, checked
+against the paper's numbers in ``repro.experiments.config``
+(``TABLE2_PAPER`` and its siblings).
 """
 
 import pytest

@@ -43,6 +43,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.",
+        epilog="Exits with status 1 when any paper shape check or "
+        "calibration check reports a violation.",
     )
     parser.add_argument(
         "experiment",
@@ -145,17 +147,20 @@ def main(argv: list[str] | None = None) -> int:
         trace_cm = collect_trace(args.experiment)
         trace = trace_cm.__enter__()
     try:
-        _run_experiments(names, config)
+        failed = _run_experiments(names, config)
     finally:
         if trace_cm is not None:
             trace_cm.__exit__(None, None, None)
             trace.save(args.trace)
             print(f"[trace ({sum(1 for _ in trace.iter_spans())} spans) "
                   f"-> {args.trace}]")
-    return 0
+    return 1 if failed else 0
 
 
-def _run_experiments(names: list[str], config: ExperimentConfig) -> None:
+def _run_experiments(names: list[str], config: ExperimentConfig) -> bool:
+    """Run and print every driver; True when any check reported a
+    violation."""
+    failed = False
     for name in names:
         driver = DRIVERS[name]
         start = time.time()
@@ -167,6 +172,7 @@ def _run_experiments(names: list[str], config: ExperimentConfig) -> None:
         if checks is not None:
             violations = checks(result)
             if violations:
+                failed = True
                 print("SHAPE-CHECK VIOLATIONS:")
                 for violation in violations:
                     print(f"  - {violation}")
@@ -176,12 +182,14 @@ def _run_experiments(names: list[str], config: ExperimentConfig) -> None:
         if verify is not None:
             mismatches = verify(result)
             if mismatches:
+                failed = True
                 print("CALIBRATION MISMATCHES:")
                 for mismatch in mismatches:
                     print(f"  - {mismatch}")
             else:
                 print("calibration data matches the paper exactly")
         print()
+    return failed
 
 
 if __name__ == "__main__":

@@ -13,9 +13,11 @@ class ExperimentConfig:
 
     ``quick`` trades statistical quality for speed (fewer optimizer
     iterations and shots) so the benchmark suite can exercise every
-    driver in seconds; headline numbers in EXPERIMENTS.md come from the
-    default (paper-faithful) settings: COBYLA maxiter 50 (200 for the
-    pulse-level model), 1024 shots, CVaR alpha 0.3, fixed qubit mapping.
+    driver in seconds.  ``python -m repro.experiments <name>`` at the
+    default (paper-faithful) settings — COBYLA maxiter 50 (200 for the
+    pulse-level model), 1024 shots, CVaR alpha 0.3, fixed qubit mapping —
+    is what compares against the paper's numbers (``TABLE2_PAPER`` and
+    its siblings below).
     """
 
     shots: int = 1024

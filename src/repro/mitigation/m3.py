@@ -5,8 +5,8 @@ inverse), M3 works in the subspace spanned by the **observed** bitstrings:
 the reduced matrix ``Ã`` has one row/column per distinct observed string,
 with elements from products of per-qubit confusion factors, columns
 renormalised over the subspace.  ``Ã x = p_noisy`` is then solved either
-directly (LU) or iteratively with a matrix-free operator (preconditioned
-GMRES), optionally restricting matrix elements to Hamming distance <= D.
+directly (LU) or iteratively (preconditioned GMRES), optionally
+restricting matrix elements to Hamming distance <= D.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from repro.exceptions import MitigationError
 from repro.noise.readout import ReadoutError
-from repro.utils.bitstrings import bitstring_to_index, hamming_distance, index_to_bitstring
+from repro.utils.bitstrings import bitstring_to_index
 
 
 class QuasiDistribution(dict):
@@ -131,9 +131,13 @@ class M3Mitigator:
 
         ``distance`` truncates matrix elements beyond that Hamming
         distance (None = full subspace coupling).  ``method`` is
-        ``"iterative"`` (matrix-free preconditioned GMRES) or
-        ``"direct"`` (dense LU, for testing/small subspaces).
+        ``"iterative"`` (preconditioned GMRES) or ``"direct"`` (dense
+        LU, for testing/small subspaces).
         """
+        if method not in ("direct", "iterative"):
+            raise MitigationError(f"unknown method {method!r}")
+        if distance is not None and distance < 0:
+            raise MitigationError(f"distance must be >= 0, got {distance}")
         if not counts:
             raise MitigationError("empty counts")
         keys = sorted(counts)
@@ -145,104 +149,46 @@ class M3Mitigator:
                 f"counts have {num_bits} bits, mitigator calibrated for "
                 f"{self.readout.num_qubits}"
             )
+        if num_bits > 63:
+            raise MitigationError(
+                f"M3 takes at most 63 bits (int64 indices), got {num_bits}"
+            )
         shots = float(sum(counts.values()))
         p_noisy = np.array([counts[k] for k in keys], dtype=float) / shots
         indices = np.array([bitstring_to_index(k) for k in keys])
 
-        columns_norm = self._column_norms(indices, distance)
+        # matrix[i, j] = P(keys[i] | keys[j]), built once.  Every sum
+        # below is an axis-0 reduce of a C-contiguous array, which adds
+        # whole rows in order from +0.0: the order of the scalar
+        # per-element loop, so results match it to the last bit.  A BLAS
+        # matvec or an axis-1 (pairwise) sum would reorder the additions.
+        matrix = self.readout.assignment_matrix(indices, indices)
+        if distance is not None:
+            hamming = np.bitwise_count(indices[:, None] ^ indices[None, :])
+            matrix[hamming > distance] = 0.0
+        norms = np.add.reduce(matrix, axis=0, initial=0.0)
+        if np.any(norms <= 0):
+            raise MitigationError("zero column norm in M3 subspace")
         if method == "direct":
-            matrix = self._reduced_matrix(indices, distance, columns_norm)
-            solution = np.linalg.solve(matrix, p_noisy)
-        elif method == "iterative":
+            solution = np.linalg.solve(matrix / norms, p_noisy)
+        else:
+            # row j holds column j, so the matvec sums over columns in order
+            by_column = np.ascontiguousarray(matrix.T)
             operator = LinearOperator(
-                (len(keys), len(keys)),
-                matvec=lambda v: self._matvec(
-                    v, indices, distance, columns_norm
+                matrix.shape,
+                matvec=lambda v: np.add.reduce(
+                    by_column * (v / norms)[:, None], axis=0, initial=0.0
                 ),
             )
-            diagonal = self._diagonal(indices, columns_norm)
+            diagonal = np.diagonal(matrix) / norms
             preconditioner = LinearOperator(
-                (len(keys), len(keys)), matvec=lambda v: v / diagonal
+                matrix.shape, matvec=lambda v: v / diagonal
             )
             solution, info = gmres(
                 operator, p_noisy, M=preconditioner, rtol=tol, atol=0.0
             )
             if info != 0:
                 raise MitigationError(f"GMRES failed to converge ({info})")
-        else:
-            raise MitigationError(f"unknown method {method!r}")
         return QuasiDistribution(
             {key: float(x) for key, x in zip(keys, solution)}
-        )
-
-    # ------------------------------------------------------------------
-    def _element(self, measured: int, prepared: int) -> float:
-        return self.readout.assignment_probability(measured, prepared)
-
-    def _column_norms(
-        self, indices: np.ndarray, distance: int | None
-    ) -> np.ndarray:
-        """Per-column normalisation over the observed subspace."""
-        norms = np.zeros(len(indices))
-        for col, prepared in enumerate(indices):
-            total = 0.0
-            for measured in indices:
-                if distance is not None and hamming_distance(
-                    int(measured), int(prepared)
-                ) > distance:
-                    continue
-                total += self._element(int(measured), int(prepared))
-            if total <= 0:
-                raise MitigationError("zero column norm in M3 subspace")
-            norms[col] = total
-        return norms
-
-    def _reduced_matrix(
-        self,
-        indices: np.ndarray,
-        distance: int | None,
-        column_norms: np.ndarray,
-    ) -> np.ndarray:
-        size = len(indices)
-        matrix = np.zeros((size, size))
-        for col, prepared in enumerate(indices):
-            for row, measured in enumerate(indices):
-                if distance is not None and hamming_distance(
-                    int(measured), int(prepared)
-                ) > distance:
-                    continue
-                matrix[row, col] = self._element(
-                    int(measured), int(prepared)
-                ) / column_norms[col]
-        return matrix
-
-    def _matvec(
-        self,
-        vector: np.ndarray,
-        indices: np.ndarray,
-        distance: int | None,
-        column_norms: np.ndarray,
-    ) -> np.ndarray:
-        """Matrix-free ``Ã @ v`` over the observed subspace."""
-        out = np.zeros(len(indices))
-        for col, prepared in enumerate(indices):
-            weight = vector[col] / column_norms[col]
-            if weight == 0.0:
-                continue
-            for row, measured in enumerate(indices):
-                if distance is not None and hamming_distance(
-                    int(measured), int(prepared)
-                ) > distance:
-                    continue
-                out[row] += self._element(int(measured), int(prepared)) * weight
-        return out
-
-    def _diagonal(
-        self, indices: np.ndarray, column_norms: np.ndarray
-    ) -> np.ndarray:
-        return np.array(
-            [
-                self._element(int(i), int(i)) / column_norms[pos]
-                for pos, i in enumerate(indices)
-            ]
         )

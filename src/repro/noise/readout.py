@@ -121,13 +121,21 @@ class ReadoutError:
             noisy |= read << q
         return noisy
 
-    def assignment_probability(self, measured: int, prepared: int) -> float:
-        """P(measured | prepared) over all qubits (product form)."""
-        prob = 1.0
-        for q in range(self.num_qubits):
-            mat = self.assignment_matrices[q]
-            prob *= mat[(measured >> q) & 1, (prepared >> q) & 1]
-        return float(prob)
+    def assignment_matrix(
+        self, measured: Sequence[int], prepared: Sequence[int]
+    ) -> np.ndarray:
+        """``P(measured[i] | prepared[j])`` over all qubits (product form).
+
+        Bit q of an index selects ``assignment_matrices[q]``; the factors
+        are multiplied in qubit order, so every element rounds as the
+        scalar product ``A_0[...] * A_1[...] * ...`` does.
+        """
+        measured = np.asarray(measured)[:, None]
+        prepared = np.asarray(prepared)[None, :]
+        matrix = np.ones((measured.size, prepared.size))
+        for q, mat in enumerate(self.assignment_matrices):
+            matrix *= mat[(measured >> q) & 1, (prepared >> q) & 1]
+        return matrix
 
     def subset(self, qubits: Sequence[int]) -> "ReadoutError":
         """Readout model restricted to ``qubits`` (new qubit order)."""

@@ -1,7 +1,10 @@
 """Smoke tests of the experiment drivers (quick configuration)."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.experiments import __main__ as cli
 from repro.experiments import (
     ExperimentConfig,
     fig4,
@@ -72,3 +75,42 @@ class TestTable2Quick:
         }
         rendering = table2.render(result)
         assert "Raw AR" in rendering and "CVaR AR" in rendering
+
+
+def stub_driver(label, violations=(), mismatches=None):
+    """A driver whose checks report the given violations/mismatches."""
+    driver = SimpleNamespace(
+        run=lambda config: label,
+        render=lambda result: f"{result} table",
+        shape_checks=lambda result: list(violations),
+    )
+    if mismatches is not None:
+        driver.verify = lambda result: list(mismatches)
+    return driver
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "violations, mismatches, status",
+        [
+            ((), None, 0),
+            ((), [], 0),
+            (["hybrid < gate at raw"], None, 1),
+            ((), ["toronto T1 differs"], 1),
+        ],
+    )
+    def test_exit_status(self, monkeypatch, violations, mismatches, status):
+        driver = stub_driver("stub", violations, mismatches)
+        monkeypatch.setattr(cli, "DRIVERS", {"stub": driver})
+        assert cli.main(["stub", "--quick"]) == status
+
+    def test_prints_every_result_before_failing(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            cli,
+            "DRIVERS",
+            {"a": stub_driver("a", ["too short"]), "b": stub_driver("b")},
+        )
+        assert cli.main(["all"]) == 1
+        out = capsys.readouterr().out
+        assert "a table" in out and "  - too short" in out
+        assert "b table" in out and "all paper shape checks passed" in out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from repro.circuits import QuantumCircuit
 from repro.exceptions import MitigationError
@@ -93,14 +94,132 @@ class TestM3:
 
     def test_bad_method(self):
         readout = ReadoutError.uniform(1, 0.05)
-        with pytest.raises(MitigationError):
+        with pytest.raises(MitigationError, match="unknown method"):
             M3Mitigator(readout).apply({"0": 10}, method="magic")
+        with pytest.raises(MitigationError, match="distance must be >= 0"):
+            M3Mitigator(readout).apply({"0": 10}, distance=-1)
+
+    def test_too_many_bits_rejected(self):
+        readout = ReadoutError.uniform(64, 0.05)
+        with pytest.raises(MitigationError, match="at most 63 bits"):
+            M3Mitigator(readout).apply({"1" * 64: 10})
 
     def test_from_backend(self):
         from repro.backends import FakeToronto
 
         mitigator = M3Mitigator.from_backend(FakeToronto(), [0, 1, 4])
         assert mitigator.readout.num_qubits == 3
+
+
+def reference_m3(readout, counts, distance=None, method="iterative"):
+    """The per-element M3 loop that ``M3Mitigator.apply`` must match.
+
+    Each element is a product of per-qubit factors in qubit order; column
+    norms and matvec rows are accumulated one element at a time, in
+    index order, skipping elements beyond ``distance``.
+    """
+    keys = sorted(counts)
+    shots = float(sum(counts.values()))
+    p_noisy = np.array([counts[k] for k in keys], dtype=float) / shots
+    indices = [int(k, 2) for k in keys]
+    size = len(indices)
+
+    def element(measured, prepared):
+        prob = 1.0
+        for q, mat in enumerate(readout.assignment_matrices):
+            prob *= mat[(measured >> q) & 1, (prepared >> q) & 1]
+        return float(prob)
+
+    def coupled(measured, prepared):
+        return (
+            distance is None
+            or bin(measured ^ prepared).count("1") <= distance
+        )
+
+    norms = np.zeros(size)
+    for col, prepared in enumerate(indices):
+        total = 0.0
+        for measured in indices:
+            if coupled(measured, prepared):
+                total += element(measured, prepared)
+        if total <= 0:
+            raise MitigationError("zero column norm in M3 subspace")
+        norms[col] = total
+
+    if method == "direct":
+        matrix = np.zeros((size, size))
+        for col, prepared in enumerate(indices):
+            for row, measured in enumerate(indices):
+                if coupled(measured, prepared):
+                    matrix[row, col] = (
+                        element(measured, prepared) / norms[col]
+                    )
+        solution = np.linalg.solve(matrix, p_noisy)
+    else:
+        def matvec(vector):
+            out = np.zeros(size)
+            for col, prepared in enumerate(indices):
+                weight = vector[col] / norms[col]
+                if weight == 0.0:
+                    continue
+                for row, measured in enumerate(indices):
+                    if coupled(measured, prepared):
+                        out[row] += element(measured, prepared) * weight
+            return out
+
+        diagonal = np.array(
+            [element(i, i) / norms[pos] for pos, i in enumerate(indices)]
+        )
+        solution, info = gmres(
+            LinearOperator((size, size), matvec=matvec),
+            p_noisy,
+            M=LinearOperator((size, size), matvec=lambda v: v / diagonal),
+            rtol=1e-8,
+            atol=0.0,
+        )
+        assert info == 0
+    return {key: float(x) for key, x in zip(keys, solution)}
+
+
+class TestM3MatchesReference:
+    """``apply`` equals the per-element loop bit for bit (``==``)."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_models_and_subspaces(self, seed):
+        rng = np.random.default_rng(seed)
+        num_qubits = 1 + seed % 8
+        flips = rng.uniform(0.0, 0.1, size=(num_qubits, 2))
+        readout = ReadoutError(
+            [[[1 - p10, p01], [p10, 1 - p01]] for p10, p01 in flips]
+        )
+        size = int(rng.integers(1, min(1 << num_qubits, 32) + 1))
+        counts = {
+            format(int(index), f"0{num_qubits}b"): int(rng.integers(1, 200))
+            for index in rng.choice(1 << num_qubits, size, replace=False)
+        }
+        mitigator = M3Mitigator(readout)
+        for distance in (None, 0, 1, 2):
+            for method in ("iterative", "direct"):
+                assert mitigator.apply(
+                    counts, distance=distance, method=method
+                ) == reference_m3(readout, counts, distance, method)
+
+    @pytest.mark.parametrize(
+        "counts, distance",
+        [({"1": 5}, None), ({"00": 7, "01": 5}, 0)],
+    )
+    def test_zero_column_norm(self, counts, distance):
+        # qubit 0 always reads 0, so a prepared 1 on it is never measured
+        # as itself; with no coupled neighbour its column sums to zero
+        num_qubits = len(next(iter(counts)))
+        readout = ReadoutError(
+            [[[1.0, 1.0], [0.0, 0.0]]]
+            + [[[0.9, 0.1], [0.1, 0.9]]] * (num_qubits - 1)
+        )
+        with pytest.raises(MitigationError, match="zero column norm"):
+            reference_m3(readout, counts, distance)
+        with pytest.raises(MitigationError, match="zero column norm"):
+            M3Mitigator(readout).apply(counts, distance=distance)
 
 
 class TestQuasiDistribution:

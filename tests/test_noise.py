@@ -140,16 +140,19 @@ class TestReadoutError:
         noisy = readout.sample_counts({"00": 50, "11": 50}, seed=1)
         assert sum(noisy.values()) == 100
 
-    def test_assignment_probability_product(self):
-        readout = ReadoutError.uniform(2, 0.1)
-        assert readout.assignment_probability(0b00, 0b00) == pytest.approx(
-            0.81
+    def test_assignment_matrix_product(self):
+        # flip 0.1 on qubit 0 and 0.3 on qubit 1: bit q of an index
+        # selects assignment_matrices[q]
+        readout = ReadoutError(
+            [[[0.9, 0.1], [0.1, 0.9]], [[0.7, 0.3], [0.3, 0.7]]]
         )
-        assert readout.assignment_probability(0b01, 0b00) == pytest.approx(
-            0.09
+        matrix = readout.assignment_matrix(
+            [0b00, 0b01, 0b10, 0b11], [0b00, 0b11]
         )
-        assert readout.assignment_probability(0b11, 0b00) == pytest.approx(
-            0.01
+        np.testing.assert_allclose(
+            matrix,
+            [[0.63, 0.03], [0.07, 0.27], [0.27, 0.07], [0.03, 0.63]],
+            atol=1e-12,
         )
 
     def test_subset(self):

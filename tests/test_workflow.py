@@ -1,7 +1,8 @@
 """Tests for the co-optimization workflow and duration search.
 
-These use reduced optimizer budgets (the full-budget behaviour is
-exercised by the experiment drivers and recorded in EXPERIMENTS.md).
+These use reduced optimizer budgets; the full-budget behaviour is
+exercised by ``python -m repro.experiments <name>``, which checks it
+against the paper's numbers in ``repro.experiments.config``.
 """
 
 import numpy as np
@@ -97,12 +98,7 @@ class TestWorkflowStages:
 
 class TestDurationSearch:
     def test_search_compresses_substantially(self, problem, backend):
-        """The search cuts the mixer by >= 40% on the 32 dt grid.
-
-        (The full-budget run lands at exactly 128 dt / 60%, the paper's
-        number — see EXPERIMENTS.md; at this test's reduced training
-        budget the AR threshold may stop one or two grid steps earlier.)
-        """
+        """The search cuts the mixer by >= 40% on the 32 dt grid."""
         pipeline = ExecutionPipeline(
             backend=backend, cost=ExpectedCutCost(problem), shots=512
         )
