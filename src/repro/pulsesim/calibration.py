@@ -474,15 +474,18 @@ def virtual_z_corrected(
     for free.  Returns (corrected_unitary, fidelity, angles).
     """
 
+    target_dagger = target.conj().T
+
     def dress(angles: np.ndarray) -> np.ndarray:
-        a, b, c, d = angles
-        pre = np.kron(_rz_diag(d), _rz_diag(c))
-        post = np.kron(_rz_diag(b), _rz_diag(a))
+        # rows: RZ(a..d) diagonals; pre = RZ(d)⊗RZ(c), post = RZ(b)⊗RZ(a)
+        rz = np.exp(np.array([-1j, 1j]) * angles[:, None] / 2)
+        pre = (rz[3][:, None] * rz[2]).ravel()
+        post = (rz[1][:, None] * rz[0]).ravel()
         return (post[:, None] * unitary) * pre[None, :]
 
     def objective(angles: np.ndarray) -> float:
         dressed = dress(angles)
-        overlap = abs(np.trace(target.conj().T @ dressed)) / 4
+        overlap = abs(np.trace(target_dagger @ dressed)) / 4
         return 1.0 - overlap**2
 
     best = None

@@ -7,11 +7,20 @@ AC-Stark shift appears as an amplitude-dependent Z term.
 
 Two fast paths cover the paper's workloads:
 
-* :func:`drive_channel_propagator` — single-qubit SU(2) closed-form
-  composition, used for the hybrid model's pulse mixer;
+* :func:`drive_channel_propagator` — single-qubit SU(2) closed form over
+  all samples of a ``Play`` at once, used for the hybrid model's pulse mixer;
 * :func:`cr_pair_propagator` — 4x4 eigensolve-based exponentials for the
-  exchange-coupled cross-resonance pair, with flat-top caching, used for
-  pulse-efficient RZZ and the pulse-level baseline.
+  exchange-coupled cross-resonance pair, used for pulse-efficient RZZ and
+  the pulse-level baseline.  A run of equal samples (the flat top) is one
+  segment, and one stacked ``eigh`` exponentiates every segment.
+
+Both are memoized per device.  Both return, to the last bit, what a loop
+over one sample (for CR, one segment) at a time returns: terms are formed
+elementwise and summed in that loop's order, each eigensolve is a slice of
+one stacked ``eigh``, and the steps are accumulated by sequential
+left-multiplication ``unitary = step @ unitary`` (a pairwise reduction
+would reorder the BLAS sums).  ``tests/test_pulsesim.py`` keeps those
+loops and compares with ``==``.
 
 :mod:`repro.pulsesim.dense` provides an any-channel reference solver used
 to cross-validate both fast paths in the test suite.
@@ -41,23 +50,32 @@ from repro.utils.cache import UnhashableKey, cache_key, device_cache, timeline_k
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# two-qubit Pauli products of the CR Hamiltonian, control qubit as the LSB
+_X_C, _Y_C, _Z_C = (np.kron(np.eye(2), p) for p in (_X, _Y, _Z))
+_Z_T = np.kron(_Z, np.eye(2))
+_XX_YY = np.kron(_X, _X) + np.kron(_Y, _Y)
 
 
-def su2_propagator(hx: float, hy: float, hz: float, time: float) -> np.ndarray:
-    """Closed-form ``exp(-i * time * (hx X + hy Y + hz Z))``."""
-    norm = math.sqrt(hx * hx + hy * hy + hz * hz)
+def su2_propagator(hx, hy, hz, time: float) -> np.ndarray:
+    """Closed-form ``exp(-i * time * (hx X + hy Y + hz Z))``.
+
+    Broadcasts over array fields: the result has shape
+    ``broadcast(hx, hy, hz).shape + (2, 2)``, so scalar fields give one
+    2x2.  A zero field gives the identity.
+    """
+    field = np.sqrt(hx * hx + hy * hy + hz * hz)
+    zero = field < 1e-300
+    norm = np.where(zero, 1.0, field)
     theta = norm * time
-    if norm < 1e-300:
-        return np.eye(2, dtype=complex)
-    c = math.cos(theta)
-    s = math.sin(theta) / norm
-    return np.array(
-        [
-            [c - 1j * s * hz, -s * (hy + 1j * hx)],
-            [s * (hy - 1j * hx), c + 1j * s * hz],
-        ],
-        dtype=complex,
-    )
+    c = np.where(zero, 1.0, np.cos(theta))
+    s = np.where(zero, 0.0, np.sin(theta) / norm)
+    entries = [
+        c - 1j * (s * hz),
+        -s * (hy + 1j * hx),
+        s * (hy - 1j * hx),
+        c + 1j * (s * hz),
+    ]
+    return np.stack(entries, axis=-1).reshape(c.shape + (2, 2))
 
 
 class _ChannelFrame:
@@ -149,11 +167,11 @@ def _drive_channel_propagator(
             stark = (g * np.abs(samples)) ** 2 / (2 * params.alpha)
         else:
             stark = np.zeros(len(samples))
-        for k in range(len(samples)):
-            hx = 0.5 * rabi[k].real
-            hy = 0.5 * rabi[k].imag
-            hz = -0.5 * stark[k]
-            unitary = su2_propagator(hx, hy, hz, dt) @ unitary
+        steps = su2_propagator(
+            0.5 * rabi.real, 0.5 * rabi.imag, -0.5 * stark, dt
+        )
+        for step in steps:
+            unitary = step @ unitary
     return unitary
 
 
@@ -186,45 +204,6 @@ def schedule_drive_unitaries(
 # ---------------------------------------------------------------------------
 # Cross-resonance pair evolution
 # ---------------------------------------------------------------------------
-
-def _cr_hamiltonian(
-    rabi_x: float,
-    rabi_y: float,
-    delta_c: float,
-    delta_t: float,
-    coupling: float,
-    stark_c: float,
-) -> np.ndarray:
-    """4x4 CR Hamiltonian with the control qubit as the LSB.
-
-    ``H = +((delta_c + stark_c)/2) Z_c + (delta_t/2) Z_t
-    + (J/2)(X_c X_t + Y_c Y_t) + (rabi_x/2) X_c + (rabi_y/2) Y_c``
-    in the frame rotating at the drive frequency for both qubits, using
-    the library's conjugate convention (``delta = omega_q - omega_d``);
-    cross-validated against the own-frame dense solver in the tests.
-    """
-    eye = np.eye(2, dtype=complex)
-    z_c = np.kron(eye, _Z)
-    z_t = np.kron(_Z, eye)
-    x_c = np.kron(eye, _X)
-    y_c = np.kron(eye, _Y)
-    xx = np.kron(_X, _X)
-    yy = np.kron(_Y, _Y)
-    return (
-        +(delta_c + stark_c) / 2 * z_c
-        + delta_t / 2 * z_t
-        + coupling / 2 * (xx + yy)
-        + rabi_x / 2 * x_c
-        + rabi_y / 2 * y_c
-    )
-
-
-def _expm_hermitian(matrix: np.ndarray, time: float) -> np.ndarray:
-    """exp(-i * time * matrix) for Hermitian ``matrix`` via eigensolve."""
-    eigvals, eigvecs = np.linalg.eigh(matrix)
-    phases = np.exp(-1j * time * eigvals)
-    return (eigvecs * phases) @ eigvecs.conj().T
-
 
 def cr_pair_propagator(
     samples: np.ndarray,
@@ -290,35 +269,49 @@ def _cr_pair_propagator(
     delta_t = qt.omega - omega_d
     g = 2 * math.pi * qc.drive_strength
 
-    duration = len(samples)
+    # a segment is a run of samples within 1e-12 of the run's first
+    # sample, so the flat top is one segment
+    values = samples.tolist()
+    starts = [0] if values else []
+    for k, value in enumerate(values):
+        if not abs(value - values[starts[-1]]) < 1e-12:
+            starts.append(k)
+    firsts = [values[k] for k in starts]
+    # per-segment drive terms stay Python scalars: numpy's array complex
+    # product may fuse multiply-adds (its AVX2/AVX-512 loops do), and its
+    # ``** 2`` squares where ``pow`` rounds; either moves the last bit
+    rotation = np.exp(1j * phase)
+    rabi = np.array([g * (s * rotation) for s in firsts], dtype=complex)
+    # off-resonant Stark shift of the control qubit (level repulsion away
+    # from the drive): shift = Omega^2 / (2 delta)
+    stark = include_stark and abs(delta_c) > 1e-12
+    stark_c = np.array(
+        [(g * abs(s)) ** 2 / (2 * delta_c) if stark else 0.0 for s in firsts]
+    )
+    # H = +((delta_c + stark_c)/2) Z_c + (delta_t/2) Z_t
+    #     + (J/2)(X_c X_t + Y_c Y_t) + (rabi_x/2) X_c + (rabi_y/2) Y_c
+    # per segment, in the frame rotating at the drive frequency for both
+    # qubits, in the library's conjugate convention (delta = omega_q -
+    # omega_d); cross-validated against the own-frame dense solver
+    hamiltonians = (
+        ((delta_c + stark_c) / 2)[:, None, None] * _Z_C
+        + delta_t / 2 * _Z_T
+        + coupling / 2 * _XX_YY
+        + (rabi.real / 2)[:, None, None] * _X_C
+        + (rabi.imag / 2)[:, None, None] * _Y_C
+    )
+    eigvals, eigvecs = np.linalg.eigh(hamiltonians)
+    runs = np.diff(starts + [len(values)])
+    phases = np.exp(-1j * (runs * dt)[:, None] * eigvals)
+    steps = (eigvecs * phases[:, None, :]) @ eigvecs.conj().swapaxes(1, 2)
     unitary = np.eye(4, dtype=complex)
-    k = 0
-    while k < duration:
-        # group identical consecutive samples (flat top) into one segment
-        run = 1
-        while (
-            k + run < duration
-            and abs(samples[k + run] - samples[k]) < 1e-12
-        ):
-            run += 1
-        envelope = samples[k] * np.exp(1j * phase)
-        rabi = g * envelope
-        if include_stark and abs(delta_c) > 1e-12:
-            # off-resonant Stark shift of the control qubit (level
-            # repulsion away from the drive): shift = Omega^2 / (2 delta)
-            stark_c = (g * abs(samples[k])) ** 2 / (2 * delta_c)
-        else:
-            stark_c = 0.0
-        hamiltonian = _cr_hamiltonian(
-            rabi.real, rabi.imag, delta_c, delta_t, coupling, stark_c
-        )
-        unitary = _expm_hermitian(hamiltonian, run * dt) @ unitary
-        k += run
+    for step in steps:
+        unitary = step @ unitary
 
     # back to the qubits' own rotating frames:
     # U_qubit = exp(+i (delta_q/2) T Z_q) U_drive in the conjugate
     # convention (delta_q = omega_q - omega_d)
-    total_time = duration * dt
+    total_time = len(samples) * dt
     phase_c = np.exp(+1j * (delta_c / 2) * total_time * np.array([1, -1]))
     phase_t = np.exp(+1j * (delta_t / 2) * total_time * np.array([1, -1]))
     frame = np.kron(np.diag(phase_t), np.diag(phase_c))

@@ -1,17 +1,23 @@
 """Physics validation of the pulse simulator and calibration routines."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from repro.hamiltonian import DeviceModel, TransmonQubit
 from repro.pulse import (
     Constant,
+    Delay,
+    Drag,
     DriveChannel,
     Gaussian,
+    GaussianSquare,
     Play,
     Schedule,
+    SetFrequency,
     ShiftFrequency,
     ShiftPhase,
 )
@@ -27,6 +33,7 @@ from repro.pulsesim import (
     schedule_drive_unitaries,
     su2_propagator,
 )
+from repro.pulsesim.calibration import virtual_z_corrected
 from repro.utils.linalg import is_unitary, process_fidelity
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -56,6 +63,156 @@ def coupled_pair_device(j=0.005, step=0.08):
     )
 
 
+# ---------------------------------------------------------------------------
+# Reference loops.  The propagators build and exponentiate all samples (or
+# segments) of a pulse at once; these per-sample loops are what they must
+# reproduce to the last bit, so they are compared with ``==``.
+# ---------------------------------------------------------------------------
+
+def reference_su2(hx, hy, hz, time):
+    """Scalar closed form of exp(-i time (hx X + hy Y + hz Z))."""
+    norm = math.sqrt(hx * hx + hy * hy + hz * hz)
+    theta = norm * time
+    if norm < 1e-300:
+        return np.eye(2, dtype=complex)
+    c = math.cos(theta)
+    s = math.sin(theta) / norm
+    return np.array(
+        [
+            [c - 1j * s * hz, -s * (hy + 1j * hx)],
+            [s * (hy - 1j * hx), c + 1j * s * hz],
+        ],
+        dtype=complex,
+    )
+
+
+def reference_drive(timeline, device, qubit, include_stark):
+    """One SU(2) step per sample, each multiplied on from the left."""
+    params = device.qubits[qubit]
+    g = 2 * math.pi * params.drive_strength
+    dt = device.dt
+    phase = freq_shift = 0.0
+    unitary = np.eye(2, dtype=complex)
+    for start, instruction in timeline:
+        if isinstance(instruction, ShiftPhase):
+            phase += float(instruction.phase)
+        elif isinstance(instruction, ShiftFrequency):
+            freq_shift += 2 * math.pi * float(instruction.frequency)
+        elif isinstance(instruction, SetFrequency):
+            freq_shift = (
+                2 * math.pi * float(instruction.frequency) - params.omega
+            )
+        elif isinstance(instruction, Play):
+            samples = instruction.waveform.samples()
+            times = (start + np.arange(len(samples)) + 0.5) * dt
+            rotated = samples * np.exp(1j * (phase + freq_shift * times))
+            rabi = g * rotated
+            if include_stark:
+                stark = (g * np.abs(samples)) ** 2 / (2 * params.alpha)
+            else:
+                stark = np.zeros(len(samples))
+            for k in range(len(samples)):
+                hx = 0.5 * rabi[k].real
+                hy = 0.5 * rabi[k].imag
+                hz = -0.5 * stark[k]
+                unitary = reference_su2(hx, hy, hz, dt) @ unitary
+    return unitary
+
+
+def reference_cr_hamiltonian(
+    rabi_x, rabi_y, delta_c, delta_t, coupling, stark_c
+):
+    eye = np.eye(2, dtype=complex)
+    return (
+        +(delta_c + stark_c) / 2 * np.kron(eye, Z)
+        + delta_t / 2 * np.kron(Z, eye)
+        + coupling / 2 * (np.kron(X, X) + np.kron(Y, Y))
+        + rabi_x / 2 * np.kron(eye, X)
+        + rabi_y / 2 * np.kron(eye, Y)
+    )
+
+
+def reference_expm_hermitian(matrix, time):
+    eigvals, eigvecs = np.linalg.eigh(matrix)
+    phases = np.exp(-1j * time * eigvals)
+    return (eigvecs * phases) @ eigvecs.conj().T
+
+
+def reference_cr(
+    samples, device, control, target, phase, freq_shift, include_stark
+):
+    """One eigensolve per segment, a run of samples within 1e-12 of the
+    run's first sample."""
+    samples = np.asarray(samples, dtype=complex)
+    qc = device.qubits[control]
+    qt = device.qubits[target]
+    dt = device.dt
+    coupling = 2 * math.pi * device.coupling_strength(control, target)
+    omega_d = qt.omega + 2 * math.pi * freq_shift
+    delta_c = qc.omega - omega_d
+    delta_t = qt.omega - omega_d
+    g = 2 * math.pi * qc.drive_strength
+    duration = len(samples)
+    unitary = np.eye(4, dtype=complex)
+    k = 0
+    while k < duration:
+        run = 1
+        while (
+            k + run < duration
+            and abs(samples[k + run] - samples[k]) < 1e-12
+        ):
+            run += 1
+        rabi = g * (samples[k] * np.exp(1j * phase))
+        if include_stark and abs(delta_c) > 1e-12:
+            stark_c = (g * abs(samples[k])) ** 2 / (2 * delta_c)
+        else:
+            stark_c = 0.0
+        hamiltonian = reference_cr_hamiltonian(
+            rabi.real, rabi.imag, delta_c, delta_t, coupling, stark_c
+        )
+        unitary = reference_expm_hermitian(hamiltonian, run * dt) @ unitary
+        k += run
+    total_time = duration * dt
+    phase_c = np.exp(+1j * (delta_c / 2) * total_time * np.array([1, -1]))
+    phase_t = np.exp(+1j * (delta_t / 2) * total_time * np.array([1, -1]))
+    return np.kron(np.diag(phase_t), np.diag(phase_c)) @ unitary
+
+
+def reference_virtual_z_corrected(unitary, target):
+    """virtual_z_corrected with its RZ diagonals built by ``np.kron``."""
+
+    def rz_diag(angle):
+        return np.array(
+            [np.exp(-1j * angle / 2), np.exp(1j * angle / 2)], dtype=complex
+        )
+
+    def dress(angles):
+        a, b, c, d = angles
+        pre = np.kron(rz_diag(d), rz_diag(c))
+        post = np.kron(rz_diag(b), rz_diag(a))
+        return (post[:, None] * unitary) * pre[None, :]
+
+    def objective(angles):
+        overlap = abs(np.trace(target.conj().T @ dress(angles))) / 4
+        return 1.0 - overlap**2
+
+    best = None
+    for start in (np.zeros(4), np.array([0.3, -0.3, 0.3, -0.3])):
+        result = minimize(
+            objective, start, method="Nelder-Mead",
+            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000},
+        )
+        if best is None or result.fun < best.fun:
+            best = result
+    return dress(best.x), float(1.0 - best.fun), best.x
+
+
+def cr_half(width, amp=0.9, sigma=32.0, risefall=64):
+    """Samples of one echoed-CR half, aligned as CRCalibration aligns them."""
+    duration = -(-(math.ceil(width) + 2 * risefall) // 16) * 16
+    return GaussianSquare(duration, amp, sigma, width).samples()
+
+
 class TestSU2:
     def test_identity_at_zero(self):
         np.testing.assert_allclose(
@@ -74,6 +231,20 @@ class TestSU2:
             h = rng.normal(size=3)
             u = su2_propagator(*h, rng.uniform(0, 10))
             assert is_unitary(u)
+
+    def test_array_fields_match_per_element_calls(self):
+        rng = np.random.default_rng(1)
+        hx, hy, hz = rng.normal(size=(3, 4, 5))
+        hx[0, 0] = hy[0, 0] = hz[0, 0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a zero field must not warn
+            stacked = su2_propagator(hx, hy, hz, 0.7)
+        assert stacked.shape == (4, 5, 2, 2)
+        for index in np.ndindex(4, 5):
+            fields = (hx[index], hy[index], hz[index])
+            assert np.array_equal(stacked[index], su2_propagator(*fields, 0.7))
+            assert np.array_equal(stacked[index], reference_su2(*fields, 0.7))
+        assert np.array_equal(stacked[0, 0], np.eye(2))
 
 
 class TestDriveChannelPropagator:
@@ -320,16 +491,113 @@ class TestCrossResonance:
         target = standard_gate("rzx", [-0.8]).matrix()
         assert process_fidelity(unitary, target) > 0.93
 
-    def test_cr_fast_path_matches_dense(self):
+    @pytest.mark.parametrize(
+        "phase, freq_shift",
+        [(0.0, 0.0), (0.7, 0.0), (0.0, 0.01), (0.7, -0.02)],
+    )
+    def test_cr_fast_path_matches_dense(self, phase, freq_shift):
+        # phase and freq_shift are the pulse-level model's trainable knobs
         device = coupled_pair_device()
-        from repro.pulse import ControlChannel, GaussianSquare
-
         pulse = GaussianSquare(320, 0.8, 32, width=192)
-        sched = Schedule(
-            (0, Play(pulse, device.control_channel(0, 1)))
+        channel = device.control_channel(0, 1)
+        sched = Schedule()
+        sched.append(ShiftPhase(phase, channel))
+        sched.append(ShiftFrequency(freq_shift, channel))
+        sched.append(Play(pulse, channel))
+        fast = cr_pair_propagator(
+            pulse.samples(), device, 0, 1, phase=phase, freq_shift=freq_shift
         )
-        fast = cr_pair_propagator(pulse.samples(), device, 0, 1)
         dense = dense_schedule_propagator(
             sched, device, [0, 1], substeps=8
         )
         assert process_fidelity(fast, dense) > 1 - 1e-4
+
+
+def _drive_timelines():
+    d0 = DriveChannel(0)
+    mixed = Schedule()
+    mixed.append(ShiftPhase(0.4, d0))
+    mixed.append(Play(Gaussian(160, 0.7, 40), d0))
+    mixed.append(Delay(32, d0))
+    mixed.append(ShiftFrequency(0.013, d0))
+    mixed.append(Play(Drag(96, 0.3, 24, 0.8, angle=-0.5), d0))
+    mixed.append(SetFrequency(5.02, d0))
+    mixed.append(ShiftPhase(-1.1, d0))
+    mixed.append(Play(Gaussian(64, 0.5, 16), d0))
+    single = {
+        "gaussian": Gaussian(160, 0.7, 40),
+        "gaussian-angle": Gaussian(96, 0.4, 24, angle=0.3),
+        "constant": Constant(96, 0.45),
+        "zeros": Constant(64, 0.0),
+    }
+    timelines = {
+        name: Schedule((0, Play(waveform, d0))).channel_timeline(d0)
+        for name, waveform in single.items()
+    }
+    timelines["frames-delay-plays"] = mixed.channel_timeline(d0)
+    timelines["empty"] = []
+    return timelines
+
+
+DRIVE_TIMELINES = _drive_timelines()
+
+CR_SAMPLES = {
+    "half-width-0": cr_half(0.0),
+    "half-width-37.5": cr_half(37.5),
+    "half-width-192.3-minus": cr_half(192.3, amp=-0.9),
+    "gaussian": Gaussian(160, 0.5, 40).samples(),
+    "gaussian-angle": Gaussian(96, 0.6, 24, angle=0.4).samples(),
+    "constant": Constant(64, 0.5).samples(),
+    "zeros": np.zeros(64, dtype=complex),
+    "empty": np.zeros(0, dtype=complex),
+    # many distinct complex values: catches an array complex product (it
+    # may fuse multiply-adds) or an array ``** 2`` (it squares, the scalar
+    # ``pow`` rounds on its own) in place of the scalar drive terms
+    "random": 0.8 * np.random.default_rng(3).uniform(0, 1, 128)
+    * np.exp(2j * math.pi * np.random.default_rng(4).uniform(0, 1, 128)),
+}
+
+
+class TestMatchesReferenceLoops:
+    """The stacked propagators equal the per-sample loops bit for bit."""
+
+    @pytest.mark.parametrize("include_stark", [True, False])
+    @pytest.mark.parametrize("name", sorted(DRIVE_TIMELINES))
+    def test_drive_channel(self, name, include_stark):
+        device = single_qubit_device()
+        timeline = DRIVE_TIMELINES[name]
+        fast = drive_channel_propagator(timeline, device, 0, include_stark)
+        assert np.array_equal(
+            fast, reference_drive(timeline, device, 0, include_stark)
+        )
+
+    @pytest.mark.parametrize(
+        "phase, freq_shift", [(0.0, 0.0), (math.pi, 0.0), (0.7, -0.013)]
+    )
+    @pytest.mark.parametrize("include_stark", [True, False])
+    @pytest.mark.parametrize("name", sorted(CR_SAMPLES))
+    def test_cr_pair(self, name, include_stark, phase, freq_shift):
+        device = coupled_pair_device()
+        samples = CR_SAMPLES[name]
+        args = (samples, device, 0, 1, phase, freq_shift, include_stark)
+        assert np.array_equal(cr_pair_propagator(*args), reference_cr(*args))
+
+    def test_virtual_z_corrected(self):
+        from repro.circuits import standard_gate
+
+        device = coupled_pair_device()
+        cal = calibrate_cr(device, 0, 1, amp=0.9)
+        raw = cal.echoed_unitary(device, cal.width_pi_2, phase=math.pi)
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(
+            rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        )
+        for unitary, theta in ((raw, math.pi / 2), (raw, 0.8), (q, -1.2)):
+            target = standard_gate("rzx", [theta]).matrix()
+            corrected, fidelity, angles = virtual_z_corrected(unitary, target)
+            ref_corrected, ref_fidelity, ref_angles = (
+                reference_virtual_z_corrected(unitary, target)
+            )
+            assert np.array_equal(corrected, ref_corrected)
+            assert fidelity == ref_fidelity
+            assert np.array_equal(angles, ref_angles)
