@@ -11,6 +11,17 @@ assignment-error transform, then multinomial shot sampling.
 Only the qubits the circuit actually touches enter the simulation, so
 27-qubit devices cost no more than the 6-8 qubits a benchmark uses.
 
+The density-matrix back-end walks those moments **fused**
+(:func:`_evolve_density`).  The instructions of one layer act on
+disjoint qubits, so everything that happens to a gate's qubits before
+the layer's crosstalk — its unitary, its gate or pulse channel, its
+jitter kick and the layer's relaxation of its qubits — composes into one
+superoperator applied in one pass.  Idle qubits keep one relaxation pass
+each, and the layer's ZZ crosstalk, a diagonal unitary on the register,
+is one elementwise pass applied last (ZZ does not commute with
+amplitude damping).  Only operations on disjoint qubits are reordered,
+so the result equals the op-by-op walk up to float rounding.
+
 Back-ends share that front-end through the **simulation-method
 registry** (:mod:`repro.simulators.registry`): each registered
 :class:`~repro.simulators.registry.MethodDescriptor` carries a
@@ -63,7 +74,12 @@ from repro.circuits.circuit import CircuitInstruction, QuantumCircuit
 from repro.circuits.gates import Barrier, Delay, Instruction, Measure, PulseGate
 from repro.exceptions import BackendError, ReproError, TransientError
 from repro.noise.model import NoiseModel
-from repro.simulators.density_matrix import DensityMatrix
+from repro.simulators.density_matrix import (
+    DensityMatrix,
+    channel_superop,
+    expand_superop,
+    unitary_superop,
+)
 from repro.simulators.registry import (
     AUTO_METHOD,
     MethodDescriptor,
@@ -100,6 +116,7 @@ from repro.telemetry.records import record as telemetry_record, recording_enable
 from repro.telemetry.spans import span as telemetry_span
 from repro.utils.bitstrings import index_to_bitstring
 from repro.utils.kernels import marginalize
+from repro.utils.linalg import kron_all
 from repro.utils.rng import as_generator, derive_seed
 
 UnitaryProvider = Callable[[Instruction, tuple[int, ...]], np.ndarray]
@@ -207,18 +224,22 @@ class _RunContext:
     """Per-run (or per-batch) memo of derived execution data.
 
     Shared across the circuits of one :func:`execute_circuits` sweep so
-    that measure-duration lookups and crosstalk unitaries are derived
-    once per batch rather than once per circuit.  The heavyweight memos
-    (relaxation channels, pulse propagators, calibrations) live on the
-    noise model / device and persist across batches.
+    that measure-duration lookups and crosstalk unitaries and diagonals
+    are derived once per batch rather than once per circuit.  The
+    heavyweight memos (relaxation channels, pulse propagators,
+    calibrations) live on the noise model / device and persist across
+    batches.
     """
 
-    __slots__ = ("target", "measure_durations", "zz_unitaries")
+    __slots__ = (
+        "target", "measure_durations", "zz_unitaries", "zz_diagonals"
+    )
 
     def __init__(self, target: Target) -> None:
         self.target = target
         self.measure_durations: dict[int, int] = {}
         self.zz_unitaries: dict[float, np.ndarray] = {}
+        self.zz_diagonals: dict[tuple, np.ndarray] = {}
 
     def measure_duration(self, qubit: int) -> int:
         duration = self.measure_durations.get(qubit)
@@ -235,6 +256,27 @@ class _RunContext:
             )
             self.zz_unitaries[angle] = rzz
         return rzz
+
+    def zz_diagonal(
+        self, angle: float, pairs: tuple[tuple[int, int], ...], width: int
+    ) -> np.ndarray:
+        """Diagonal of one layer's ZZ crosstalk on the ``width``-qubit
+        register: every coupled pair's :meth:`zz_unitary` at once.
+
+        Only the ``2**width`` diagonal is cached, not its ``4**width``
+        density-matrix factor, so the memo stays small at any width.
+        """
+        key = (angle, pairs, width)
+        diagonal = self.zz_diagonals.get(key)
+        if diagonal is None:
+            index = np.arange(1 << width)
+            # sum over pairs of Z_a Z_b: +1 where the two bits agree
+            zz = sum(
+                1 - 2 * (((index >> a) ^ (index >> b)) & 1) for a, b in pairs
+            )
+            diagonal = np.exp(-0.5j * angle * zz)
+            self.zz_diagonals[key] = diagonal
+        return diagonal
 
 
 def _operation_duration(
@@ -719,56 +761,181 @@ def _evolve_exact(
     unitary_provider: UnitaryProvider | None,
     target: Target,
 ):
-    """Shared layer walk for the exact (non-sampling) back-ends.
+    """Layer walk of the exact (non-sampling) back-ends.
 
-    Returns ``(state, total_duration)`` where ``state`` is a
-    :class:`DensityMatrix` or a :class:`Statevector` (the statevector
-    back-end sees no state noise by construction).
+    Returns ``(state, total_duration)``.  ``density_matrix`` runs the
+    fused noisy walk (:func:`_evolve_density`) into a
+    :class:`DensityMatrix`; ``statevector`` applies each gate's unitary
+    to a :class:`Statevector` and nothing else, since that back-end sees
+    no state noise by construction.
     """
     if resolved == "density_matrix":
-        state = DensityMatrix(plan.num_local)
-    else:
-        state = Statevector(plan.num_local)
+        return _evolve_density(
+            plan, circuit, noise_model, rng, context, unitary_provider, target
+        )
+    state = Statevector(plan.num_local)
+    for layer in plan.layers:
+        for idx in layer:
+            inst = circuit.instructions[idx]
+            if not isinstance(inst.operation, Delay):
+                state.evolve(
+                    _resolve_unitary(
+                        inst.operation, inst.qubits, unitary_provider
+                    ),
+                    [plan.local[q] for q in inst.qubits],
+                )
+    return state, sum(plan.layer_durations)
+
+
+def _evolve_density(
+    plan: _CircuitPlan,
+    circuit: QuantumCircuit,
+    noise_model: NoiseModel | None,
+    rng: np.random.Generator,
+    context: _RunContext,
+    unitary_provider: UnitaryProvider | None,
+    target: Target,
+) -> tuple[DensityMatrix, int]:
+    """The fused density-matrix walk (see the module docstring).
+
+    Per layer: one superoperator pass per gate — relaxation ·
+    jitter kick · channels · ``U ⊗ U*`` — then one relaxation pass per
+    idle qubit, then one diagonal pass for the ZZ crosstalk of every
+    coupled pair.  Jitter kicks are drawn in instruction order, as the
+    trajectory lowering draws them, so the RNG stream is shared across
+    methods.  Pass totals go to the ``engine.density_passes`` counter.
+    """
+    state = DensityMatrix(plan.num_local)
     zz_rate = (
         getattr(noise_model, "zz_crosstalk_ghz", 0.0) if noise_model else 0.0
     )
+    zz_pairs = tuple((la, lb) for la, lb, _a, _b in plan.coupled_local_pairs)
+    superop_passes = diagonal_passes = 0
     total_duration = 0
     for layer, duration in zip(plan.layers, plan.layer_durations):
+        timed = noise_model is not None and duration > 0
+        relaxed: set[int] = set()
         for idx in layer:
             inst = circuit.instructions[idx]
             op = inst.operation
             if isinstance(op, Delay):
                 continue
             qubits = [plan.local[q] for q in inst.qubits]
-            matrix = _resolve_unitary(op, inst.qubits, unitary_provider)
-            state.apply_unitary(matrix, qubits)
-            if noise_model is not None:
-                if isinstance(op, PulseGate):
-                    channel = noise_model.pulse_gate_channel(
-                        op.num_qubits, _operation_duration(inst, target)
-                    )
-                    if channel is not None:
-                        state.apply_channel(channel, qubits)
-                    _apply_pulse_jitter(state, op, qubits, noise_model, rng)
-                else:
-                    for channel in noise_model.gate_channels(
-                        op.name, inst.qubits
-                    ):
-                        state.apply_channel(channel, qubits)
-        if noise_model is not None and duration > 0:
-            _apply_duration_noise(
-                state,
-                noise_model,
-                plan.active_list,
-                plan.local,
-                plan.coupled_local_pairs,
-                duration,
-                zz_rate,
-                target.dt,
-                context,
+            superop = unitary_superop(
+                _resolve_unitary(op, inst.qubits, unitary_provider)
             )
+            if noise_model is not None:
+                superop = _gate_noise_superop(
+                    superop, inst, qubits, noise_model, rng, target
+                )
+            if timed:
+                relaxation = _relaxation_superop(
+                    noise_model, inst.qubits, duration
+                )
+                if relaxation is not None:
+                    superop = relaxation @ superop
+                    relaxed.update(qubits)
+            state.apply_superop(superop, qubits)
+            superop_passes += 1
+        if timed:
+            for phys in plan.active_list:
+                if plan.local[phys] in relaxed:
+                    continue
+                channel = noise_model.relaxation_channel(phys, duration)
+                if channel is not None:
+                    state.apply_superop(
+                        channel_superop(channel), [plan.local[phys]]
+                    )
+                    superop_passes += 1
+            if zz_rate and zz_pairs:
+                angle = 2 * math.pi * zz_rate * duration * target.dt
+                state.apply_diagonal_unitary(
+                    context.zz_diagonal(angle, zz_pairs, plan.num_local)
+                )
+                diagonal_passes += 1
         total_duration += duration
+    metric_inc("engine.density_passes", superop_passes, kind="superop")
+    metric_inc("engine.density_passes", diagonal_passes, kind="diagonal")
     return state, total_duration
+
+
+def _gate_noise_superop(
+    superop: np.ndarray,
+    inst: CircuitInstruction,
+    qubits: Sequence[int],
+    noise_model: NoiseModel,
+    rng: np.random.Generator,
+    target: Target,
+) -> np.ndarray:
+    """``superop`` followed by the gate's channels and jitter kick.
+
+    Pulse gates carry their duration-scaled channel and, unless
+    calibration-derived (``op.calibrated``, set by the pulse-efficient
+    pass and actively stabilised), the parameter-transfer jitter of
+    paper §IV-C; other gates carry their noise-model channels.
+    """
+    op = inst.operation
+    if isinstance(op, PulseGate):
+        channel = noise_model.pulse_gate_channel(
+            op.num_qubits, _operation_duration(inst, target)
+        )
+        channels = [] if channel is None else [channel]
+    else:
+        channels = noise_model.gate_channels(op.name, inst.qubits)
+    for channel in channels:
+        _check_channel_width(channel, qubits)
+        superop = channel_superop(channel) @ superop
+    if isinstance(op, PulseGate) and not getattr(op, "calibrated", False):
+        kick = _jitter_unitary(len(qubits), noise_model, rng)
+        if kick is not None:
+            superop = unitary_superop(kick) @ superop
+    return superop
+
+
+def _jitter_unitary(
+    width: int, noise_model: NoiseModel, rng: np.random.Generator
+) -> np.ndarray | None:
+    """The jitter kicks of one uncalibrated pulse gate as one unitary.
+
+    The kicks come from
+    :func:`repro.simulators.trajectory.sample_jitter_kicks`, which the
+    trajectory back-end replays too, so RNG consumption is identical
+    across methods.  ``None`` when no kick was drawn.
+    """
+    total = None
+    for kick, positions in sample_jitter_kicks(
+        width,
+        noise_model.pulse_jitter_local,
+        noise_model.pulse_jitter_entangling,
+        rng,
+    ):
+        if len(positions) < width:
+            (position,) = positions
+            kick = kron_all([
+                np.eye(1 << (width - 1 - position)),
+                kick,
+                np.eye(1 << position),
+            ])
+        total = kick if total is None else kick @ total
+    return total
+
+
+def _relaxation_superop(
+    noise_model: NoiseModel, phys_qubits: Sequence[int], duration: int
+) -> np.ndarray | None:
+    """One layer's thermal relaxation of a gate's qubits as one
+    superoperator, or ``None`` when one of them has no T1/T2 (those
+    qubits then relax in the idle pass)."""
+    superop = None
+    for phys in phys_qubits:
+        channel = noise_model.relaxation_channel(phys, duration)
+        if channel is None:
+            return None
+        single = channel_superop(channel)
+        superop = (
+            single if superop is None else expand_superop(superop, single)
+        )
+    return superop
 
 
 def _result_metadata(plan: _CircuitPlan, resolved: str) -> dict:
@@ -1008,18 +1175,22 @@ def merge_trajectory_results(
 # stabilizer back-end
 # ---------------------------------------------------------------------------
 
-def _stabilizer_channel(
-    program: StabilizerProgram, channel, qubits: Sequence[int]
-) -> None:
-    """Lower one Kraus channel into the program, or fail diagnosably."""
+def _check_channel_width(channel, qubits: Sequence[int]) -> None:
+    """Refuse a noise channel attached to an operation of another width:
+    silently acting on a qubit subset would be wrong physics."""
     if channel.num_qubits != len(qubits):
-        # the amplitude back-ends raise for this misconfiguration too;
-        # silently acting on a qubit subset would be wrong physics
         raise BackendError(
             f"{channel.num_qubits}-qubit noise channel "
             f"{channel.name!r} attached to a {len(qubits)}-qubit "
             f"operation"
         )
+
+
+def _stabilizer_channel(
+    program: StabilizerProgram, channel, qubits: Sequence[int]
+) -> None:
+    """Lower one Kraus channel into the program, or fail diagnosably."""
+    _check_channel_width(channel, qubits)
     terms = pauli_channel_terms(channel.kraus_ops)
     if terms is None:
         raise BackendError(
@@ -1161,58 +1332,6 @@ def _execute_stabilizer(
     # (exact i.i.d. draws); False for the single-multinomial exact path
     metadata["per_shot_sampling"] = per_shot
     return ExperimentResult(counts, total_duration, metadata=metadata)
-
-
-# ---------------------------------------------------------------------------
-# noise application on exact states
-# ---------------------------------------------------------------------------
-
-def _apply_pulse_jitter(
-    state,
-    op: PulseGate,
-    qubits: Sequence[int],
-    noise_model: NoiseModel,
-    rng: np.random.Generator,
-) -> None:
-    """Parameter-transfer variance of uncalibrated pulses (paper §IV-C).
-
-    Calibration-derived pulse gates (marked ``op.calibrated = True`` by
-    the pulse-efficient pass) are actively stabilised and exempt.  The
-    kick sampling is shared with the trajectory back-end
-    (:func:`repro.simulators.trajectory.sample_jitter_kicks`) so RNG
-    consumption is identical across methods.
-    """
-    if getattr(op, "calibrated", False):
-        return
-    for kick, positions in sample_jitter_kicks(
-        len(qubits),
-        noise_model.pulse_jitter_local,
-        noise_model.pulse_jitter_entangling,
-        rng,
-    ):
-        state.apply_unitary(kick, [qubits[p] for p in positions])
-
-
-def _apply_duration_noise(
-    state,
-    noise_model: NoiseModel,
-    active_list: list[int],
-    local: dict[int, int],
-    coupled_local_pairs: list[tuple[int, int, int, int]],
-    duration: int,
-    zz_rate: float,
-    dt: float,
-    context: _RunContext,
-) -> None:
-    for phys in active_list:
-        channel = noise_model.relaxation_channel(phys, duration)
-        if channel is not None:
-            state.apply_channel(channel, [local[phys]])
-    if zz_rate:
-        angle = 2 * math.pi * zz_rate * duration * dt
-        rzz = context.zz_unitary(angle)
-        for la, lb, _a, _b in coupled_local_pairs:
-            state.apply_unitary(rzz, [la, lb])
 
 
 def _marginalize(

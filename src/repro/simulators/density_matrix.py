@@ -5,39 +5,96 @@ application on subsets of qubits, measurement statistics, purity and
 fidelity queries.  It is the workhorse of the noisy backend: at the paper's
 problem sizes (6-8 qubits) exact density-matrix evolution is fast and free
 of sampling noise in the *state* (shot noise is added at measurement time).
+
+Every map is one pass of a row-major superoperator
+(:meth:`DensityMatrix.apply_superop`).  The module-level helpers build
+superoperators of unitaries, channels and tensor products of channels,
+so a caller can compose several maps on the same qubits first and pay
+one pass for all of them.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 
 from repro.exceptions import SimulatorError
 from repro.simulators.statevector import Statevector
 from repro.utils.kernels import (
+    ApplyPlan,
     apply_matrix_flat,
     apply_plan,
     nonzero_counts_dict,
     nonzero_probability_dict,
 )
-from repro.utils.linalg import partial_trace
+from repro.utils.linalg import kron_all, partial_trace
 from repro.utils.rng import as_generator
 
 
-def _build_superoperator(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
-    """``sum_k K_k ⊗ K_k*`` — the row-major superoperator of a channel.
+def unitary_superop(matrix: np.ndarray) -> np.ndarray:
+    """``U ⊗ U*`` — the row-major superoperator of ``rho -> U rho U†``.
 
     With the combined index ordered (row bits major, column bits minor)
     this contracts against the density tensor's joint row/column target
-    axes in one matmul.
+    axes in one matmul (:meth:`DensityMatrix.apply_superop`).
     """
-    out = None
-    for op in kraus_ops:
-        op = np.asarray(op, dtype=complex)
-        term = np.kron(op, op.conj())
-        out = term if out is None else out + term
-    return out
+    matrix = np.asarray(matrix, dtype=complex)
+    return kron_all([matrix, matrix.conj()])
+
+
+def kraus_superop(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
+    """``sum_k K_k ⊗ K_k*`` — the row-major superoperator of a channel."""
+    return sum(unitary_superop(op) for op in kraus_ops)
+
+
+def channel_superop(channel) -> np.ndarray:
+    """The superoperator of a :class:`~repro.noise.channels.KrausChannel`,
+    built on first use and memoized on the channel."""
+    superop = getattr(channel, "_superop", None)
+    if superop is None:
+        superop = kraus_superop(channel.kraus_ops)
+        channel._superop = superop
+    return superop
+
+
+def expand_superop(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Superoperator of ``low`` on the lower-significance qubits and
+    ``high`` on the qubits above them.
+
+    The superoperator of ``KrausChannel.expand`` built from the two
+    factors' superoperators: a product of their entries, reordered so
+    the row bits of both factors precede their column bits.
+    """
+    dl = math.isqrt(low.shape[0])
+    dh = math.isqrt(high.shape[0])
+    low = low.reshape(dl, dl, dl, dl)
+    high = high.reshape(dh, dh, dh, dh)
+    out = (
+        high[:, None, :, None, :, None, :, None]
+        * low[None, :, None, :, None, :, None, :]
+    )
+    size = (dh * dl) ** 2
+    return out.reshape(size, size)
+
+
+@lru_cache(maxsize=4096)
+def _superop_plan(num_qubits: int, qubits: tuple[int, ...]) -> ApplyPlan:
+    """Kernel plan for a superoperator on ``qubits`` of an
+    ``num_qubits``-qubit density tensor: the row axes, then the column
+    axes.  The qubits are checked once per distinct ``(n, qubits)``."""
+    if len(set(qubits)) != len(qubits) or not all(
+        0 <= q < num_qubits for q in qubits
+    ):
+        raise SimulatorError(
+            f"qubits {qubits} must be distinct and in range({num_qubits})"
+        )
+    rows = tuple(num_qubits - 1 - q for q in reversed(qubits))
+    return apply_plan(
+        2 * num_qubits, rows + tuple(num_qubits + axis for axis in rows)
+    )
 
 
 class DensityMatrix:
@@ -67,35 +124,50 @@ class DensityMatrix:
         return DensityMatrix(self.data)
 
     # ------------------------------------------------------------------
-    def _reshaped_apply(
-        self, matrix: np.ndarray, qubits: Sequence[int], side: str
-    ) -> None:
-        """Apply ``matrix`` to row (side='L') or its conjugate to column
-        (side='R') indices of the density tensor.
+    def apply_superop(
+        self, superop: np.ndarray, qubits: Sequence[int]
+    ) -> "DensityMatrix":
+        """rho -> S(rho) for a row-major superoperator ``S`` on ``qubits``
+        (in place); returns self.
 
-        Axis permutations are compiled once per ``(n, qubits, side)``
-        and cached (see :mod:`repro.utils.kernels`).
+        One transpose/matmul pass over the density tensor, whatever the
+        map: a unitary (:func:`unitary_superop`), a channel
+        (:func:`channel_superop`) or a product of them.  Axis
+        permutations are compiled once per ``(n, qubits)`` and cached
+        (see :mod:`repro.utils.kernels`).
         """
-        n = self.num_qubits
-        if side == "L":
-            axes = tuple(n - 1 - q for q in reversed(qubits))
-            mat = matrix
-        else:
-            axes = tuple(2 * n - 1 - q for q in reversed(qubits))
-            mat = matrix.conj()
-        plan = apply_plan(2 * n, axes)
-        self.data = apply_matrix_flat(mat, self.data.reshape(-1), plan).reshape(
-            1 << n, 1 << n
-        )
+        plan = _superop_plan(self.num_qubits, tuple(qubits))
+        if np.shape(superop) != (plan.mat_dim, plan.mat_dim):
+            raise SimulatorError(
+                f"superoperator of shape {np.shape(superop)} does not act "
+                f"on {len(qubits)} qubit(s)"
+            )
+        self.data = apply_matrix_flat(
+            superop, self.data.reshape(-1), plan
+        ).reshape(self.data.shape)
+        return self
+
+    def apply_diagonal_unitary(self, diagonal: np.ndarray) -> "DensityMatrix":
+        """rho -> D rho D† for ``D = diag(diagonal)`` on the whole register
+        (in place); returns self.
+
+        One elementwise product, ``rho ∘ outer(d, d*)``, instead of a
+        transpose/matmul pass.
+        """
+        diagonal = np.asarray(diagonal)
+        if diagonal.shape != (self.data.shape[0],):
+            raise SimulatorError(
+                f"diagonal of shape {diagonal.shape} does not act on "
+                f"{self.num_qubits} qubit(s)"
+            )
+        self.data = self.data * np.outer(diagonal, diagonal.conj())
+        return self
 
     def apply_unitary(
         self, matrix: np.ndarray, qubits: Sequence[int]
     ) -> "DensityMatrix":
         """rho -> U rho U† on ``qubits`` (in place); returns self."""
-        matrix = np.asarray(matrix, dtype=complex)
-        self._reshaped_apply(matrix, qubits, "L")
-        self._reshaped_apply(matrix, qubits, "R")
-        return self
+        return self.apply_superop(unitary_superop(matrix), qubits)
 
     def apply_kraus(
         self, kraus_ops: Sequence[np.ndarray], qubits: Sequence[int]
@@ -107,8 +179,7 @@ class DensityMatrix:
         the target qubits: one transpose/matmul pass per channel instead
         of two per Kraus operator.
         """
-        self._apply_superop(_build_superoperator(kraus_ops), qubits)
-        return self
+        return self.apply_superop(kraus_superop(kraus_ops), qubits)
 
     def apply_channel(
         self, channel, qubits: Sequence[int]
@@ -118,24 +189,7 @@ class DensityMatrix:
         Prefer this over :meth:`apply_kraus` for channel objects: the
         superoperator is built once per channel and memoized on it.
         """
-        superop = getattr(channel, "_superop", None)
-        if superop is None:
-            superop = _build_superoperator(channel.kraus_ops)
-            channel._superop = superop
-        self._apply_superop(superop, qubits)
-        return self
-
-    def _apply_superop(
-        self, superop: np.ndarray, qubits: Sequence[int]
-    ) -> None:
-        n = self.num_qubits
-        axes = tuple(n - 1 - q for q in reversed(qubits)) + tuple(
-            2 * n - 1 - q for q in reversed(qubits)
-        )
-        plan = apply_plan(2 * n, axes)
-        self.data = apply_matrix_flat(
-            superop, self.data.reshape(-1), plan
-        ).reshape(1 << n, 1 << n)
+        return self.apply_superop(channel_superop(channel), qubits)
 
     # ------------------------------------------------------------------
     def probabilities(self) -> np.ndarray:

@@ -84,8 +84,8 @@ class Statevector:
     def apply_unitary(
         self, matrix: np.ndarray, qubits: Sequence[int]
     ) -> "Statevector":
-        """Alias of :meth:`evolve` matching the DensityMatrix interface,
-        so the execution engine's layer walk is state-type agnostic."""
+        """Alias of :meth:`evolve`, named like
+        :meth:`DensityMatrix.apply_unitary`."""
         return self.evolve(matrix, qubits)
 
     def probabilities(self) -> np.ndarray:
