@@ -15,15 +15,12 @@ machine — the ``>= 2x at 4 workers`` assertion only applies when at
 least 4 CPUs are actually available (``environment.cpu_count``); on
 smaller machines the curve is still recorded so multi-core CI tracks
 the trajectory.  Counts are asserted byte-identical across all worker
-counts on every run, everywhere — and, for the cost-aware scheduler
-benchmark, byte-identical between ``shard_planner="cost"`` and
-``"count"`` too: planning may only move wall-clock, never results.
+counts on every run, everywhere.
 """
 
 import json
 import math
 import os
-import pickle
 import tempfile
 import time
 from pathlib import Path
@@ -35,19 +32,17 @@ from repro.circuits import QuantumCircuit
 from repro.core import ExecutionPipeline, HybridGatePulseModel
 from repro.problems import MaxCutProblem, benchmark_graph
 from repro.service import (
-    CircuitJob,
     ExecutionService,
     FaultPolicy,
     FaultRule,
     ResultStore,
     SweepJob,
 )
-from repro.telemetry import set_record_sink
 from repro.vqa import ExpectedCutCost
 
 #: bump when entry shapes change so downstream tooling can tell
-#: (v4 adds cost_aware_vs_count_heterogeneous)
-SCHEMA = {"name": "bench_service", "version": 4}
+#: (v5 drops cost_aware_vs_count_heterogeneous with the cost planner)
+SCHEMA = {"name": "bench_service", "version": 5}
 
 RESULTS: dict = {"schema": dict(SCHEMA)}
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_service.json"
@@ -315,167 +310,6 @@ def test_bench_fault_recovery():
     )
 
 
-def _ghz(qubits: int) -> QuantumCircuit:
-    circuit = QuantumCircuit(qubits, qubits)
-    circuit.h(0)
-    for qubit in range(qubits - 1):
-        circuit.cx(qubit, qubit + 1)
-    for qubit in range(qubits):
-        circuit.measure(qubit, qubit)
-    return circuit
-
-
-def _heterogeneous_jobs(smoke: bool = False) -> tuple[list, dict]:
-    """A mixed-method batch ordered cheap-first, heavy-last.
-
-    That ordering is the count planner's worst case: an even split
-    strands both heavy density sweeps in the final shard, where one
-    worker grinds them back-to-back while the rest sit idle.  The cost
-    planner isolates them and dispatches them first.
-    """
-    cheap = 6 if smoke else 12
-    heavy_qubits = 7 if smoke else 8
-    jobs: list[CircuitJob] = []
-    for index in range(cheap):
-        jobs.append(
-            CircuitJob(
-                circuit=_ghz(4),
-                shots=SHOTS,
-                seed=100 + index,
-                method="stabilizer",
-                with_noise=False,
-            )
-        )
-    for index in range(2):
-        jobs.append(
-            CircuitJob(
-                circuit=_ghz(heavy_qubits),
-                shots=SHOTS,
-                seed=200 + index,
-                method="trajectory",
-                trajectories=8,
-            )
-        )
-    for index in range(2):
-        jobs.append(
-            CircuitJob(
-                circuit=_ghz(heavy_qubits),
-                shots=SHOTS,
-                seed=300 + index,
-                method="density_matrix",
-            )
-        )
-    mix = {
-        "stabilizer": cheap,
-        "trajectory": 2,
-        "density_matrix": 2,
-    }
-    return jobs, mix
-
-
-def test_bench_cost_aware_vs_count_heterogeneous(smoke: bool = False):
-    """Cost-aware vs count-based shard planning on a mixed-method batch.
-
-    The full calibration workflow: a recording warm-up run accumulates
-    ``execute`` records, the cost-planner service's constructor
-    auto-refreshes a :class:`CostCalibration` from them (the shipped
-    unitless weights deliberately overprice per-shot stabilizer work,
-    so real per-method seconds are what make the plan right), and the
-    same batch is then timed under both planners.  Results are asserted
-    byte-identical between planners and vs ``jobs=1`` on every machine;
-    the ``>= 1.3x`` speedup assertion needs at least 2 real CPUs.
-    """
-    backend = FakeGuadalupe()
-    jobs, mix = _heterogeneous_jobs(smoke)
-    repeats = 1 if smoke else 3
-    cpus = _cpu_count()
-    with tempfile.TemporaryDirectory() as root:
-        set_record_sink(root)
-        try:
-            # recording warm-up: >= 5 execute records per method so the
-            # constructor-time refresh fits all three coefficients (the
-            # pool is discarded after — both timed services start equal)
-            with ExecutionService(
-                backend, jobs=2, shard_planner="count"
-            ) as warmup:
-                for _ in range(3):
-                    warmup.run_jobs(jobs)
-            count_service = ExecutionService(
-                backend, jobs=2, shard_planner="count"
-            )
-            cost_service = ExecutionService(backend, jobs=2)
-        finally:
-            set_record_sink(None)
-    assert cost_service.calibration is not None, (
-        "calibration auto-refresh found no usable records"
-    )
-    try:
-        count_service.run_jobs(jobs)  # warm pool, caches, propagators
-        count_seconds, (count_results, count_meta) = _best_of(
-            lambda: count_service.run_jobs(jobs), repeats
-        )
-    finally:
-        count_service.shutdown()
-    try:
-        cost_service.run_jobs(jobs)
-        cost_seconds, (cost_results, cost_meta) = _best_of(
-            lambda: cost_service.run_jobs(jobs), repeats
-        )
-    finally:
-        cost_service.shutdown()
-    with ExecutionService(backend, jobs=1) as inline_service:
-        inline_results, _ = inline_service.run_jobs(jobs)
-
-    assert count_meta["scheduler"]["planner"] == "count"
-    assert cost_meta["scheduler"]["planner"] == "cost"
-    assert cost_meta["scheduler"]["calibrated"] is True
-    for cost_exp, count_exp, inline_exp in zip(
-        cost_results, count_results, inline_results
-    ):
-        assert (
-            pickle.dumps(cost_exp)
-            == pickle.dumps(count_exp)
-            == pickle.dumps(inline_exp)
-        ), "shard planning changed results — the invariant is broken"
-
-    speedup = count_seconds / cost_seconds
-    RESULTS["cost_aware_vs_count_heterogeneous"] = {
-        "count_ms": round(count_seconds * 1e3, 2),
-        "cost_ms": round(cost_seconds * 1e3, 2),
-        "speedup_cost_vs_count": round(speedup, 2),
-        "workers": 2,
-        "job_mix": mix,
-        "calibrated": cost_meta["scheduler"]["calibrated"],
-        "shard_imbalance": {
-            "count": count_meta["scheduler"].get("shard_imbalance"),
-            "cost": cost_meta["scheduler"].get("shard_imbalance"),
-        },
-        "note": (
-            "cheap-first/heavy-last mixed-method batch on 2 workers; "
-            "byte-identical results under both planners and jobs=1; "
-            "speedup needs >= 2 real CPUs (ceiling ~2x when the heavy "
-            "tail dominates)"
-        ),
-    }
-    _flush()
-    print(
-        f"cost-aware vs count: count {count_seconds * 1e3:.1f} ms -> "
-        f"cost {cost_seconds * 1e3:.1f} ms ({speedup:.2f}x, "
-        f"imbalance {count_meta['scheduler'].get('shard_imbalance')} -> "
-        f"{cost_meta['scheduler'].get('shard_imbalance')})"
-    )
-    if cpus >= 2:
-        assert speedup >= 1.3, (
-            f"expected the cost-aware plan to beat count-based by "
-            f">= 1.3x on a {cpus}-CPU machine, got {speedup:.2f}x"
-        )
-    else:
-        print(
-            "(single-CPU machine: speedup assertion skipped, "
-            "curve recorded for multi-core CI)"
-        )
-
-
 def main(argv=None):
     import argparse
 
@@ -484,9 +318,9 @@ def main(argv=None):
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI quick mode: the cost-aware scheduler benchmark only, "
-        "reduced batch, single repeat; writes to a scratch file unless "
-        "--output is given",
+        help="CI quick mode: the trajectory fan-out benchmark only "
+        "(byte-identical counts at jobs=1 and jobs=4); writes to a "
+        "scratch file unless --output is given",
     )
     parser.add_argument(
         "--output",
@@ -501,7 +335,7 @@ def main(argv=None):
         OUTPUT = args.output or (
             Path(tempfile.gettempdir()) / "BENCH_service.smoke.json"
         )
-        test_bench_cost_aware_vs_count_heterogeneous(smoke=True)
+        test_bench_trajectory_fanout()
         print(f"smoke ok; results in {OUTPUT}")
         return
     if args.output is not None:
@@ -510,7 +344,6 @@ def main(argv=None):
     test_bench_store_replay()
     test_bench_trajectory_fanout()
     test_bench_fault_recovery()
-    test_bench_cost_aware_vs_count_heterogeneous()
     print(f"wrote {OUTPUT}")
 
 

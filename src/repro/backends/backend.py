@@ -66,7 +66,7 @@ class SimulatedBackend:
         self._pulse_unitary_cache = LRUCache(
             maxsize=2048, name=f"pulse_unitary[{name}]"
         )
-        # sharded execution services keyed by (workers, options); see
+        # sharded execution services keyed by worker count; see
         # execution_service()
         self._services: dict = {}
 
@@ -191,24 +191,23 @@ class SimulatedBackend:
                 experiments, backend_name=self.name, shots=shots
             )
 
-    def execution_service(self, jobs: int, **options):
+    def execution_service(self, jobs: int):
         """This backend's persistent sharded execution service.
 
         Created lazily on first use and reused for every later
         ``run(..., jobs=N)`` call with the same worker count, so one
         optimizer run pays the pool start-up (fork + cache warm) once.
-        Pass ``options`` (``store=``, ``max_pending=``, ...) through to
-        :class:`~repro.service.futures.ExecutionService`; they only take
-        effect when the service for this worker count is first built.
-        Call :meth:`close_services` to tear the pools down.
+        Build an :class:`~repro.service.futures.ExecutionService`
+        directly for a store, backpressure or other non-default
+        options.  Call :meth:`close_services` to tear the pools down.
         """
         from repro.service.futures import ExecutionService
 
-        key = (int(jobs), tuple(sorted(options)))
-        service = self._services.get(key)
+        jobs = int(jobs)
+        service = self._services.get(jobs)
         if service is None:
-            service = ExecutionService(self, jobs=jobs, **options)
-            self._services[key] = service
+            service = ExecutionService(self, jobs=jobs)
+            self._services[jobs] = service
         return service
 
     def close_services(self) -> None:

@@ -1522,34 +1522,10 @@ def _cost_stabilizer(plan: _CircuitPlan, noise_model) -> float:
     return float(_STABILIZER_SHOT_WORK * max(1, plan.num_local) ** 2)
 
 
-# Work-unit models: how each kernel's wall-clock scales with the job
-# shape (per-trajectory and per-shot where the kernel loops over them).
-# Telemetry calibration fits one seconds-per-unit coefficient per
-# method against these, and the service's cost-aware shard planner
-# prices jobs with them; at the nominal workloads (128 trajectories,
-# 1024 shots) they reproduce the shipped cost-model ratios above.
-
-def _work_statevector(qubits: int, shots: int, trajectories: int) -> float:
-    return 2.0**qubits
-
-
-def _work_density_matrix(qubits: int, shots: int, trajectories: int) -> float:
-    return 4.0**qubits
-
-
-def _work_trajectory(qubits: int, shots: int, trajectories: int) -> float:
-    return max(1, trajectories) * 2.0**qubits
-
-
-def _work_stabilizer(qubits: int, shots: int, trajectories: int) -> float:
-    return max(1, shots) * float(max(1, qubits)) ** 2
-
-
 register_method(MethodDescriptor(
     name="density_matrix",
     supports=_supports_any,
     cost=_cost_density_matrix,
-    work_units=_work_density_matrix,
     execute=_execute_density_matrix,
     default_qubit_budget=14,
     escape_hatch=(
@@ -1566,7 +1542,6 @@ register_method(MethodDescriptor(
     name="statevector",
     supports=_supports_statevector,
     cost=_cost_statevector,
-    work_units=_work_statevector,
     execute=_execute_statevector,
     default_qubit_budget=26,
     escape_hatch="pure states scale 2^n",
@@ -1577,7 +1552,6 @@ register_method(MethodDescriptor(
     name="trajectory",
     supports=_supports_any,
     cost=_cost_trajectory,
-    work_units=_work_trajectory,
     execute=_execute_trajectory,
     default_qubit_budget=26,
     escape_hatch="each trajectory holds a 2^n statevector",
@@ -1589,7 +1563,6 @@ register_method(MethodDescriptor(
     name="stabilizer",
     supports=_supports_stabilizer,
     cost=_cost_stabilizer,
-    work_units=_work_stabilizer,
     execute=_execute_stabilizer,
     default_qubit_budget=256,
     escape_hatch=(

@@ -23,11 +23,7 @@ from repro.service.jobs import (
     describe_job,
     job_fingerprint,
 )
-from repro.service.scheduler import (
-    estimate_job_seconds,
-    plan_shards,
-    plan_shards_weighted,
-)
+from repro.service.scheduler import plan_shards
 from repro.service.futures import ExecutionService
 from repro.service.store import ResultStore
 
@@ -45,8 +41,6 @@ __all__ = [
     "circuit_fingerprint",
     "derive_job_seeds",
     "describe_job",
-    "estimate_job_seconds",
     "job_fingerprint",
     "plan_shards",
-    "plan_shards_weighted",
 ]

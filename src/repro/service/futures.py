@@ -15,14 +15,10 @@ service::
 * ``jobs=N`` fans shards out to a ``ProcessPoolExecutor`` whose workers
   build the backend once per process and warm the propagator /
   calibration caches (see ``scheduler.py``).
-* Batches are planned into contiguous shards by **predicted
-  wall-clock** by default (``shard_planner="cost"``): each job is
-  priced through the registry work-unit models — scaled by a fitted
-  :class:`~repro.telemetry.CostCalibration` when the record sink holds
-  enough fresh samples — so a batch mixing cheap stabilizer jobs with
-  expensive density sweeps balances by seconds, not by job count.
-  ``shard_planner="count"`` keeps the legacy count-based split; either
-  way shard composition never changes results.
+* Batches are planned into contiguous, count-balanced shards
+  (:func:`~repro.service.scheduler.plan_shards`), ``shards_per_worker``
+  per worker so fast workers steal spare ones; shard composition never
+  changes results.
 * Results are **seed-identical** across worker counts: per-job seeds are
   resolved before sharding, and the engine derives every stochastic
   quantity from them.
@@ -83,17 +79,11 @@ from repro.service.scheduler import (
     ShardResult,
     _initialize_worker,
     _run_shard,
-    estimate_job_seconds,
     plan_shards,
-    plan_shards_weighted,
     run_job_on_backend,
     worker_backend_spec,
 )
 from repro.service.store import ResultStore
-from repro.telemetry.calibration import (
-    CostCalibration,
-    refresh_cost_calibration,
-)
 from repro.telemetry import metrics as telemetry_metrics
 from repro.telemetry import records as telemetry_records
 from repro.telemetry import spans as telemetry_spans
@@ -128,7 +118,6 @@ class ExecutionService:
         max_pending: int | None = None,
         store: ResultStore | str | None = None,
         shards_per_worker: int = DEFAULT_SHARDS_PER_WORKER,
-        shard_planner: str = "cost",
         warm: bool = True,
         mp_context=None,
         retries: int = 3,
@@ -149,25 +138,13 @@ class ExecutionService:
             raise BackendError("shard_timeout must be positive")
         if max_pool_rebuilds < 0:
             raise BackendError("max_pool_rebuilds must be >= 0")
-        if shard_planner not in ("cost", "count"):
-            raise BackendError(
-                "shard_planner must be 'cost' or 'count', got "
-                f"{shard_planner!r}"
-            )
         self.backend = backend
         self.workers = int(jobs)
         self.shards_per_worker = int(shards_per_worker)
-        #: "cost" packs shards by predicted wall-clock, "count" by size
-        self.shard_planner = shard_planner
         self.warm = warm
         self.store = (
             ResultStore(store) if isinstance(store, str) else store
         )
-        #: fitted cost calibration (or None): refreshed fail-soft from
-        #: the record sink at construction, used only to scale planner
-        #: weights — it never installs registry cost overrides, so
-        #: seeded "auto" dispatch stays byte-stable
-        self.calibration = self._load_calibration()
         #: max transient retries per job beyond its first attempt
         self.retries = int(retries)
         #: base of the exponential retry backoff, seconds
@@ -214,39 +191,6 @@ class ExecutionService:
     @property
     def parallel(self) -> bool:
         return self.workers > 1
-
-    def _load_calibration(self):
-        """Fail-soft calibration auto-refresh at construction time.
-
-        Prefers the active telemetry record sink; a service built over
-        a :class:`ResultStore` whose directory holds accumulated
-        records (the ``<store>/telemetry/records.jsonl`` convention)
-        falls back to that file, so a long-lived deployment self-tunes
-        from its own history without any explicit opt-in.  Returns
-        ``None`` — never raises — when no usable records exist.
-        """
-        calibration = refresh_cost_calibration()
-        if calibration is None and self.store is not None:
-            root = getattr(self.store, "root", None)
-            if root is not None:
-                calibration = refresh_cost_calibration(
-                    os.path.join(
-                        os.fspath(root),
-                        "telemetry",
-                        telemetry_records.RECORDS_FILENAME,
-                    )
-                )
-        return calibration
-
-    def refresh_calibration(self) -> CostCalibration | None:
-        """Re-fit the planner calibration from current records.
-
-        Long-lived services call this between batches after more
-        records have accumulated; it is the same fail-soft path the
-        constructor runs.  Returns the new calibration (or ``None``).
-        """
-        self.calibration = self._load_calibration()
-        return self.calibration
 
     def _ensure_executor(self, warm_job=None) -> ProcessPoolExecutor:
         if self._closed:
@@ -474,10 +418,6 @@ class ExecutionService:
                 },
             }
         out["store_degraded"] = self._store_degraded
-        out["shard_planner"] = self.shard_planner
-        out["calibration"] = (
-            None if self.calibration is None else self.calibration.as_dict()
-        )
         if self.store is not None:
             out["store"] = self.store.stats()
         if not self.parallel:
@@ -835,7 +775,7 @@ class ExecutionService:
         failures: dict[int, JobFailure] = {}
         shard_count = 0
         subjob_count = 0
-        scheduler_meta = {"planner": "inline", "calibrated": False}
+        scheduler_meta: dict = {}
         if missing and not self.parallel:
             for index in missing:
                 experiment, exc, attempts_made = (
@@ -933,58 +873,6 @@ class ExecutionService:
                 raise error
         return results, meta
 
-    def _plan_unit_shards(
-        self, units: list[CircuitJob]
-    ) -> tuple[list[list[int]], list[float] | None, dict]:
-        """Plan contiguous unit shards; ``(queue, weights, meta)``.
-
-        With ``shard_planner="cost"`` every unit is priced through
-        :func:`~repro.service.scheduler.estimate_job_seconds` and the
-        cut points balance predicted work; the installed calibration is
-        used only when it covers **every** distinct method in the batch
-        — mixing fitted seconds for one method with unitless shipped
-        weights for another would make the relative weights garbage.
-        Any unpriceable unit (a plugin method without a work-unit
-        model) drops the whole batch back to count-based planning, as
-        does ``shard_planner="count"``.  ``weights`` is ``None``
-        whenever the count planner was used.
-        """
-        meta = {"planner": "count", "calibrated": False}
-        if self.shard_planner == "cost":
-            try:
-                methods = [self._resolve_method(unit) for unit in units]
-                calibration = self.calibration
-                if calibration is not None and not all(
-                    method in calibration.coefficients
-                    for method in set(methods)
-                ):
-                    calibration = None
-                weights = [
-                    estimate_job_seconds(unit, method, calibration)
-                    for unit, method in zip(units, methods)
-                ]
-            except Exception:
-                weights = [None]
-            if all(weight is not None for weight in weights):
-                queue = plan_shards_weighted(
-                    weights,
-                    self.workers,
-                    shards_per_worker=self.shards_per_worker,
-                    min_shard_size=1,
-                )
-                meta = {
-                    "planner": "cost",
-                    "calibrated": calibration is not None,
-                }
-                return queue, weights, meta
-        queue = plan_shards(
-            len(units),
-            self.workers,
-            shards_per_worker=self.shards_per_worker,
-            min_shard_size=1,
-        )
-        return queue, None, meta
-
     def _run_units_pooled(
         self,
         units: list[CircuitJob],
@@ -1005,8 +893,8 @@ class ExecutionService:
         broken-pool events the remaining units degrade to inline
         execution.  Completed owners checkpoint to the store
         immediately, not at batch end.  Returns the shard dispatch
-        count and the scheduler metadata (planner used, predicted vs.
-        actual per-shard seconds, imbalance).
+        count and the scheduler metadata (shards planned, actual
+        per-shard seconds, imbalance).
         """
         owner_units: dict[int, list[int]] = {}
         for pos, own in enumerate(owner):
@@ -1045,7 +933,11 @@ class ExecutionService:
             telemetry_metrics.inc("service.quarantines")
             telemetry_spans.record_span("service.quarantine", index=own)
 
-        queue, weights, scheduler_meta = self._plan_unit_shards(units)
+        queue = plan_shards(
+            len(units),
+            self.workers,
+            shards_per_worker=self.shards_per_worker,
+        )
         if self._max_pending is not None:
             # backpressure bound: no shard may need more in-flight
             # slots than the bound allows
@@ -1054,22 +946,9 @@ class ExecutionService:
                 for shard in queue
                 for pos in range(0, len(shard), self._max_pending)
             ]
-        predicted = None
-        if weights is not None:
-            # calibrated weights are seconds; uncalibrated ones are the
-            # registry's unitless work scale — consistent either way
-            predicted = [
-                round(sum(weights[u] for u in shard), 6) for shard in queue
-            ]
-            scheduler_meta["predicted_shard_seconds"] = predicted
-        scheduler_meta["shards_planned"] = len(queue)
+        scheduler_meta = {"shards_planned": len(queue)}
         plan_span = telemetry_spans.record_span(
-            "scheduler.plan",
-            planner=scheduler_meta["planner"],
-            calibrated=scheduler_meta["calibrated"],
-            shards=len(queue),
-            units=len(units),
-            predicted_seconds=predicted,
+            "scheduler.plan", shards=len(queue), units=len(units)
         )
         shard_walls: list[float] = []
 

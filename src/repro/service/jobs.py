@@ -30,12 +30,11 @@ import numpy as np
 
 from repro.backends.engine import (
     check_method_name,
-    default_trajectory_count,
     method_descriptor,
     resolve_trajectory_request,
 )
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gates import Barrier, Measure, PulseGate, UnitaryGate
+from repro.circuits.gates import PulseGate, UnitaryGate
 from repro.exceptions import BackendError
 from repro.utils.cache import (
     LRUCache,
@@ -54,7 +53,6 @@ __all__ = [
     "derive_job_seeds",
     "describe_job",
     "job_fingerprint",
-    "job_shape",
 ]
 
 
@@ -133,47 +131,6 @@ class CircuitJob:
         integer seeds qualify for the content-addressed store.
         """
         return isinstance(self.seed, (int, np.integer))
-
-
-def job_shape(
-    job: CircuitJob, resolved_method: str
-) -> tuple[str, int, int, int]:
-    """Resolve one job unit to ``(method, qubits, shots, trajectories)``.
-
-    The shape the cost-aware shard planner prices
-    (:func:`~repro.service.scheduler.estimate_job_seconds`):
-
-    * ``qubits`` counts the qubits the circuit actually touches — the
-      engine simulates only those, so a 6-qubit benchmark on a 27-qubit
-      device prices as 6 qubits;
-    * ``trajectories`` is ``0`` for non-trajectory methods; for a
-      fanned-out slice sub-job it is the slice width (the worker runs
-      only that range); an adaptive (``"auto"``) run prices at the
-      default fixed count — the resolved count is unknowable before it
-      converges, and a middle-of-the-road estimate keeps the batch
-      plannable.
-    """
-    if resolved_method != "trajectory":
-        trajectories = 0
-    elif job.trajectory_slice is not None:
-        slice_start, slice_stop = job.trajectory_slice
-        trajectories = max(1, int(slice_stop) - int(slice_start))
-    else:
-        fixed_count, _ = resolve_trajectory_request(
-            job.trajectories, job.target_error, job.shots
-        )
-        trajectories = (
-            default_trajectory_count(job.shots)
-            if fixed_count is None
-            else int(fixed_count)
-        )
-    active: set[int] = set()
-    for inst in job.circuit.instructions:
-        if isinstance(inst.operation, Measure):
-            active.add(inst.qubits[0])
-        elif not isinstance(inst.operation, Barrier):
-            active.update(inst.qubits)
-    return str(resolved_method), len(active), int(job.shots), trajectories
 
 
 def describe_job(job: CircuitJob) -> str:

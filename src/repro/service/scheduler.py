@@ -7,17 +7,8 @@ into more shards than workers (``shards_per_worker`` each, by default),
 all shards go into the executor's shared queue, and faster workers
 naturally pull more of them.  Contiguity matters: neighbouring sweep
 points share pulse propagators and noise channels, so keeping them on
-one worker keeps its caches hot.
-
-Two planners share that contiguity invariant (SERVICE.md
-"Scheduling"): :func:`plan_shards` splits by job *count* — the right
-call for homogeneous sweeps — and :func:`plan_shards_weighted` places
-the same contiguous cut points by **predicted seconds**
-(:func:`estimate_job_seconds`: registry work-unit models scaled by a
-fitted :class:`~repro.telemetry.calibration.CostCalibration` when one
-is installed) and dispatches the heaviest shard first, so a batch
-mixing cheap stabilizer jobs with expensive density sweeps no longer
-leaves one worker grinding a heavy tail while the rest idle.
+one worker keeps its caches hot.  :func:`plan_shards` balances shards
+by job *count* (SERVICE.md "Scheduling").
 
 Workers are plain ``ProcessPoolExecutor`` processes.  Each one builds its
 backend exactly once via :func:`_initialize_worker` (from the fake-spec
@@ -29,7 +20,6 @@ to the parent so the service can report them in its result metadata.
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import time
@@ -40,8 +30,7 @@ from dataclasses import dataclass
 from repro.backends.engine import adopt_method_budgets
 from repro.exceptions import BackendError, ReproError
 from repro.service.faults import FaultPolicy
-from repro.service.jobs import CircuitJob, describe_job, job_shape
-from repro.simulators.registry import method_work_units
+from repro.service.jobs import CircuitJob, describe_job
 from repro.telemetry import metrics as telemetry_metrics
 from repro.telemetry import records as telemetry_records
 from repro.telemetry import spans as telemetry_spans
@@ -49,27 +38,13 @@ from repro.utils.cache import cache_stats_totals
 
 __all__ = [
     "ShardResult",
-    "estimate_job_seconds",
     "plan_shards",
-    "plan_shards_weighted",
     "run_job_on_backend",
     "worker_backend_spec",
 ]
 
 #: default oversubscription factor for work stealing
 DEFAULT_SHARDS_PER_WORKER = 4
-
-#: unitless per-method scale applied to the registry work-unit models
-#: when no calibration is installed: at the nominal workloads (128
-#: trajectories, 1024 shots) these reproduce the shipped registry
-#: cost-model ratios (2^q / 4^q / 128·2^q / 2^17·q²), so uncalibrated
-#: cross-method weights rank exactly like shipped ``auto`` dispatch
-_SHIPPED_WEIGHT_SCALE = {
-    "statevector": 1.0,
-    "density_matrix": 1.0,
-    "trajectory": 1.0,
-    "stabilizer": float(1 << 7),
-}
 
 
 def plan_shards(
@@ -102,109 +77,6 @@ def plan_shards(
         size = base + (1 if shard_index < extra else 0)
         shards.append(list(range(start, start + size)))
         start += size
-    return shards
-
-
-def estimate_job_seconds(
-    job: CircuitJob,
-    resolved_method: str,
-    calibration=None,
-) -> float | None:
-    """Predicted wall-clock (or unitless weight) for one job, or ``None``.
-
-    Resolves the job to its ``(method, qubits, shots, trajectories)``
-    shape (:func:`~repro.service.jobs.job_shape`) and prices it with the
-    fitted :class:`~repro.telemetry.calibration.CostCalibration` when
-    one covers the method — real seconds — else with the registry
-    work-unit model scaled so cross-method ratios match the shipped
-    cost models (unitless, but consistently so).  Returns ``None`` when
-    the method has no work-unit model (e.g. an unpriced plugin) or the
-    shape cannot be resolved; the caller falls back to count-based
-    planning.  Never raises — cost estimation is advisory and must not
-    fail a batch that would otherwise run.
-    """
-    try:
-        method, qubits, shots, trajectories = job_shape(job, resolved_method)
-        if calibration is not None:
-            predicted = calibration.predicted_seconds(
-                method, qubits, shots, trajectories
-            )
-            if predicted is not None and math.isfinite(predicted):
-                return max(float(predicted), 0.0)
-        units = method_work_units(method, qubits, shots, trajectories)
-        if units is None or not math.isfinite(units):
-            return None
-        return max(units * _SHIPPED_WEIGHT_SCALE.get(method, 1.0), 0.0)
-    except Exception:
-        return None
-
-
-def plan_shards_weighted(
-    weights: Sequence[float],
-    workers: int,
-    shards_per_worker: int = DEFAULT_SHARDS_PER_WORKER,
-    min_shard_size: int = 1,
-) -> list[list[int]]:
-    """Split job indices into contiguous shards balanced by weight.
-
-    ``weights[i]`` is the predicted cost of job ``i``
-    (:func:`estimate_job_seconds`).  The shard *count* and the
-    contiguity invariant are exactly :func:`plan_shards`'s — neighbours
-    stay together for cache locality — but the cut points land where
-    the predicted work balances, and shards are returned heaviest
-    first so the executor dispatches them LPT-style and no heavy shard
-    starts last.  Falls back to :func:`plan_shards` (count-based) when
-    the weights are flat, unusable (non-finite or negative entries) or
-    sum to zero — in all those cases counts carry as much information
-    as the weights do.
-    """
-    num_jobs = len(weights)
-    if num_jobs <= 0:
-        return []
-    if workers < 1 or shards_per_worker < 1 or min_shard_size < 1:
-        raise BackendError("workers/shards/shard size must be positive")
-    ws = [float(w) for w in weights]
-    usable = all(math.isfinite(w) and w >= 0.0 for w in ws)
-    if not usable or sum(ws) <= 0.0 or min(ws) == max(ws):
-        return plan_shards(
-            num_jobs,
-            workers,
-            shards_per_worker=shards_per_worker,
-            min_shard_size=min_shard_size,
-        )
-    target = min(
-        num_jobs,
-        workers * shards_per_worker,
-        max(1, num_jobs // min_shard_size),
-    )
-    target = max(target, min(workers, num_jobs))
-    # plan_shards's one-shard-per-worker floor can push the shard count
-    # past num_jobs // min_shard_size; shrink the per-shard minimum so
-    # the cut loop below can always place its remaining cuts
-    mss_eff = max(1, min(min_shard_size, num_jobs // target))
-    shards: list[list[int]] = []
-    start = 0
-    for cuts_left in range(target, 0, -1):
-        if cuts_left == 1:
-            shards.append(list(range(start, num_jobs)))
-            break
-        remaining = sum(ws[start:num_jobs])
-        ideal = remaining / cuts_left
-        # leave room for the later shards' minimum sizes
-        max_end = num_jobs - (cuts_left - 1) * mss_eff
-        end = start + mss_eff
-        acc = sum(ws[start:end])
-        # greedily extend while adding the next job moves this shard's
-        # total closer to the ideal per-shard share
-        while end < max_end and abs(acc + ws[end] - ideal) <= abs(
-            acc - ideal
-        ):
-            acc += ws[end]
-            end += 1
-        shards.append(list(range(start, end)))
-        start = end
-    # heaviest-first dispatch order (stable, so ties keep index order)
-    shards.sort(key=lambda shard: -sum(ws[i] for i in shard))
     return shards
 
 

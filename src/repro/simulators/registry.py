@@ -28,14 +28,7 @@ the method as a black box:
   v4) so stale cached counts can never be served across a semantic
   change;
 * ``state_bytes(num_qubits)`` — optional memory model used by
-  :func:`autodetect_method_budgets` to derive RAM-based budgets;
-* ``work_units(qubits, shots, trajectories)`` — optional work-unit
-  model mirroring how the kernel's wall-clock scales with the job
-  shape.  Telemetry calibration fits one seconds-per-unit coefficient
-  against it (:mod:`repro.telemetry.calibration`) and the execution
-  service's cost-aware shard planner prices jobs with it
-  (SERVICE.md "Scheduling"); a plugin that provides one becomes
-  calibratable and cost-plannable like the built-ins.
+  :func:`autodetect_method_budgets` to derive RAM-based budgets.
 
 Budgets are dynamic: the current value is the descriptor default unless
 overridden via :func:`set_method_qubit_budget`.  The execution service
@@ -61,18 +54,14 @@ __all__ = [
     "available_memory_bytes",
     "check_method_name",
     "check_qubit_budget",
-    "clear_cost_overrides",
     "default_method_qubit_budgets",
-    "method_cost",
     "method_descriptor",
     "method_names",
-    "method_work_units",
     "method_qubit_budget",
     "method_qubit_budgets",
     "rank_methods",
     "register_method",
     "registered_methods",
-    "set_cost_override",
     "set_method_qubit_budget",
     "unregister_method",
 ]
@@ -108,17 +97,10 @@ class MethodDescriptor:
     #: optional ``f(num_qubits) -> bytes`` memory model for RAM-derived
     #: budgets (None = not memory-bound, budget stays at the default)
     state_bytes: Callable | None = None
-    #: optional ``f(qubits, shots, trajectories) -> units`` work model
-    #: for calibration fitting and cost-aware shard planning (None =
-    #: the method cannot be priced per-job)
-    work_units: Callable | None = None
 
 
 _REGISTRY: dict[str, MethodDescriptor] = {}
 _budget_overrides: dict[str, int] = {}
-#: opt-in per-method cost replacements (telemetry calibration installs
-#: fitted predicted-seconds models here; empty = shipped constants)
-_cost_overrides: dict[str, Callable] = {}
 
 
 def _ensure_builtins() -> None:
@@ -158,13 +140,12 @@ def register_method(
 
 
 def unregister_method(name: str) -> None:
-    """Remove a registered back-end (and its budget/cost overrides)."""
+    """Remove a registered back-end (and its budget override)."""
     _ensure_builtins()
     if name not in _REGISTRY:
         raise BackendError(f"simulation method {name!r} is not registered")
     del _REGISTRY[name]
     _budget_overrides.pop(name, None)
-    _cost_overrides.pop(name, None)
 
 
 def registered_methods() -> tuple[MethodDescriptor, ...]:
@@ -315,55 +296,6 @@ def check_qubit_budget(
 # auto dispatch ranking
 # ---------------------------------------------------------------------------
 
-def set_cost_override(method: str, cost: Callable | None) -> None:
-    """Replace (or with ``None`` restore) one method's cost model.
-
-    The override has the same ``cost(plan, noise_model) -> float``
-    signature as :attr:`MethodDescriptor.cost` and is consulted only by
-    ``auto`` ranking — never by capability checks or budgets.  This is
-    the opt-in hook telemetry calibration installs fitted
-    predicted-seconds models through
-    (:func:`repro.telemetry.calibration.use_calibrated_costs`); nothing
-    installs overrides by default, so shipped ``auto`` dispatch stays
-    reproducible.
-    """
-    method_descriptor(method)  # raises for unknown names
-    if cost is None:
-        _cost_overrides.pop(method, None)
-    else:
-        _cost_overrides[method] = cost
-
-
-def clear_cost_overrides() -> None:
-    """Drop every cost override, restoring the shipped cost models."""
-    _cost_overrides.clear()
-
-
-def method_cost(descriptor: MethodDescriptor, plan, noise_model) -> float:
-    """The cost ``auto`` ranking uses: the override when one is set."""
-    override = _cost_overrides.get(descriptor.name)
-    fn = override if override is not None else descriptor.cost
-    return float(fn(plan, noise_model))
-
-
-def method_work_units(
-    method: str, qubits: int, shots: int, trajectories: int
-) -> float | None:
-    """Work units of one execution under the method's shape model.
-
-    Returns ``None`` for methods without a ``work_units`` model (they
-    cannot be priced per-job: calibration leaves them unfitted and the
-    cost-aware shard planner falls back to count-based splits for
-    batches containing them).
-    """
-    descriptor = method_descriptor(method)
-    if descriptor.work_units is None:
-        return None
-    return float(
-        descriptor.work_units(int(qubits), int(shots), int(trajectories))
-    )
-
-
 def rank_methods(plan, noise_model) -> list[MethodDescriptor]:
     """Candidate back-ends for ``auto``, best first.
 
@@ -373,10 +305,8 @@ def rank_methods(plan, noise_model) -> list[MethodDescriptor]:
        ``(plan, noise_model)`` pair are candidates;
     2. candidates within their qubit budget outrank ones that are not;
     3. exact candidates outrank ``statistical`` ones;
-    4. within a tier, lower ``cost(plan, noise_model)`` wins — the
-       calibrated override when one is installed
-       (:func:`set_cost_override`) — with registration order breaking
-       ties.
+    4. within a tier, lower ``cost(plan, noise_model)`` wins, with
+       registration order breaking ties.
 
     Rule 2 keeps a circuit nobody can afford resolving to the
     *cheapest* supporting method, so the budget error the execution
@@ -405,7 +335,7 @@ def rank_methods(plan, noise_model) -> list[MethodDescriptor]:
         return (
             over_budget,
             descriptor.statistical and not over_budget,
-            method_cost(descriptor, plan, noise_model),
+            float(descriptor.cost(plan, noise_model)),
             order,
         )
 

@@ -1,6 +1,6 @@
-"""Unified telemetry layer: spans, metrics, records, calibration.
+"""Unified telemetry layer: spans, metrics, records.
 
-Four cooperating pieces (full schemas and workflow in TELEMETRY.md):
+Three cooperating pieces (full schemas and workflow in TELEMETRY.md):
 
 - :mod:`~repro.telemetry.spans` — opt-in per-execution trace trees
   (:func:`collect_trace`, :func:`span`);
@@ -9,23 +9,13 @@ Four cooperating pieces (full schemas and workflow in TELEMETRY.md):
   workers like cache totals;
 - :mod:`~repro.telemetry.records` — opt-in durable JSONL execution
   records (:func:`set_record_sink`), aggregated by the
-  ``python -m repro.telemetry report`` CLI;
-- :mod:`~repro.telemetry.calibration` — fits per-method cost
-  coefficients from records and feeds ``auto`` ranking through the
-  opt-in :func:`use_calibrated_costs` hook.
+  ``python -m repro.telemetry report`` CLI.
 
 Everything here is zero-dependency, off the RNG path, and fail-soft:
 telemetry can slow an execution down (boundedly — see the
 ``telemetry_overhead`` bench entry) but never change its results.
 """
 
-from repro.telemetry.calibration import (
-    CostCalibration,
-    clear_calibrated_costs,
-    fit_cost_calibration,
-    refresh_cost_calibration,
-    use_calibrated_costs,
-)
 from repro.telemetry.metrics import (
     clear_metrics,
     inc,
@@ -59,16 +49,13 @@ from repro.telemetry.spans import (
 )
 
 __all__ = [
-    "CostCalibration",
     "Span",
     "TelemetryError",
     "Trace",
-    "clear_calibrated_costs",
     "clear_metrics",
     "collect_records",
     "collect_trace",
     "current_span",
-    "fit_cost_calibration",
     "inc",
     "iter_records",
     "merge_snapshot",
@@ -78,7 +65,6 @@ __all__ = [
     "observe",
     "record",
     "record_sink",
-    "refresh_cost_calibration",
     "record_span",
     "recording_enabled",
     "render_trace",
@@ -88,5 +74,4 @@ __all__ = [
     "summarize_records",
     "traced",
     "tracing_enabled",
-    "use_calibrated_costs",
 ]

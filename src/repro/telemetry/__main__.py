@@ -3,10 +3,8 @@
 Commands:
 
 - ``report <records.jsonl>`` — aggregate a JSONL record sink into
-  per-method wall-clock stats and batch/fault totals.
-- ``calibrate <records.jsonl>`` — fit per-method cost coefficients
-  (optionally ``--output calibration.json`` for reuse via
-  ``CostCalibration.load``).
+  per-method wall-clock stats and batch/fault totals.  A missing or
+  unreadable sink exits nonzero.
 """
 
 from __future__ import annotations
@@ -15,11 +13,18 @@ import argparse
 import json
 import sys
 
-from repro.telemetry.calibration import fit_cost_calibration
 from repro.telemetry.records import iter_records, summarize_records
 
 
 def _cmd_report(args) -> int:
+    # iter_records skips an unreadable sink so a library reader never
+    # fails a run; the CLI must say so instead of reporting 0 records
+    try:
+        with open(args.records, encoding="utf-8"):
+            pass
+    except OSError as exc:
+        print(f"cannot read {args.records}: {exc}", file=sys.stderr)
+        return 1
     summary = summarize_records(iter_records(args.records))
     if args.json:
         json.dump(summary, sys.stdout, indent=2, sort_keys=True)
@@ -49,28 +54,10 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_calibrate(args) -> int:
-    calibration = fit_cost_calibration(
-        args.records, min_records=args.min_records
-    )
-    if args.output:
-        calibration.save(args.output)
-    json.dump(calibration.as_dict(), sys.stdout, indent=2, sort_keys=True)
-    print()
-    if not calibration.coefficients:
-        print(
-            f"no method reached {args.min_records} usable records; "
-            "shipped cost models remain in force",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry",
-        description="Aggregate and calibrate persisted telemetry records.",
+        description="Aggregate persisted telemetry records.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -80,21 +67,6 @@ def main(argv=None) -> int:
         "--json", action="store_true", help="emit the summary as JSON"
     )
     report.set_defaults(fn=_cmd_report)
-
-    calibrate = sub.add_parser(
-        "calibrate", help="fit per-method cost coefficients"
-    )
-    calibrate.add_argument("records", help="path to records.jsonl")
-    calibrate.add_argument(
-        "--min-records",
-        type=int,
-        default=5,
-        help="minimum usable records per method (default 5)",
-    )
-    calibrate.add_argument(
-        "--output", default=None, help="also save the calibration JSON here"
-    )
-    calibrate.set_defaults(fn=_cmd_calibrate)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -4,7 +4,7 @@ Each recorded execution appends one JSON object per line to a sink
 file, by default ``<result-store>/telemetry/records.jsonl``.  Records
 are the durable third of the telemetry layer — spans die with the
 process, metrics die with the process, records accumulate across runs
-and feed :mod:`repro.telemetry.calibration`.
+and feed the ``python -m repro.telemetry report`` CLI.
 
 Record kinds:
 
@@ -157,14 +157,13 @@ def _reset_state() -> None:
     _BUFFER = None
 
 
-def iter_records(path, min_ts: float | None = None):
+def iter_records(path):
     """Yield record dicts from a JSONL sink, skipping torn/corrupt lines.
 
     A crash mid-append can leave a truncated last line; tolerating bad
     lines (rather than raising) mirrors how the result store degrades
-    torn entries to misses.  ``min_ts`` drops records whose ``ts``
-    wall-clock stamp is older — the age window calibration auto-refresh
-    uses so stale records from another machine era stop voting.
+    torn entries to misses.  A missing or unreadable sink yields
+    nothing.
     """
     try:
         handle = open(path, "r", encoding="utf-8")
@@ -181,12 +180,6 @@ def iter_records(path, min_ts: float | None = None):
                 continue
             if not isinstance(payload, dict):
                 continue
-            if min_ts is not None:
-                try:
-                    if float(payload.get("ts", 0.0)) < min_ts:
-                        continue
-                except (TypeError, ValueError):
-                    continue
             yield payload
 
 

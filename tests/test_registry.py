@@ -1,5 +1,8 @@
 """Tests for the simulation-method registry: plugins, budgets, errors."""
 
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,16 +15,19 @@ from repro.backends import (
     select_method,
     set_method_qubit_budget,
 )
+from repro.backends.engine import _CircuitPlan
 from repro.backends.result import Counts, ExperimentResult
 from repro.circuits import QuantumCircuit
 from repro.exceptions import BackendError
 from repro.service import CircuitJob, job_fingerprint
+from repro.simulators import registry
 from repro.simulators.registry import (
     MethodDescriptor,
     adopt_method_budgets,
     autodetect_method_budgets,
     check_qubit_budget,
     method_descriptor,
+    rank_methods,
     register_method,
     registered_methods,
     unregister_method,
@@ -85,6 +91,18 @@ class TestRegistryBasics:
     def test_unregister_unknown_rejected(self):
         with pytest.raises(BackendError, match="not registered"):
             unregister_method("does_not_exist")
+
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.service", "repro.simulators.registry", "repro.telemetry"],
+    )
+    def test_public_names_resolve(self, module):
+        imported = importlib.import_module(module)
+        missing = [
+            name for name in imported.__all__
+            if not hasattr(imported, name)
+        ]
+        assert missing == []
 
 
 class TestPluginRegistration:
@@ -162,6 +180,86 @@ class TestPluginRegistration:
             assert key_v1 != key_v2
         finally:
             unregister_method("toy")
+
+
+class TestRankMethods:
+    """The four ``auto`` ranking rules of :func:`rank_methods`."""
+
+    @staticmethod
+    def _ranked(backend, noise_model, qubits=3):
+        plan = _CircuitPlan(line_circuit(qubits), backend.target)
+        return [d.name for d in rank_methods(plan, noise_model)]
+
+    def test_noiseless_ranking_follows_shipped_costs(self, backend):
+        # 2^n < 4^n < tableau work at 3 qubits; statistical last
+        assert self._ranked(backend, None) == [
+            "statevector", "density_matrix", "stabilizer", "trajectory"
+        ]
+
+    def test_unsupporting_methods_are_not_candidates(self, backend):
+        # relaxation noise: no pure state, no Pauli-only tableau
+        assert self._ranked(backend, backend.noise_model) == [
+            "density_matrix", "trajectory"
+        ]
+
+    def test_over_budget_methods_rank_last(self, backend):
+        set_method_qubit_budget("density_matrix", 2)
+        try:
+            assert self._ranked(backend, backend.noise_model) == [
+                "trajectory", "density_matrix"
+            ]
+        finally:
+            set_method_qubit_budget("density_matrix", None)
+
+    def test_exact_methods_outrank_cheaper_statistical_ones(self, backend):
+        register_method(
+            TestPluginRegistration._toy_descriptor(
+                name="toy_sampler",
+                supports=lambda plan, noise: True,
+                statistical=True,
+            )
+        )
+        try:
+            assert self._ranked(backend, backend.noise_model) == [
+                "density_matrix", "toy_sampler", "trajectory"
+            ]
+        finally:
+            unregister_method("toy_sampler")
+
+    def test_cost_ties_break_by_registration_order(self, backend):
+        for first, second in (("toy_a", "toy_b"), ("toy_b", "toy_a")):
+            for name in (first, second):
+                register_method(
+                    TestPluginRegistration._toy_descriptor(name=name)
+                )
+            try:
+                assert self._ranked(backend, None)[:2] == [first, second]
+            finally:
+                unregister_method(first)
+                unregister_method(second)
+
+    def test_no_supporting_method_names_the_registry(
+        self, backend, monkeypatch
+    ):
+        refuses = TestPluginRegistration._toy_descriptor(
+            supports=lambda plan, noise: False
+        )
+        monkeypatch.setattr(registry, "_REGISTRY", {"toy": refuses})
+        with pytest.raises(BackendError, match=r"\('toy',\)"):
+            self._ranked(backend, None)
+
+    def test_ranking_reads_the_registered_cost_model(self, backend):
+        shipped = method_descriptor("statevector")
+        register_method(
+            replace(shipped, cost=lambda plan, noise: float("inf")),
+            replace=True,
+        )
+        try:
+            assert self._ranked(backend, None)[0] == "density_matrix"
+        finally:
+            register_method(shipped, replace=True)
+        assert self._ranked(backend, None)[0] == "statevector"
+        assert method_names()[1] == "statevector"  # order kept
 
 
 class TestBudgets:

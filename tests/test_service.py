@@ -7,10 +7,13 @@ pytest.ini) but use quick configs so the whole module stays well under
 30 s — tier-1 (`pytest -x -q`) runs everything.
 """
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backends import FakeGuadalupe
 from repro.backends.result import Counts, ExperimentResult
@@ -22,6 +25,7 @@ from repro.core import (
     train_model,
 )
 from repro.backends.engine import classify_error
+from repro.circuits import QuantumCircuit
 from repro.exceptions import (
     BackendError,
     QuarantineError,
@@ -44,6 +48,7 @@ from repro.service import (
     job_fingerprint,
     plan_shards,
 )
+from repro.telemetry import clear_metrics, collect_trace
 from repro.utils.cache import cache_stats_totals
 from repro.utils.rng import derive_seed
 from repro.vqa import ExpectedCutCost
@@ -108,14 +113,76 @@ class TestShardPlanner:
     def test_never_more_shards_than_jobs(self):
         assert len(plan_shards(3, 8)) == 3
 
+    def test_more_workers_than_jobs_one_job_per_shard(self):
+        # the paper's pooled batches: one density unit per worker
+        assert plan_shards(2, 2) == [[0], [1]]
+        assert plan_shards(3, 8) == [[0], [1], [2]]
+
+    def test_single_job(self):
+        assert plan_shards(1, 4) == [[0]]
+        assert plan_shards(1, 1, shards_per_worker=16) == [[0]]
+
     def test_min_shard_size(self):
         shards = plan_shards(100, 4, shards_per_worker=8, min_shard_size=10)
         assert all(len(s) >= 10 for s in shards)
+
+    def test_min_shard_size_caps_oversubscription(self):
+        # 12 jobs / min size 4 allows at most 3 shards even though the
+        # oversubscription target asks for 8
+        shards = plan_shards(12, 2, shards_per_worker=4, min_shard_size=4)
+        assert len(shards) == 3
+        assert all(len(shard) >= 4 for shard in shards)
+
+    def test_worker_floor_beats_min_shard_size(self):
+        # the one-shard-per-worker floor wins over min_shard_size: every
+        # worker gets work even if shards run small
+        shards = plan_shards(10, 8, shards_per_worker=1, min_shard_size=10)
+        assert len(shards) == 8
+        assert [idx for shard in shards for idx in shard] == list(range(10))
 
     def test_empty_and_invalid(self):
         assert plan_shards(0, 4) == []
         with pytest.raises(BackendError):
             plan_shards(4, 0)
+
+    def test_invalid_oversubscription_and_shard_size(self):
+        for knobs in ({"shards_per_worker": 0}, {"min_shard_size": 0}):
+            with pytest.raises(BackendError):
+                plan_shards(4, 2, **knobs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_jobs=st.integers(0, 200),
+        workers=st.integers(1, 16),
+        shards_per_worker=st.integers(1, 8),
+        min_shard_size=st.integers(1, 20),
+    )
+    def test_property_contiguous_balanced_cover(
+        self, num_jobs, workers, shards_per_worker, min_shard_size
+    ):
+        shards = plan_shards(
+            num_jobs,
+            workers,
+            shards_per_worker=shards_per_worker,
+            min_shard_size=min_shard_size,
+        )
+        # every index exactly once, in order, no empty shard
+        flat = [idx for shard in shards for idx in shard]
+        assert flat == list(range(num_jobs))
+        assert all(shards)
+        if not shards:
+            return
+        sizes = [len(shard) for shard in shards]
+        assert max(sizes) - min(sizes) <= 1
+        floor = min(workers, num_jobs)
+        assert len(shards) >= floor
+        assert len(shards) <= max(
+            min(workers * shards_per_worker, num_jobs // min_shard_size),
+            floor,
+        )
+        if len(shards) > floor:
+            # past the worker floor, min_shard_size holds
+            assert min(sizes) >= min_shard_size
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +557,215 @@ class TestFuturesAPI:
                 SweepJob(sweep_circuits[:3], shots=SHOTS, seed=29)
             )
         assert counts_of(inline_results) == counts_of(pooled_results)
+
+    def test_backend_reuses_one_service_per_worker_count(
+        self, backend, sweep_circuits
+    ):
+        # an optimizer loop calls run(jobs=2) per evaluation; each call
+        # must land on the same pool instead of starting a new one
+        service = backend.execution_service(2)
+        try:
+            for seed in (1, 2):
+                backend.run(
+                    sweep_circuits[:2], shots=SHOTS, seed=seed, jobs=2
+                )
+            assert backend.execution_service(2) is service
+        finally:
+            backend.close_services()
+
+
+class TestServiceConfiguration:
+    """Constructor, stats and backend-cache surface; no pool starts."""
+
+    def test_constructor_validation(self, backend):
+        for knobs in (
+            {"jobs": 0},
+            {"max_pending": 0},
+            {"retries": -1},
+            {"retry_backoff": -0.1},
+            {"shard_timeout": 0},
+            {"max_pool_rebuilds": -1},
+        ):
+            with pytest.raises(BackendError):
+                ExecutionService(backend, **knobs)
+
+    def test_stats_schema(self, backend):
+        service = ExecutionService(backend, jobs=2)
+        stats = service.stats()
+        service.shutdown()
+        assert set(stats) == {
+            "workers", "pending", "jobs_submitted", "jobs_run",
+            "shards_dispatched", "store_hits", "store_misses",
+            "max_pending_seen", "per_worker", "retries",
+            "transient_errors", "timeouts", "pool_rebuilds",
+            "quarantined", "inline_fallbacks", "store_degraded",
+            "metrics",
+        }
+        assert stats["workers"] == 2
+        assert stats["per_worker"] == {}
+        assert stats["store_degraded"] is False
+
+    def test_backend_service_takes_only_jobs(self, backend, tmp_path):
+        # options would be silently ignored by a service cached under
+        # the same worker count; build an ExecutionService instead
+        with pytest.raises(TypeError):
+            backend.execution_service(2, store=str(tmp_path))
+
+    def test_backend_services_keyed_by_worker_count(self, backend):
+        two = backend.execution_service(2)
+        three = backend.execution_service(3)
+        try:
+            assert two is not three
+            assert (two.workers, three.workers) == (2, 3)
+            assert backend.execution_service(3) is three
+        finally:
+            backend.close_services()
+        # closing tears the cached services down; the next call builds
+        # a fresh one
+        with pytest.raises(BackendError):
+            two.submit(CircuitJob(ghz(3), shots=SHOTS, seed=1))
+        fresh = backend.execution_service(2)
+        try:
+            assert fresh is not two
+        finally:
+            backend.close_services()
+
+
+# ---------------------------------------------------------------------------
+# pooled scheduling: mixed-method batches and trajectory fan-out
+# ---------------------------------------------------------------------------
+
+def ghz(qubits: int) -> QuantumCircuit:
+    circuit = QuantumCircuit(qubits, name=f"ghz{qubits}")
+    circuit.h(0)
+    for qubit in range(qubits - 1):
+        circuit.cx(qubit, qubit + 1)
+    circuit.measure_all()
+    return circuit
+
+
+def mixed_jobs() -> list[CircuitJob]:
+    """Cheap stabilizer jobs interleaved with density-matrix jobs."""
+    return [
+        CircuitJob(
+            circuit=ghz(3),
+            shots=SHOTS,
+            seed=11 + index,
+            method="stabilizer" if index % 2 else "density_matrix",
+            with_noise=not index % 2,
+        )
+        for index in range(6)
+    ]
+
+
+@pytest.mark.slow
+class TestPooledScheduling:
+    def test_mixed_batch_byte_identical_to_inline(self, backend):
+        jobs = mixed_jobs()
+        with ExecutionService(backend, jobs=2) as pooled:
+            pooled_results, meta = pooled.run_jobs(jobs)
+        with ExecutionService(backend, jobs=1) as inline:
+            inline_results, inline_meta = inline.run_jobs(jobs)
+        assert [pickle.dumps(e) for e in pooled_results] == [
+            pickle.dumps(e) for e in inline_results
+        ]
+        assert meta["scheduler"]["shards_planned"] == len(
+            plan_shards(len(jobs), 2)
+        )
+        assert meta["scheduler"]["shard_imbalance"] >= 1.0
+        assert inline_meta["scheduler"] == {}
+
+    def test_queue_wait_metric_recorded(self, backend):
+        clear_metrics()
+        with ExecutionService(backend, jobs=2) as service:
+            service.run_jobs(mixed_jobs())
+            histograms = service.stats()["metrics"]["histograms"]
+        assert any(
+            "service.queue_wait_seconds" in str(key)
+            for key in histograms
+        )
+        assert not any(
+            "shard_queue_wait" in str(key) for key in histograms
+        )
+
+    def test_trajectory_fanout_honors_shards_per_worker(self, backend):
+        """Regression: fan-out once hardcoded shards_per_worker=2."""
+        trajectories = 24
+        job = CircuitJob(
+            circuit=ghz(3),
+            shots=SHOTS,
+            seed=7,
+            method="trajectory",
+            trajectories=trajectories,
+        )
+        for spw in (2, 3):
+            with ExecutionService(
+                backend, jobs=2, shards_per_worker=spw
+            ) as service:
+                _, meta = service.run_jobs([job])
+            expected = len(plan_shards(trajectories, 2, shards_per_worker=spw))
+            assert meta["trajectory_subjobs"] == expected
+        assert len(plan_shards(trajectories, 2, shards_per_worker=2)) != len(
+            plan_shards(trajectories, 2, shards_per_worker=3)
+        )
+
+    def test_scheduler_meta_describes_the_count_plan(self, backend):
+        with ExecutionService(backend, jobs=2) as service:
+            _, meta = service.run_jobs(mixed_jobs())
+        scheduler = meta["scheduler"]
+        assert set(scheduler) == {
+            "shards_planned", "actual_shard_seconds", "shard_imbalance",
+        }
+        # fault-free: one measured wall per planned shard
+        walls = scheduler["actual_shard_seconds"]
+        assert len(walls) == scheduler["shards_planned"]
+        assert all(wall >= 0.0 for wall in walls)
+        # slowest over mean: 1.0 when level, at most the shard count
+        assert 1.0 <= scheduler["shard_imbalance"] <= len(walls)
+
+    def test_plan_span_and_imbalance_gauge(self, backend):
+        clear_metrics()
+        with ExecutionService(backend, jobs=2) as service:
+            with collect_trace("plan") as trace:
+                _, meta = service.run_jobs(mixed_jobs())
+            gauges = service.stats()["metrics"]["gauges"]
+        scheduler = meta["scheduler"]
+        (plan,) = trace.find("scheduler.plan")
+        assert plan.attributes["units"] == len(mixed_jobs())
+        assert plan.attributes["shards"] == scheduler["shards_planned"]
+        assert plan.attributes["actual_seconds"] == (
+            scheduler["actual_shard_seconds"]
+        )
+        assert plan.attributes["imbalance"] == scheduler["shard_imbalance"]
+        assert gauges["shard.imbalance"] == pytest.approx(
+            scheduler["shard_imbalance"], abs=1e-6
+        )
+
+    def test_pooled_batch_dispatches_the_count_plan(
+        self, backend, sweep_circuits
+    ):
+        jobs = SweepJob(sweep_circuits, shots=SHOTS, seed=5).jobs()
+        with ExecutionService(backend, jobs=2) as service:
+            _, meta = service.run_jobs(jobs)
+            dispatched = service.stats()["shards_dispatched"]
+        planned = len(plan_shards(len(jobs), 2))
+        assert meta["scheduler"]["shards_planned"] == planned
+        assert dispatched == planned
+
+    def test_max_pending_splits_planned_shards(self, backend):
+        # plan_shards(6, 2, shards_per_worker=1) gives two shards of 3;
+        # a bound of 2 in-flight jobs splits each into 2 + 1
+        jobs = mixed_jobs()
+        with ExecutionService(
+            backend, jobs=2, shards_per_worker=1, max_pending=2
+        ) as pooled:
+            pooled_results, meta = pooled.run_jobs(jobs)
+        with ExecutionService(backend, jobs=1) as inline:
+            inline_results, _ = inline.run_jobs(jobs)
+        assert meta["scheduler"]["shards_planned"] == 4
+        assert [pickle.dumps(e) for e in pooled_results] == [
+            pickle.dumps(e) for e in inline_results
+        ]
 
 
 # ---------------------------------------------------------------------------

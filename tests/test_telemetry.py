@@ -5,18 +5,20 @@ for fixed seeds, results are byte-identical with tracing and recording
 enabled or disabled, across every simulation method and worker count —
 the span/record/metric paths never touch the engine's RNG.  On top of
 that: trace trees have the documented shape (every shard dispatch and
-fault event exactly once, parents correct), records survive torn
-lines, and calibration reorders ``rank_methods`` only under the
-explicit :func:`use_calibrated_costs` opt-in.
+fault event exactly once, parents correct), and records survive torn
+lines.
 """
 
 import json
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from repro.backends import FakeGuadalupe, select_method
+from repro.backends import FakeGuadalupe
 from repro.circuits import QuantumCircuit
 from repro.service import (
     CircuitJob,
@@ -25,15 +27,13 @@ from repro.service import (
     FaultRule,
     ResultStore,
 )
+from repro.telemetry import __main__ as telemetry_cli
 from repro.telemetry import (
-    CostCalibration,
     TelemetryError,
-    clear_calibrated_costs,
     clear_metrics,
     collect_records,
     collect_trace,
     current_span,
-    fit_cost_calibration,
     inc,
     iter_records,
     merge_snapshot,
@@ -49,7 +49,6 @@ from repro.telemetry import (
     span,
     summarize_records,
     tracing_enabled,
-    use_calibrated_costs,
 )
 
 SHOTS = 64
@@ -62,11 +61,9 @@ def _clean_telemetry():
     """Telemetry state is process-global: every test starts clean."""
     clear_metrics()
     set_record_sink(None)
-    clear_calibrated_costs()
     yield
     clear_metrics()
     set_record_sink(None)
-    clear_calibrated_costs()
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +271,110 @@ class TestRecords:
         assert list(iter_records(sink)) == []
 
 
+class TestReportCLI:
+    def test_report_prints_counts_of_a_recorded_run(
+        self, backend, tmp_path, capsys
+    ):
+        sink = set_record_sink(tmp_path)
+        backend.run(
+            generic_circuit(3, 0), shots=SHOTS, seed=5,
+            method="density_matrix",
+        )
+        set_record_sink(None)
+        rows = list(iter_records(sink))
+        assert [row["kind"] for row in rows] == ["execute"]
+        assert telemetry_cli.main(["report", sink]) == 0
+        out = capsys.readouterr().out
+        assert "telemetry records: 1" in out
+        assert "density_matrix/q3: 1 runs" in out
+
+    def test_report_on_missing_path_fails_loudly(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-file.jsonl"
+        assert telemetry_cli.main(["report", str(missing)]) != 0
+        captured = capsys.readouterr()
+        assert "no-such-file.jsonl" in captured.err
+        assert "telemetry records" not in captured.out
+
+    @staticmethod
+    def _sink(tmp_path, rows, tail=""):
+        path = tmp_path / "records.jsonl"
+        path.write_text(
+            "".join(json.dumps(row) + "\n" for row in rows) + tail
+        )
+        return str(path)
+
+    ROWS = [
+        {"kind": "execute", "method": "statevector", "qubits": 4,
+         "wall_seconds": 0.25},
+        {"kind": "execute", "method": "statevector", "qubits": 4,
+         "wall_seconds": 0.75},
+        {"kind": "batch", "jobs": 6, "wall_seconds": 1.5,
+         "faults": {"retries": 1}},
+        {"kind": "batch", "jobs": 2, "wall_seconds": 0.5,
+         "faults": {"retries": 2, "timeouts": 1}},
+    ]
+
+    def test_report_json_matches_summary(self, tmp_path, capsys):
+        sink = self._sink(tmp_path, self.ROWS)
+        assert telemetry_cli.main(["report", sink, "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == summarize_records(self.ROWS)
+
+    def test_report_prints_method_batch_and_fault_totals(
+        self, tmp_path, capsys
+    ):
+        sink = self._sink(tmp_path, self.ROWS)
+        assert telemetry_cli.main(["report", sink]) == 0
+        out = capsys.readouterr().out
+        assert "telemetry records: 4" in out
+        assert (
+            "statevector/q4: 2 runs, mean 500.00 ms, max 750.00 ms" in out
+        )
+        assert "batches: 2 runs, 8 jobs, 2.00 s total" in out
+        assert "faults: retries=3, timeouts=1" in out
+
+    def test_report_on_empty_sink_reports_zero(self, tmp_path, capsys):
+        sink = self._sink(tmp_path, [])
+        assert telemetry_cli.main(["report", sink]) == 0
+        out = capsys.readouterr().out
+        assert out == "telemetry records: 0\n"
+
+    def test_report_skips_torn_lines(self, tmp_path, capsys):
+        sink = self._sink(tmp_path, self.ROWS[:1], tail='{"kind": "exe')
+        assert telemetry_cli.main(["report", sink]) == 0
+        assert "telemetry records: 1" in capsys.readouterr().out
+
+    def test_report_on_directory_fails_loudly(self, tmp_path, capsys):
+        assert telemetry_cli.main(["report", str(tmp_path)]) != 0
+        captured = capsys.readouterr()
+        assert str(tmp_path) in captured.err
+        assert captured.out == ""
+
+    def test_calibrate_subcommand_is_gone(self, tmp_path, capsys):
+        sink = self._sink(tmp_path, self.ROWS)
+        with pytest.raises(SystemExit) as exit_info:
+            telemetry_cli.main(["calibrate", sink])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_module_entry_point_exit_code(self, tmp_path):
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        missing = str(tmp_path / "missing.jsonl")
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.telemetry", "report", missing],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 1
+        assert f"cannot read {missing}" in completed.stderr
+        assert completed.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # byte-identity: telemetry is observation only
 # ---------------------------------------------------------------------------
@@ -477,100 +578,6 @@ class TestServiceMetricsSurface:
             stats = service.stats()
         assert stats["store_degraded"] is False
         assert "metrics" in stats
-
-
-# ---------------------------------------------------------------------------
-# calibration
-# ---------------------------------------------------------------------------
-
-def _synthetic_records(coeff_sv: float, coeff_dm: float, count: int = 12):
-    """Execute records whose implied per-unit coefficients are exact."""
-    rows = []
-    for index in range(count):
-        qubits = 3 + (index % 3)
-        rows.append({
-            "kind": "execute", "method": "statevector",
-            "qubits": qubits, "wall_seconds": coeff_sv * 2 ** qubits,
-        })
-        rows.append({
-            "kind": "execute", "method": "density_matrix",
-            "qubits": qubits, "wall_seconds": coeff_dm * 4 ** qubits,
-        })
-    return rows
-
-
-class TestCalibration:
-    def test_fit_recovers_coefficients(self):
-        calibration = fit_cost_calibration(
-            _synthetic_records(2e-6, 3e-7), min_records=5
-        )
-        assert calibration.coefficients["statevector"] == (
-            pytest.approx(2e-6)
-        )
-        assert calibration.coefficients["density_matrix"] == (
-            pytest.approx(3e-7)
-        )
-        assert calibration.samples["statevector"] == 12
-
-    def test_fit_needs_enough_records(self):
-        calibration = fit_cost_calibration(
-            _synthetic_records(1e-6, 1e-6, count=2), min_records=5
-        )
-        assert calibration.coefficients == {}
-        assert use_calibrated_costs(calibration) == 0
-
-    def test_roundtrip_through_disk(self, tmp_path):
-        calibration = fit_cost_calibration(_synthetic_records(1e-6, 1e-7))
-        path = tmp_path / "calibration.json"
-        calibration.save(path)
-        loaded = CostCalibration.load(path)
-        assert loaded.coefficients == calibration.coefficients
-        assert loaded.samples == calibration.samples
-
-    def test_predicted_seconds_uses_unit_model(self):
-        calibration = fit_cost_calibration(_synthetic_records(1e-6, 1e-7))
-        assert calibration.predicted_seconds(
-            "statevector", qubits=10
-        ) == pytest.approx(1e-6 * 2 ** 10)
-        assert calibration.predicted_seconds(
-            "trajectory", qubits=4
-        ) is None  # no trajectory records were fitted
-
-    def test_reorders_rank_only_under_opt_in(self, backend):
-        """From >= 20 records, calibration flips the density-matrix /
-        statevector order for noiseless circuits — but only while the
-        opt-in override is installed; default auto dispatch never
-        moves."""
-        circuit = generic_circuit(3, 0)
-        resolve = lambda: select_method(
-            circuit, backend.target, None, "auto"
-        )
-        assert resolve() == "statevector"
-        # records where the statevector back-end is catastrophically
-        # slow per amplitude and the density matrix is fast
-        records = _synthetic_records(5e-2, 1e-9)
-        assert len(records) >= 20
-        calibration = fit_cost_calibration(records)
-        # fitting alone changes nothing: still opt-in
-        assert resolve() == "statevector"
-        installed = use_calibrated_costs(calibration)
-        assert installed >= 2
-        try:
-            assert resolve() == "density_matrix"
-        finally:
-            clear_calibrated_costs()
-        assert resolve() == "statevector"
-
-    def test_default_auto_dispatch_unaffected_by_fit(self, backend):
-        noisy = generic_circuit(3, 1)
-        before = select_method(
-            noisy, backend.target, backend.noise_model, "auto"
-        )
-        fit_cost_calibration(_synthetic_records(5e-2, 1e-9))
-        after = select_method(
-            noisy, backend.target, backend.noise_model, "auto"
-        )
-        assert after == before
 
 
 # ---------------------------------------------------------------------------
