@@ -16,11 +16,17 @@ The density-matrix back-end walks those moments **fused**
 disjoint qubits, so everything that happens to a gate's qubits before
 the layer's crosstalk — its unitary, its gate or pulse channel, its
 jitter kick and the layer's relaxation of its qubits — composes into one
-superoperator applied in one pass.  Idle qubits keep one relaxation pass
-each, and the layer's ZZ crosstalk, a diagonal unitary on the register,
-is one elementwise pass applied last (ZZ does not commute with
-amplitude damping).  Only operations on disjoint qubits are reordered,
-so the result equals the op-by-op walk up to float rounding.
+superoperator.  A multi-qubit gate's is applied in a pass of its own;
+the layer's single-qubit maps (1-qubit gates and the relaxation of idle
+qubits) go two to a pass.  The layer's ZZ crosstalk, a diagonal unitary
+on the register, is one elementwise pass applied last (ZZ does not
+commute with amplitude damping).  Only operations on disjoint qubits
+are reordered, so the result equals the op-by-op walk up to float
+rounding.  What does not change between evaluations — the
+superoperators of parameter-free gates and idle relaxations, pairs of
+them, and the ZZ diagonals — is memoized on the noise model
+(``NoiseModel.superop_cache``), keyed by the channel objects it is
+built from.
 
 Back-ends share that front-end through the **simulation-method
 registry** (:mod:`repro.simulators.registry`): each registered
@@ -65,13 +71,21 @@ import math
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.backends.result import Counts, ExperimentResult
 from repro.backends.target import Target
 from repro.circuits.circuit import CircuitInstruction, QuantumCircuit
-from repro.circuits.gates import Barrier, Delay, Instruction, Measure, PulseGate
+from repro.circuits.gates import (
+    Barrier,
+    Delay,
+    Instruction,
+    Measure,
+    PulseGate,
+    StandardGate,
+)
 from repro.exceptions import BackendError, ReproError, TransientError
 from repro.noise.model import NoiseModel
 from repro.simulators.density_matrix import (
@@ -224,22 +238,19 @@ class _RunContext:
     """Per-run (or per-batch) memo of derived execution data.
 
     Shared across the circuits of one :func:`execute_circuits` sweep so
-    that measure-duration lookups and crosstalk unitaries and diagonals
-    are derived once per batch rather than once per circuit.  The
-    heavyweight memos (relaxation channels, pulse propagators,
-    calibrations) live on the noise model / device and persist across
-    batches.
+    that measure-duration lookups and crosstalk unitaries are derived
+    once per batch rather than once per circuit.  The heavyweight memos
+    (relaxation channels, static gate superoperators, ZZ diagonals,
+    pulse propagators, calibrations) live on the noise model / device
+    and persist across batches.
     """
 
-    __slots__ = (
-        "target", "measure_durations", "zz_unitaries", "zz_diagonals"
-    )
+    __slots__ = ("target", "measure_durations", "zz_unitaries")
 
     def __init__(self, target: Target) -> None:
         self.target = target
         self.measure_durations: dict[int, int] = {}
         self.zz_unitaries: dict[float, np.ndarray] = {}
-        self.zz_diagonals: dict[tuple, np.ndarray] = {}
 
     def measure_duration(self, qubit: int) -> int:
         duration = self.measure_durations.get(qubit)
@@ -257,26 +268,17 @@ class _RunContext:
             self.zz_unitaries[angle] = rzz
         return rzz
 
-    def zz_diagonal(
-        self, angle: float, pairs: tuple[tuple[int, int], ...], width: int
-    ) -> np.ndarray:
-        """Diagonal of one layer's ZZ crosstalk on the ``width``-qubit
-        register: every coupled pair's :meth:`zz_unitary` at once.
 
-        Only the ``2**width`` diagonal is cached, not its ``4**width``
-        density-matrix factor, so the memo stays small at any width.
-        """
-        key = (angle, pairs, width)
-        diagonal = self.zz_diagonals.get(key)
-        if diagonal is None:
-            index = np.arange(1 << width)
-            # sum over pairs of Z_a Z_b: +1 where the two bits agree
-            zz = sum(
-                1 - 2 * (((index >> a) ^ (index >> b)) & 1) for a, b in pairs
-            )
-            diagonal = np.exp(-0.5j * angle * zz)
-            self.zz_diagonals[key] = diagonal
-        return diagonal
+def _zz_diagonal(
+    angle: float, pairs: tuple[tuple[int, int], ...], width: int
+) -> np.ndarray:
+    """Diagonal of one layer's ZZ crosstalk on the ``width``-qubit
+    register: every coupled pair's :meth:`_RunContext.zz_unitary` at
+    once."""
+    index = np.arange(1 << width)
+    # sum over pairs of Z_a Z_b: +1 where the two bits agree
+    zz = sum(1 - 2 * (((index >> a) ^ (index >> b)) & 1) for a, b in pairs)
+    return np.exp(-0.5j * angle * zz)
 
 
 def _operation_duration(
@@ -696,7 +698,6 @@ def _execute_exact(
             resolved,
             effective_noise,
             rng,
-            context,
             request.unitary_provider,
             plan.target,
         )
@@ -757,7 +758,6 @@ def _evolve_exact(
     resolved: str,
     noise_model: NoiseModel | None,
     rng: np.random.Generator,
-    context: _RunContext,
     unitary_provider: UnitaryProvider | None,
     target: Target,
 ):
@@ -771,7 +771,7 @@ def _evolve_exact(
     """
     if resolved == "density_matrix":
         return _evolve_density(
-            plan, circuit, noise_model, rng, context, unitary_provider, target
+            plan, circuit, noise_model, rng, unitary_provider, target
         )
     state = Statevector(plan.num_local)
     for layer in plan.layers:
@@ -792,20 +792,23 @@ def _evolve_density(
     circuit: QuantumCircuit,
     noise_model: NoiseModel | None,
     rng: np.random.Generator,
-    context: _RunContext,
     unitary_provider: UnitaryProvider | None,
     target: Target,
 ) -> tuple[DensityMatrix, int]:
     """The fused density-matrix walk (see the module docstring).
 
-    Per layer: one superoperator pass per gate — relaxation ·
-    jitter kick · channels · ``U ⊗ U*`` — then one relaxation pass per
-    idle qubit, then one diagonal pass for the ZZ crosstalk of every
-    coupled pair.  Jitter kicks are drawn in instruction order, as the
-    trajectory lowering draws them, so the RNG stream is shared across
-    methods.  Pass totals go to the ``engine.density_passes`` counter.
+    Per layer: one superoperator pass per multi-qubit gate — relaxation
+    · jitter kick · channels · ``U ⊗ U*`` (:func:`_gate_superop`) — then
+    the layer's single-qubit maps, 1-qubit gates composed the same way
+    and the idle qubits' relaxation, two to a pass, then one diagonal
+    pass for the ZZ crosstalk of every coupled pair.  The maps are built
+    in instruction order, so jitter kicks draw the RNG stream the
+    trajectory lowering draws.  Static gates, idle relaxations, pairs of
+    them and ZZ diagonals come from the noise model's superoperator
+    memo.  Pass totals go to the ``engine.density_passes`` counter.
     """
     state = DensityMatrix(plan.num_local)
+    memo = noise_model.superop_cache if noise_model is not None else None
     zz_rate = (
         getattr(noise_model, "zz_crosstalk_ghz", 0.0) if noise_model else 0.0
     )
@@ -815,48 +818,123 @@ def _evolve_density(
     for layer, duration in zip(plan.layers, plan.layer_durations):
         timed = noise_model is not None and duration > 0
         relaxed: set[int] = set()
+        # (superop, local qubit, memo key or None when built per call)
+        singles: list[tuple[np.ndarray, int, object]] = []
         for idx in layer:
             inst = circuit.instructions[idx]
             op = inst.operation
             if isinstance(op, Delay):
                 continue
             qubits = [plan.local[q] for q in inst.qubits]
-            superop = unitary_superop(
-                _resolve_unitary(op, inst.qubits, unitary_provider)
+            relaxations = tuple(
+                noise_model.relaxation_channel(q, duration) if timed else None
+                for q in inst.qubits
             )
-            if noise_model is not None:
-                superop = _gate_noise_superop(
-                    superop, inst, qubits, noise_model, rng, target
+            build = partial(
+                _gate_superop, inst, qubits, noise_model, rng, target,
+                unitary_provider, relaxations,
+            )
+            key = None
+            if memo is not None and _is_static(op):
+                # the channel objects, not qubits or durations: a changed
+                # noise model yields new ones, so it misses instead of
+                # meeting a stale superoperator
+                key = (
+                    op.name,
+                    tuple(noise_model.gate_channels(op.name, inst.qubits)),
+                    relaxations,
                 )
-            if timed:
-                relaxation = _relaxation_superop(
-                    noise_model, inst.qubits, duration
-                )
-                if relaxation is not None:
-                    superop = relaxation @ superop
-                    relaxed.update(qubits)
-            state.apply_superop(superop, qubits)
-            superop_passes += 1
+                superop, folded = memo.get_or_compute(key, build)
+            else:
+                superop, folded = build()
+            if folded:
+                relaxed.update(qubits)
+            if len(qubits) == 1:
+                singles.append((superop, qubits[0], key))
+            else:
+                state.apply_superop(superop, qubits)
+                superop_passes += 1
         if timed:
             for phys in plan.active_list:
                 if plan.local[phys] in relaxed:
                     continue
                 channel = noise_model.relaxation_channel(phys, duration)
                 if channel is not None:
-                    state.apply_superop(
-                        channel_superop(channel), [plan.local[phys]]
+                    singles.append(
+                        (channel_superop(channel), plan.local[phys], channel)
                     )
-                    superop_passes += 1
-            if zz_rate and zz_pairs:
-                angle = 2 * math.pi * zz_rate * duration * target.dt
-                state.apply_diagonal_unitary(
-                    context.zz_diagonal(angle, zz_pairs, plan.num_local)
+        superop_passes += _apply_paired(state, singles, memo)
+        if timed and zz_rate and zz_pairs:
+            angle = 2 * math.pi * zz_rate * duration * target.dt
+            state.apply_diagonal_unitary(
+                memo.get_or_compute(
+                    (angle, zz_pairs, plan.num_local),
+                    partial(_zz_diagonal, angle, zz_pairs, plan.num_local),
                 )
-                diagonal_passes += 1
+            )
+            diagonal_passes += 1
         total_duration += duration
     metric_inc("engine.density_passes", superop_passes, kind="superop")
     metric_inc("engine.density_passes", diagonal_passes, kind="diagonal")
     return state, total_duration
+
+
+def _is_static(op: Instruction) -> bool:
+    """Whether ``op``'s superoperator is fixed by its name: a library
+    gate without parameters (``cx``, ``sx``, ``x``...).  Parametric
+    gates, pulse gates and ``UnitaryGate`` are built per evaluation."""
+    return isinstance(op, StandardGate) and not op.params
+
+
+def _gate_superop(
+    inst: CircuitInstruction,
+    qubits: Sequence[int],
+    noise_model: NoiseModel | None,
+    rng: np.random.Generator,
+    target: Target,
+    unitary_provider: UnitaryProvider | None,
+    relaxations: tuple,
+) -> tuple[np.ndarray, bool]:
+    """``R · K · C · (U ⊗ U*)`` of one gate, and whether the layer's
+    relaxation ``R`` of its qubits (``relaxations``, one channel or
+    ``None`` per qubit) is folded in."""
+    superop = unitary_superop(
+        _resolve_unitary(inst.operation, inst.qubits, unitary_provider)
+    )
+    if noise_model is None:
+        return superop, False
+    superop = _gate_noise_superop(
+        superop, inst, qubits, noise_model, rng, target
+    )
+    relaxation = _relaxation_superop(relaxations)
+    if relaxation is None:
+        return superop, False
+    return relaxation @ superop, True
+
+
+def _apply_paired(state: DensityMatrix, singles: list, memo) -> int:
+    """Apply a layer's single-qubit maps two to a pass; returns the
+    number of passes.
+
+    The maps act on distinct qubits, so the two of a pair combine into
+    one 16×16 superoperator (:func:`expand_superop`).  A pair of two
+    memoized maps is memoized under the pair of their keys; an odd map
+    left over gets a pass of its own.
+    """
+    for (low, q_low, k_low), (high, q_high, k_high) in zip(
+        singles[0::2], singles[1::2]
+    ):
+        if k_low is not None and k_high is not None:
+            pair = memo.get_or_compute(
+                (k_low, k_high), lambda: expand_superop(low, high)
+            )
+        else:
+            pair = expand_superop(low, high)
+        state.apply_superop(pair, [q_low, q_high])
+    if len(singles) % 2:
+        superop, qubit, _key = singles[-1]
+        state.apply_superop(superop, [qubit])
+    return (len(singles) + 1) // 2
 
 
 def _gate_noise_superop(
@@ -920,15 +998,12 @@ def _jitter_unitary(
     return total
 
 
-def _relaxation_superop(
-    noise_model: NoiseModel, phys_qubits: Sequence[int], duration: int
-) -> np.ndarray | None:
-    """One layer's thermal relaxation of a gate's qubits as one
-    superoperator, or ``None`` when one of them has no T1/T2 (those
-    qubits then relax in the idle pass)."""
+def _relaxation_superop(channels: Sequence) -> np.ndarray | None:
+    """One layer's thermal relaxation of a gate's qubits (``channels``,
+    one per qubit) as one superoperator, or ``None`` when one of them
+    has no T1/T2 (those qubits then relax in the idle pass)."""
     superop = None
-    for phys in phys_qubits:
-        channel = noise_model.relaxation_channel(phys, duration)
+    for channel in channels:
         if channel is None:
             return None
         single = channel_superop(channel)

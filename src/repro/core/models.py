@@ -358,7 +358,8 @@ class PulseLevelModel(QAOAModelBase):
             mixer_duration=mixer_duration,
             share_mixer_params=False,
         )
-        # per logical edge: (calibration, fixed local-correction unitary,
+        # per physical (control, target) pair: (calibration, fixed
+        # local-correction unitary, virtual-Z pre and post phases,
         # calibrated cx duration)
         self._edge_cx: dict[tuple[int, int], tuple] = {}
 
@@ -404,22 +405,23 @@ class PulseLevelModel(QAOAModelBase):
     def _physical_pair(self, a: int, b: int) -> tuple[int, int]:
         if self.device.coupling_strength(a, b) > 0:
             return a, b
-        # representative coupled pair with the same detuning class
+        # an uncoupled edge borrows the device's first coupled pair
         for i, j in self.device.coupled_pairs():
             return i, j
         raise ProblemError("device has no coupled pairs")
 
     def _edge_base(self, a: int, b: int):
-        """Per-edge CX-pulse ingredients, calibrated once and cached.
+        """CX-pulse ingredients of an edge, calibrated once per physical
+        pair (:meth:`_physical_pair`) and cached.
 
         The cached record also holds the virtual-Z phase corrections the
         vendor calibration folds into the CX schedule; they are *fixed*
         at the calibration point (the optimizer moves the physical drive
         parameters, not the software phase bookkeeping).
         """
-        key = (a, b)
+        key = self._physical_pair(a, b)
         if key not in self._edge_cx:
-            control, target = self._physical_pair(a, b)
+            control, target = key
             calibration = self.backend.cr_calibration(control, target)
             from repro.pulsesim.calibration import (
                 _rz_diag,

@@ -61,12 +61,20 @@ class NoiseModel:
         self._relaxation_cache = LRUCache(maxsize=1024, name="relaxation")
         self._pulse_channel_cache = LRUCache(maxsize=256, name="pulse_channel")
         self._readout_subset_cache = LRUCache(maxsize=64, name="readout_subset")
+        #: the density back-end's evaluation-invariant maps: superoperators
+        #: of parameter-free library gates, pairs of single-qubit maps and
+        #: ZZ diagonals.  Keyed by the channel objects they are built from,
+        #: so add_gate_error / set_relaxation / clear_caches change the
+        #: key instead of serving a stale entry.
+        self.superop_cache = LRUCache(maxsize=1024, name="superop")
 
     def clear_caches(self) -> None:
-        """Drop memoized channels (call after mutating noise parameters)."""
+        """Drop memoized channels and the superoperators built from them
+        (call after mutating noise parameters)."""
         self._relaxation_cache.clear()
         self._pulse_channel_cache.clear()
         self._readout_subset_cache.clear()
+        self.superop_cache.clear()
 
     # ------------------------------------------------------------------
     def add_gate_error(

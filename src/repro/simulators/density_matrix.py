@@ -8,9 +8,10 @@ of sampling noise in the *state* (shot noise is added at measurement time).
 
 Every map is one pass of a row-major superoperator
 (:meth:`DensityMatrix.apply_superop`).  The module-level helpers build
-superoperators of unitaries, channels and tensor products of channels,
-so a caller can compose several maps on the same qubits first and pay
-one pass for all of them.
+superoperators of unitaries, channels and tensor products of maps, so a
+caller can compose several maps on the same qubits first, or tensor two
+maps on disjoint qubits (:func:`expand_superop`), and pay one pass for
+all of them.
 """
 
 from __future__ import annotations

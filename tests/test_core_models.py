@@ -15,7 +15,7 @@ from repro.core import (
 )
 from repro.core.models import FREQ_UNIT
 from repro.exceptions import ProblemError
-from repro.problems import MaxCutProblem, three_regular_6
+from repro.problems import MaxCutProblem, benchmark_graph, three_regular_6
 from repro.vqa import CVaRCost, ExpectedCutCost
 from repro.vqa.optimizers import COBYLA
 
@@ -195,6 +195,35 @@ class TestPulseLevelModel:
         assert process_fidelity(detuned.unitary, cx) < process_fidelity(
             at_cal.unitary, cx
         )
+
+
+    def test_cx_ingredients_calibrated_once_per_physical_pair(
+        self, backend, monkeypatch
+    ):
+        from repro.pulsesim import calibration
+
+        task1 = MaxCutProblem(benchmark_graph(1))
+        solve = calibration.virtual_z_corrected
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "virtual_z_corrected", counted)
+        model = PulseLevelModel(task1, backend)
+        circuit = model.build_circuit(model.initial_point(0))
+        pairs = {model._physical_pair(a, b) for a, b, _w in task1.edges}
+        assert len(task1.edges) == 9
+        assert len(solves) == len(pairs) == 4
+        # an edge's gate equals the one a model that never calibrated
+        # another edge builds
+        for inst in circuit.instructions:
+            op = inst.operation
+            if op.name == "cx_pulse":
+                fresh = PulseLevelModel(task1, backend)
+                gate = fresh._cx_pulse_gate(*inst.qubits, *op.params)
+                assert np.array_equal(op.unitary, gate.unitary)
 
 
 class TestTraining:

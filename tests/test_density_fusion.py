@@ -2,8 +2,9 @@
 
 The engine's density back-end composes everything that happens to a
 gate's qubits within one layer — unitary, channels, jitter kick and the
-layer's relaxation — into one superoperator pass, and applies a layer's
-ZZ crosstalk as one elementwise pass.  :func:`reference_evolve` keeps
+layer's relaxation — into one superoperator, applies a layer's
+single-qubit maps two to a pass, and applies its ZZ crosstalk as one
+elementwise pass.  :func:`reference_evolve` keeps
 the unfused walk: two-sided unitaries, one pass per channel, per-kick
 jitter, per-qubit relaxation and per-pair ``rzz``.  Fusion only
 reorders operations on disjoint qubits, so the two walks agree up to
@@ -23,6 +24,7 @@ from repro.backends.engine import (
     _operation_duration,
     _resolve_unitary,
     _RunContext,
+    _zz_diagonal,
 )
 from repro.circuits import QuantumCircuit
 from repro.circuits.gates import Delay, PulseGate
@@ -33,7 +35,10 @@ from repro.core import (
     PulseLevelModel,
 )
 from repro.exceptions import SimulatorError
-from repro.noise.channels import thermal_relaxation_channel
+from repro.noise.channels import (
+    depolarizing_channel,
+    thermal_relaxation_channel,
+)
 from repro.problems import MaxCutProblem, benchmark_graph
 from repro.simulators.density_matrix import (
     DensityMatrix,
@@ -43,6 +48,7 @@ from repro.simulators.density_matrix import (
 )
 from repro.simulators.trajectory import sample_jitter_kicks
 from repro.telemetry.metrics import metrics_baseline, metrics_delta
+from repro.utils.cache import caching_disabled
 from repro.utils.kernels import apply_matrix_flat, apply_plan
 from repro.utils.linalg import embed_matrix
 from repro.vqa import ExpectedCutCost
@@ -151,7 +157,7 @@ def assert_fused_matches_reference(
     fused_rng = np.random.default_rng(seed)
     state, duration = _evolve_exact(
         plan, circuit, "density_matrix", noise_model, fused_rng,
-        _RunContext(backend.target), unitary_provider, backend.target,
+        unitary_provider, backend.target,
     )
     reference_rng = np.random.default_rng(seed)
     rho, reference_duration = reference_evolve(
@@ -310,28 +316,140 @@ class TestFusedWalkMatchesReference:
         assert plan.num_local == 8
 
 
-def test_pass_counter(guadalupe):
-    """One superop pass per gate plus one per idle qubit of a timed
-    layer, and one diagonal pass per timed layer."""
-    circuit = golden_circuit()
-    plan = _CircuitPlan(circuit, guadalupe.target)
-    before = metrics_baseline()
-    _evolve_exact(
-        plan, circuit, "density_matrix", guadalupe.noise_model,
-        np.random.default_rng(0), _RunContext(guadalupe.target), None,
-        guadalupe.target,
-    )
-    counters = metrics_delta(before)["counters"]
+def expected_passes(plan):
+    """Per layer: one superop pass per multi-qubit gate plus one per two
+    single-qubit maps (1-qubit gates and idle relaxations, an odd one
+    alone); one diagonal pass per timed layer.  Assumes every active
+    qubit has T1/T2 and the noise model has ZZ crosstalk."""
+    circuit = plan.circuit
     superops = diagonals = 0
     for layer, duration in zip(plan.layers, plan.layer_durations):
-        busy = {q for idx in layer for q in circuit.instructions[idx].qubits}
-        superops += len(layer)
+        gates = [
+            circuit.instructions[idx]
+            for idx in layer
+            if not isinstance(circuit.instructions[idx].operation, Delay)
+        ]
+        singles = sum(len(inst.qubits) == 1 for inst in gates)
         if duration > 0:
-            superops += len(set(plan.active_list) - busy)
+            busy = {q for inst in gates for q in inst.qubits}
+            singles += len(set(plan.active_list) - busy)
             diagonals += 1
-    assert diagonals > 0
-    assert counters["engine.density_passes{kind=superop}"] == superops
-    assert counters["engine.density_passes{kind=diagonal}"] == diagonals
+        superops += len(gates) - sum(len(inst.qubits) == 1 for inst in gates)
+        superops += math.ceil(singles / 2)
+    return superops, diagonals
+
+
+def test_pass_counter(guadalupe, toronto, task1):
+    """The ``engine.density_passes`` counter equals
+    :func:`expected_passes` exactly, on the golden circuit and on a
+    prepared pulse-level QAOA circuit."""
+    pulse_level = PulseLevelModel(task1, toronto)
+    cases = [
+        (golden_circuit(), guadalupe, None),
+        (_prepared(toronto, task1, pulse_level), toronto,
+         toronto.pulse_unitary),
+    ]
+    for circuit, backend, provider in cases:
+        plan = _CircuitPlan(circuit, backend.target)
+        noise = backend.noise_model
+        assert all(
+            noise.relaxation_channel(q, 1) is not None
+            for q in plan.active_list
+        )
+        assert noise.zz_crosstalk_ghz > 0
+        before = metrics_baseline()
+        _evolve_exact(
+            plan, circuit, "density_matrix", noise,
+            np.random.default_rng(0), provider, backend.target,
+        )
+        counters = metrics_delta(before)["counters"]
+        superops, diagonals = expected_passes(plan)
+        assert diagonals > 0
+        assert counters["engine.density_passes{kind=superop}"] == superops
+        assert counters["engine.density_passes{kind=diagonal}"] == diagonals
+
+
+# ---------------------------------------------------------------------------
+# the noise model's superoperator memo
+# ---------------------------------------------------------------------------
+
+def _fused_rho(circuit, backend, noise_model, unitary_provider=None):
+    plan = _CircuitPlan(circuit, backend.target)
+    state, _ = _evolve_exact(
+        plan, circuit, "density_matrix", noise_model,
+        np.random.default_rng(7), unitary_provider, backend.target,
+    )
+    return state.data
+
+
+def _relax_per_qubit(noise):
+    qubits = range(noise.num_qubits)
+    noise.set_relaxation(
+        [40_000.0 + 9_000.0 * q for q in qubits],
+        [30_000.0 + 5_000.0 * q for q in qubits],
+        noise.dt,
+    )
+
+
+def _drop_t1(noise):
+    noise.t1[1] = None
+    noise.clear_caches()
+
+
+def _zero_zz(noise):
+    noise.zz_crosstalk_ghz = 0.0
+
+
+def _add_cx_error(noise):
+    noise.add_gate_error("cx", depolarizing_channel(0.05, 2))
+
+
+class TestSuperopMemo:
+    """Static gates, idle relaxations, pairs of them and the ZZ
+    diagonals are memoized on the noise model.  Keys hold the channel
+    objects a superoperator is built from, so a memoized evolve is
+    bitwise the cold one, and a mutated noise model never meets a stale
+    entry."""
+
+    @pytest.mark.parametrize("family", ["gate", "pulse"])
+    def test_warm_cold_and_uncached_are_equal(self, toronto, task1, family):
+        if family == "gate":
+            model = GateLevelModel(task1)
+            circuit = _prepared(toronto, task1, model, gate_optimization=True)
+        else:
+            model = PulseLevelModel(task1, toronto)
+            circuit = _prepared(toronto, task1, model)
+        noise = copy.deepcopy(toronto.noise_model)
+        noise.clear_caches()
+        provider = toronto.pulse_unitary
+        cold = _fused_rho(circuit, toronto, noise, provider)
+        assert len(noise.superop_cache) > 0
+        hits = noise.superop_cache.hits
+        warm = _fused_rho(circuit, toronto, noise, provider)
+        assert noise.superop_cache.hits > hits
+        with caching_disabled():
+            uncached = _fused_rho(circuit, toronto, noise, provider)
+        assert np.array_equal(warm, cold)
+        assert np.array_equal(uncached, cold)
+
+    @pytest.mark.parametrize(
+        "mutate", [_add_cx_error, _relax_per_qubit, _zero_zz, _drop_t1]
+    )
+    def test_mutated_noise_model_is_seen(self, guadalupe, mutate):
+        noise = copy.deepcopy(guadalupe.noise_model)
+        circuit = golden_circuit()
+        assert_fused_matches_reference(circuit, guadalupe, noise)
+        before = _fused_rho(circuit, guadalupe, noise)
+        mutate(noise)
+        assert_fused_matches_reference(circuit, guadalupe, noise)
+        assert not np.array_equal(_fused_rho(circuit, guadalupe, noise), before)
+
+    def test_clear_caches_empties_memo(self, guadalupe):
+        noise = copy.deepcopy(guadalupe.noise_model)
+        _fused_rho(golden_circuit(), guadalupe, noise)
+        assert len(noise.superop_cache) > 0
+        noise.clear_caches()
+        assert len(noise.superop_cache) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +498,12 @@ class TestPrimitives:
         angle = 0.0123
         rho = random_density(5, 3)
         fused = DensityMatrix(rho).apply_diagonal_unitary(
-            context.zz_diagonal(angle, pairs, 5)
+            _zz_diagonal(angle, pairs, 5)
         )
         sequential = DensityMatrix(rho)
         for pair in pairs:
             sequential.apply_unitary(context.zz_unitary(angle), list(pair))
         assert np.max(np.abs(fused.data - sequential.data)) <= 1e-12
-        assert context.zz_diagonal(angle, pairs, 5) is context.zz_diagonal(
-            angle, pairs, 5
-        )
 
     def test_two_qubit_relaxation_matches_expand(self):
         low = thermal_relaxation_channel(90_000.0, 70_000.0, 71.1)

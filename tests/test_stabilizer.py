@@ -394,7 +394,7 @@ class TestStabilizerAgreement:
             exact = measurement_marginal(tableau, positions)
             state, _ = _evolve_exact(
                 plan, circuit, "statevector", None,
-                np.random.default_rng(0), context, None, backend.target,
+                np.random.default_rng(0), None, backend.target,
             )
             reference = marginalize(
                 state.probabilities(), positions, plan.num_local
