@@ -27,6 +27,11 @@ from repro.transpiler.passes.cancellation import CommutativeCancellation
 from repro.transpiler.passes.pulse_efficient import PulseEfficientRZZ
 from repro.transpiler.passes.routing import SabreSwap
 from repro.transpiler.passmanager import TranspileContext
+from repro.transpiler.template import (
+    TEMPLATE_CACHE_SIZE,
+    transpile_with_templates,
+)
+from repro.utils.cache import LRUCache
 from repro.utils.rng import derive_seed
 from repro.vqa.cost import CostFunction
 from repro.vqa.optimizers.base import Optimizer
@@ -38,7 +43,13 @@ DEFAULT_LINE_LAYOUT = [0, 1, 4, 7, 10, 12, 13, 14, 16, 19]
 
 @dataclass
 class ExecutionPipeline:
-    """Transpile + execute + score one bound circuit."""
+    """Transpile + execute + score one bound circuit.
+
+    :meth:`prepare` transpiles each circuit structure once and binds
+    every later evaluation's angles into that template; the result is
+    bit-identical to a fresh :meth:`_transpile` (PERFORMANCE.md,
+    "Transpile once per circuit structure").
+    """
 
     backend: SimulatedBackend
     cost: CostFunction
@@ -62,6 +73,17 @@ class ExecutionPipeline:
     target_error: float | None = None
     _mitigator_cache: dict = field(default_factory=dict, repr=False)
     _pulse_pass: PulseEfficientRZZ | None = field(default=None, repr=False)
+    #: structure key -> transpile template (PERFORMANCE.md "Transpile
+    #: once per circuit structure"); not an init field, so a replaced
+    #: pipeline starts its own
+    _templates: LRUCache = field(
+        default_factory=lambda: LRUCache(
+            TEMPLATE_CACHE_SIZE, name="transpile_templates"
+        ),
+        init=False,
+        repr=False,
+        compare=False,
+    )
 
     def __post_init__(self) -> None:
         # fail at construction, not hundreds of evaluations in: the
@@ -83,7 +105,15 @@ class ExecutionPipeline:
 
     # ------------------------------------------------------------------
     def prepare(self, circuit: QuantumCircuit) -> QuantumCircuit:
-        """Route to the fixed layout, then apply the enabled passes."""
+        """Route to the fixed layout, then apply the enabled passes,
+        from this structure's template when it has one
+        (:mod:`repro.transpiler.template`)."""
+        return transpile_with_templates(
+            self._templates, circuit, self._transpile
+        )
+
+    def _transpile(self, circuit: QuantumCircuit) -> QuantumCircuit:
+        """The passes themselves, which every template reproduces."""
         layout = self.resolved_layout(circuit.num_qubits)
         context = TranspileContext()
         routed = SabreSwap(
@@ -124,13 +154,14 @@ class ExecutionPipeline:
     ) -> list:
         """Prepare + run a batch; returns one ExperimentResult per circuit.
 
-        All circuits go through the backend's batched engine path in a
-        single call, sharing transpilation passes, noise-channel and
-        pulse-propagator derivation.  ``seeds`` gives the per-circuit
-        shot seed; results match per-circuit :meth:`execute` calls
-        seed-for-seed (each circuit uses the seed stream
-        ``derive_seed(seed_i, "run", 0)``, exactly as a single-circuit
-        run would).
+        Each circuit is prepared on its own (circuits of one structure
+        share its transpile template), then all of them go through the
+        backend's batched engine path in a single call, sharing
+        noise-channel and pulse-propagator derivation.  ``seeds`` gives
+        the per-circuit shot seed; results match per-circuit
+        :meth:`execute` calls seed-for-seed (each circuit uses the seed
+        stream ``derive_seed(seed_i, "run", 0)``, exactly as a
+        single-circuit run would).
         """
         prepared = [self.prepare(circuit) for circuit in circuits]
         if seeds is None:

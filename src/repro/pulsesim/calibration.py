@@ -40,6 +40,18 @@ from repro.utils.linalg import process_fidelity
 
 _DEFAULT_SQ_DURATION = 160  # samples; the IBM-native sx/x pulse length
 
+#: 1.2x expansions :meth:`CRCalibration.width_for_angle` tries before it
+#: gives up: 1.2**25 is about 95x the linear width estimate (the old
+#: limit of 60 reached 56,000x and exhausted memory simulating the
+#: pulses).  A survey of all 200 directed coupled pairs of the fake
+#: backends at PulseEfficientRZZ's cr_amp 0.9, angles 1.50 to 3.14 in
+#: steps of 0.01, found every angle up to 2.87 bracketing within 19
+#: expansions.  Above that the search lands on later oscillations of the
+#: ZX curve: some angles bracket (2.89 at 23, 3.09 at 25, 2.93 at 26),
+#: others not within 30.  25 keeps every angle that brackets within 30
+#: but 2.93.
+_MAX_BRACKET_EXPANSIONS = 25
+
 
 @dataclass
 class GateCalibration:
@@ -396,14 +408,15 @@ class CRCalibration:
             hi = (theta - self.zx_angle_at_zero_width) / rate * 1.2 + 32
         else:
             hi = 256.0
-        for _ in range(60):
+        for _ in range(_MAX_BRACKET_EXPANSIONS + 1):
             if objective(hi) >= 0:
                 break
             hi *= 1.2
         else:
             raise CalibrationError(
                 f"cannot reach ZX angle {theta:.3f} on pair "
-                f"({self.control},{self.target})"
+                f"({self.control},{self.target}) within "
+                f"{_MAX_BRACKET_EXPANSIONS} bracket expansions"
             )
         return float(brentq(objective, lo, hi, xtol=1e-6))
 

@@ -39,6 +39,7 @@ __all__ = [
     "cache_key",
     "cache_stats_totals",
     "caching_disabled",
+    "caching_enabled",
     "clear_object_caches",
     "device_cache",
     "global_cache_stats",
@@ -69,8 +70,9 @@ class caching_disabled:
         _DISABLED.flag -= 1
 
 
-def _disabled() -> bool:
-    return getattr(_DISABLED, "flag", 0) > 0
+def caching_enabled() -> bool:
+    """False inside a :class:`caching_disabled` block."""
+    return getattr(_DISABLED, "flag", 0) == 0
 
 
 class LRUCache:
@@ -100,7 +102,7 @@ class LRUCache:
         self, key: Hashable, compute: Callable[[], object]
     ) -> object:
         """Return the cached value for ``key``, computing it on a miss."""
-        if _disabled():
+        if not caching_enabled():
             return compute()
         try:
             value = self._data[key]

@@ -558,6 +558,74 @@ CR_SAMPLES = {
 }
 
 
+def _unbounded_width_for_angle(cal, device, theta):
+    """The bracket search as it was before its bound: up to 60 1.2x
+    expansions (only safe for angles that bracket early)."""
+    from scipy.optimize import brentq
+
+    def objective(width):
+        return cal.zx_angle(device, width) - theta
+
+    rate = (math.pi / 2 - cal.zx_angle_at_zero_width) / cal.width_pi_2
+    hi = (theta - cal.zx_angle_at_zero_width) / rate * 1.2 + 32
+    for _ in range(60):
+        if objective(hi) >= 0:
+            break
+        hi *= 1.2
+    return float(brentq(objective, 0.0, hi, xtol=1e-6))
+
+
+class TestWidthForAngleBound:
+    """RZX angles near pi stop the bracket search at its bound instead of
+    simulating ever-longer CR pulses until memory runs out."""
+
+    @pytest.fixture(scope="class")
+    def toronto_01(self):
+        from repro.backends.fake import FakeToronto
+
+        device = FakeToronto().device
+        cal = calibrate_cr(
+            device, 0, 1, amp=0.9, x_calibration=calibrate_x(device, 0)
+        )
+        return device, cal
+
+    def test_unbracketed_angle_raises_within_seconds(self, toronto_01):
+        import time
+
+        from repro.exceptions import CalibrationError
+
+        device, cal = toronto_01
+        start = time.perf_counter()
+        with pytest.raises(CalibrationError, match="bracket expansions"):
+            cal.width_for_angle(device, 2.98)
+        assert time.perf_counter() - start < 20
+
+    @pytest.mark.parametrize("theta", [1.6, 2.4, 2.8, 2.89])
+    def test_bracketing_angles_keep_their_widths(self, toronto_01, theta):
+        device, cal = toronto_01
+        assert cal.width_for_angle(device, theta) == (
+            _unbounded_width_for_angle(cal, device, theta)
+        )
+
+    def test_pulse_efficient_pipeline_raises(self):
+        from repro.backends.fake import FakeToronto
+        from repro.core.models import GateLevelModel
+        from repro.core.training import ExecutionPipeline
+        from repro.exceptions import CalibrationError
+        from repro.problems import MaxCutProblem, benchmark_graph
+        from repro.vqa.cost import ExpectedCutCost
+
+        problem = MaxCutProblem(benchmark_graph(1))
+        pipeline = ExecutionPipeline(
+            backend=FakeToronto(),
+            cost=ExpectedCutCost(problem),
+            pulse_efficient=True,
+        )
+        circuit = GateLevelModel(problem).build_circuit([2.983, 2.885])
+        with pytest.raises(CalibrationError):
+            pipeline.prepare(circuit)
+
+
 class TestMatchesReferenceLoops:
     """The stacked propagators equal the per-sample loops bit for bit."""
 
