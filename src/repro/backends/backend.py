@@ -21,7 +21,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.backends.engine import execute_circuits, select_method
+from repro.backends.engine import _plan_and_method, execute_circuits
 from repro.backends.result import Result
 from repro.backends.target import Target
 from repro.circuits.circuit import QuantumCircuit
@@ -36,9 +36,9 @@ from repro.pulsesim.calibration import (
     calibrate_cr,
     calibrate_x,
 )
-from repro.pulsesim.solver import drive_channel_propagator
+from repro.pulsesim.solver import drive_channel_propagator, drive_key
 from repro.telemetry.spans import span as telemetry_span
-from repro.utils.cache import LRUCache, UnhashableKey, schedule_key
+from repro.utils.cache import LRUCache, UnhashableKey
 from repro.utils.rng import derive_seed
 
 
@@ -58,11 +58,9 @@ class SimulatedBackend:
         self.target = target
         self.noise_model = noise_model
         self.device = device
-        self._cr_cache: dict[tuple[int, int], CRCalibration] = {}
-        self._x_cache: dict[int, object] = {}
-        # pulse-gate unitaries keyed by (physical qubits, schedule
-        # parameters): a parameter sweep re-resolves identical pulse
-        # gates hundreds of times per optimizer run
+        # pulse-gate unitaries keyed by what each position's drive solve
+        # reads: a parameter sweep re-resolves identical pulse gates
+        # hundreds of times per optimizer run
         self._pulse_unitary_cache = LRUCache(
             maxsize=2048, name=f"pulse_unitary[{name}]"
         )
@@ -140,18 +138,17 @@ class SimulatedBackend:
                     else None
                     for index in range(len(circuits))
                 ]
+            noise_model = self.noise_model if with_noise else None
+            resolved = None
+            if jobs > 1 and trajectory_slice is None and len(circuits) == 1:
+                # one plan and one method ranking serve both the pooling
+                # decision and the execution
+                resolved = _plan_and_method(
+                    circuits[0], self.target, noise_model, method
+                )
             if jobs > 1 and trajectory_slice is None and (
                 len(circuits) > 1
-                or (
-                    circuits
-                    and select_method(
-                        circuits[0],
-                        self.target,
-                        self.noise_model if with_noise else None,
-                        method,
-                    )
-                    == "trajectory"
-                )
+                or (resolved is not None and resolved[1] == "trajectory")
             ):
                 service = self.execution_service(jobs)
                 experiments, meta = service.run_batch(
@@ -175,7 +172,7 @@ class SimulatedBackend:
             experiments = execute_circuits(
                 circuits,
                 target=self.target,
-                noise_model=self.noise_model if with_noise else None,
+                noise_model=noise_model,
                 shots=shots,
                 seeds=seeds,
                 unitary_provider=self.pulse_unitary,
@@ -186,6 +183,7 @@ class SimulatedBackend:
                 trajectory_slice=trajectory_slice,
                 trajectory_batch=trajectory_batch,
                 stabilizer_shot_batch=stabilizer_shot_batch,
+                _resolved=None if resolved is None else [resolved],
             )
             return Result(
                 experiments, backend_name=self.name, shots=shots
@@ -238,10 +236,13 @@ class SimulatedBackend:
         pre-computed ``unitary`` attribute (set by the calibration or
         pulse-efficient passes).
 
-        Resolved unitaries are memoized by (physical qubits, schedule
-        parameters): within one optimizer evaluation the shared-mixer
-        model places the same pulse on every layer, and across a batch
-        sweep identical settings recur constantly.
+        Resolved unitaries are memoized by the
+        :func:`~repro.pulsesim.solver.drive_key` of each gate position's
+        timeline on its physical qubit: within one optimizer evaluation
+        the shared-mixer model places the same pulse on every qubit, and
+        across a batch sweep identical settings recur constantly.  A miss
+        falls through to the device's drive propagator memo, which keys
+        each position the same way.
         """
         if not isinstance(op, PulseGate):
             raise BackendError(f"cannot simulate {op!r}")
@@ -254,54 +255,56 @@ class SimulatedBackend:
             raise BackendError(
                 f"pulse gate {op.name!r} still has unbound parameters"
             )
-        try:
-            key = (tuple(phys_qubits), schedule_key(schedule))
-        except UnhashableKey:
-            key = None
-        if key is not None:
-            return self._pulse_unitary_cache.get_or_compute(
-                key, lambda: self._pulse_unitary(schedule, phys_qubits)
-            )
-        return self._pulse_unitary(schedule, phys_qubits)
-
-    def _pulse_unitary(
-        self, schedule: Schedule, phys_qubits: tuple[int, ...]
-    ) -> np.ndarray:
         for channel in schedule.channels:
             if isinstance(channel, ControlChannel):
                 raise BackendError(
                     "control-channel schedules need a cached unitary"
                 )
-        out = np.eye(1, dtype=complex)
         # gate-local channel i drives phys_qubits[i]
+        timelines = [
+            schedule.channel_timeline(DriveChannel(position))
+            for position in range(len(phys_qubits))
+        ]
+        try:
+            key = tuple(
+                drive_key(self.device, qubit, timeline)
+                for qubit, timeline in zip(phys_qubits, timelines)
+            )
+        except UnhashableKey:
+            key = None
+        if key is not None:
+            return self._pulse_unitary_cache.get_or_compute(
+                key, lambda: self._pulse_unitary(timelines, phys_qubits)
+            )
+        return self._pulse_unitary(timelines, phys_qubits)
+
+    def _pulse_unitary(
+        self, timelines: list, phys_qubits: tuple[int, ...]
+    ) -> np.ndarray:
+        out = np.eye(1, dtype=complex)
         for position in reversed(range(len(phys_qubits))):
-            timeline = schedule.channel_timeline(DriveChannel(position))
             unitary = drive_channel_propagator(
-                timeline, self.device, phys_qubits[position]
+                timelines[position], self.device, phys_qubits[position]
             )
             out = np.kron(out, unitary)
         return out
 
     def x_calibration(self, qubit: int):
-        """Cached single-qubit X pulse calibration."""
-        if qubit not in self._x_cache:
-            self._x_cache[qubit] = calibrate_x(self.device, qubit)
-        return self._x_cache[qubit]
+        """Single-qubit X pulse calibration (memoized on the device)."""
+        return calibrate_x(self.device, qubit)
 
     def cr_calibration(
         self, control: int, target: int, amp: float = 0.9
     ) -> CRCalibration:
-        """Cached echoed-CR calibration for a coupled pair."""
-        key = (control, target)
-        if key not in self._cr_cache:
-            self._cr_cache[key] = calibrate_cr(
-                self.device,
-                control,
-                target,
-                amp=amp,
-                x_calibration=self.x_calibration(control),
-            )
-        return self._cr_cache[key]
+        """Echoed-CR calibration for a coupled pair (memoized on the
+        device)."""
+        return calibrate_cr(
+            self.device,
+            control,
+            target,
+            amp=amp,
+            x_calibration=self.x_calibration(control),
+        )
 
     # ------------------------------------------------------------------
     def properties_row(self) -> dict[str, float]:

@@ -484,6 +484,22 @@ def select_method(
     return rank_methods(plan, noise_model)[0].name
 
 
+def _plan_and_method(
+    circuit: QuantumCircuit,
+    target: Target,
+    noise_model: NoiseModel | None,
+    method: str,
+) -> tuple[_CircuitPlan, str]:
+    """``circuit``'s plan and the method ``method`` resolves to on it."""
+    with telemetry_span("engine.plan"):
+        plan = _CircuitPlan(circuit, target)
+    with telemetry_span("engine.select_method", requested=method):
+        resolved = select_method(
+            circuit, target, noise_model, method, _plan=plan
+        )
+    return plan, resolved
+
+
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
@@ -543,6 +559,7 @@ def execute_circuit(
     trajectory_batch: int | None = None,
     stabilizer_shot_batch: int | None = None,
     _context: _RunContext | None = None,
+    _resolved: tuple[_CircuitPlan, str] | None = None,
 ) -> ExperimentResult:
     """Run one circuit and sample measurement outcomes.
 
@@ -567,6 +584,11 @@ def execute_circuit(
     ``stabilizer_shot_batch`` is the tableau back-end's analogue: how
     many shots its phase-batched kernel stacks per round — likewise
     byte-identical at every value, with ``1`` the sequential reference.
+
+    ``_resolved`` is a ``(plan, method)`` pair from
+    :func:`_plan_and_method` for a caller that already planned the
+    circuit to make its own decision (``SimulatedBackend.run`` deciding
+    whether to pool one circuit), so the circuit is planned once.
     """
     if trajectory_batch is not None and trajectory_batch < 1:
         raise BackendError("trajectory_batch must be >= 1")
@@ -576,12 +598,11 @@ def execute_circuit(
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
     with telemetry_span("engine.execute", shots=int(shots)) as exec_span:
-        with telemetry_span("engine.plan"):
-            plan = _CircuitPlan(circuit, target)
-        with telemetry_span("engine.select_method", requested=method):
-            resolved = select_method(
-                circuit, target, noise_model, method, _plan=plan
-            )
+        plan, resolved = (
+            _resolved
+            if _resolved is not None
+            else _plan_and_method(circuit, target, noise_model, method)
+        )
         descriptor = method_descriptor(resolved)
         if exec_span:
             exec_span.annotate(
@@ -1437,6 +1458,7 @@ def execute_circuits(
     trajectory_slice: tuple[int, int] | None = None,
     trajectory_batch: int | None = None,
     stabilizer_shot_batch: int | None = None,
+    _resolved: Sequence[tuple[_CircuitPlan, str]] | None = None,
 ) -> list[ExperimentResult]:
     """Run a batch of circuits, amortizing shared derivation work.
 
@@ -1458,6 +1480,9 @@ def execute_circuits(
     ``trajectory_slice`` / ``trajectory_batch`` /
     ``stabilizer_shot_batch`` apply uniformly to every circuit of the
     batch (``"auto"`` resolves per circuit).
+
+    ``_resolved`` holds one :func:`_plan_and_method` pair per circuit,
+    passed on to :func:`execute_circuit`.
     """
     circuits = list(circuits)
     if seeds is not None:
@@ -1473,6 +1498,8 @@ def execute_circuits(
             derive_seed(seed, "batch", index)
             for index in range(len(circuits))
         ]
+    if _resolved is None:
+        _resolved = [None] * len(circuits)
     context = _RunContext(target)
     return [
         execute_circuit(
@@ -1491,8 +1518,11 @@ def execute_circuits(
             trajectory_batch=trajectory_batch,
             stabilizer_shot_batch=stabilizer_shot_batch,
             _context=context,
+            _resolved=resolved,
         )
-        for circuit, circuit_seed in zip(circuits, seeds)
+        for circuit, circuit_seed, resolved in zip(
+            circuits, seeds, _resolved
+        )
     ]
 
 

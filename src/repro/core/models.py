@@ -35,6 +35,7 @@ from repro.pulse.channels import DriveChannel
 from repro.pulse.instructions import Play, ShiftFrequency
 from repro.pulse.schedule import Schedule
 from repro.pulse.waveforms import GAUSSIAN_GRANULARITY, Gaussian
+from repro.utils.cache import cache_key, device_cache
 from repro.utils.rng import as_generator
 
 #: frequency-modulation bound of the hybrid model: +-100 MHz (paper §IV-A2)
@@ -417,7 +418,10 @@ class PulseLevelModel(QAOAModelBase):
         The cached record also holds the virtual-Z phase corrections the
         vendor calibration folds into the CX schedule; they are *fixed*
         at the calibration point (the optimizer moves the physical drive
-        parameters, not the software phase bookkeeping).
+        parameters, not the software phase bookkeeping).  Their
+        Nelder-Mead solve is memoized on the device, keyed by the echo
+        and target matrices it reads, so pairs with equal physics (and
+        later models on the same device) share it.
         """
         key = self._physical_pair(a, b)
         if key not in self._edge_cx:
@@ -442,8 +446,11 @@ class PulseLevelModel(QAOAModelBase):
             from repro.circuits.gates import standard_gate
 
             rzx_target = standard_gate("rzx", [math.pi / 2]).matrix()
-            _corrected, _fid, angles = virtual_z_corrected(
-                echo_cal, rzx_target
+            angles = device_cache(
+                self.device, "calibrations", maxsize=256
+            ).get_or_compute(
+                cache_key("virtual_z", echo_cal, rzx_target),
+                lambda: virtual_z_corrected(echo_cal, rzx_target)[2],
             )
             post = np.kron(_rz_diag(angles[1]), _rz_diag(angles[0]))
             pre = np.kron(_rz_diag(angles[3]), _rz_diag(angles[2]))

@@ -239,6 +239,8 @@ class TrainResult:
     evaluations: int
     circuit_duration: int
     mixer_duration: int
+    #: the optimizer's evaluation budget (``OptimizerResult.budget``)
+    budget: int | None = None
 
     @property
     def iterations(self) -> int:
@@ -316,4 +318,5 @@ def train_model(
         evaluations=result.nfev,
         circuit_duration=experiment.duration,
         mixer_duration=model.mixer_duration(pipeline.backend.target),
+        budget=result.budget,
     )

@@ -36,6 +36,8 @@ class Fig5Result:
     hybrid_po_duration: int
     pulse_iterations_to_converge: int | None
     hybrid_iterations_to_converge: int | None
+    #: COBYLA evaluation budget of the pulse-level training
+    pulse_budget: int | None
 
 
 def run(
@@ -96,6 +98,7 @@ def run(
         hybrid_po_duration=search.duration,
         pulse_iterations_to_converge=pulse_iters,
         hybrid_iterations_to_converge=hybrid_iters,
+        pulse_budget=pulse_train.budget,
     )
 
 
@@ -140,6 +143,7 @@ def render(result: Fig5Result) -> str:
         f"{result.hybrid_iterations_to_converge}, pulse="
         f"{result.pulse_iterations_to_converge} "
         f"(paper: pulse needs ~{FIG5_PAPER['pulse_convergence_factor']:.0f}x)"
+        f"\npulse-level COBYLA budget: {result.pulse_budget} evaluations"
     )
     return "\n\n".join([table, bars, convergence])
 

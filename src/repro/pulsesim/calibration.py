@@ -34,8 +34,13 @@ from repro.pulse.waveforms import (
     Gaussian,
     GaussianSquare,
 )
-from repro.pulsesim.solver import cr_pair_propagator, drive_channel_propagator
-from repro.utils.cache import device_cache
+from repro.pulsesim.solver import (
+    cr_pair_propagator,
+    cr_physics,
+    drive_channel_propagator,
+    drive_physics,
+)
+from repro.utils.cache import cache_key, device_cache
 from repro.utils.linalg import process_fidelity
 
 _DEFAULT_SQ_DURATION = 160  # samples; the IBM-native sx/x pulse length
@@ -157,24 +162,43 @@ def calibrate_rotation(
     envelope-weighted frequency offset, mirroring how hardware calibration
     absorbs the shift into the pulse definition.
 
-    Calibrations are pure functions of (device, arguments) and every VQA
-    iteration re-requests the same ones, so results are memoized on the
-    device; each call returns a fresh shallow copy (callers rename the
-    ``name`` field) sharing the immutable-by-convention unitary/schedule.
+    Calibrations are pure functions of the arguments and the qubit's
+    physics (:func:`~repro.pulsesim.solver.drive_physics`: the pulses
+    tried play no ``SetFrequency``, so the frequency is not read), and
+    every VQA iteration re-requests the same ones, so the solved numbers
+    are memoized on the device under that physics and shared by every
+    qubit that has it.  Each call returns a fresh record (callers rename the
+    ``name`` field) naming its own qubit and driving its own channel,
+    sharing the immutable-by-convention unitary.
     """
+    if sigma is None:
+        sigma = duration / 4
     key = (
-        "calibrate_rotation", qubit, angle, duration, sigma, phase,
-        include_stark, compensate_stark,
+        "calibrate_rotation", drive_physics(device, qubit), angle, duration,
+        sigma, phase, include_stark, compensate_stark,
     )
     cache = device_cache(device, "calibrations", maxsize=256)
-    cached = cache.get_or_compute(
+    amp, freq_comp, unitary, fidelity = cache.get_or_compute(
         key,
         lambda: _calibrate_rotation(
             device, qubit, angle, duration, sigma, phase,
             include_stark, compensate_stark,
         ),
     )
-    return replace(cached)
+    return GateCalibration(
+        name=f"r({angle:.4f})",
+        qubit=qubit,
+        duration=duration,
+        amp=float(amp),
+        sigma=float(sigma),
+        phase=phase,
+        freq_compensation=freq_comp,
+        unitary=unitary,
+        fidelity=fidelity,
+        schedule=_rotation_schedule(
+            qubit, duration, amp, sigma, phase, freq_comp, device.dt
+        ),
+    )
 
 
 def _calibrate_rotation(
@@ -182,11 +206,12 @@ def _calibrate_rotation(
     qubit: int,
     angle: float,
     duration: int,
-    sigma: float | None,
+    sigma: float,
     phase: float,
     include_stark: bool,
     compensate_stark: bool,
-) -> GateCalibration:
+) -> tuple[float, float, np.ndarray, float]:
+    """Solved ``(amp, freq_compensation, unitary, fidelity)``."""
     if not 0 < angle <= math.pi:
         raise CalibrationError(
             f"calibrate_rotation expects angle in (0, pi], got {angle:g}"
@@ -195,8 +220,6 @@ def _calibrate_rotation(
         raise CalibrationError(
             f"duration {duration} is not a multiple of {GAUSSIAN_GRANULARITY}"
         )
-    if sigma is None:
-        sigma = duration / 4
     params = device.qubits[qubit]
     unit_area_ns = (
         Gaussian(duration, 1.0, sigma).area().real * device.dt
@@ -240,20 +263,7 @@ def _calibrate_rotation(
         device, qubit, duration, amp, sigma, phase, freq_comp, include_stark
     )
     fidelity = process_fidelity(unitary, _rx_target(angle, phase))
-    return GateCalibration(
-        name=f"r({angle:.4f})",
-        qubit=qubit,
-        duration=duration,
-        amp=float(amp),
-        sigma=float(sigma),
-        phase=phase,
-        freq_compensation=freq_comp,
-        unitary=unitary,
-        fidelity=fidelity,
-        schedule=_rotation_schedule(
-            qubit, duration, amp, sigma, phase, freq_comp, device.dt
-        ),
-    )
+    return amp, freq_comp, unitary, fidelity
 
 
 def calibrate_x(
@@ -533,7 +543,11 @@ def calibrate_cr(
 
     Memoized on the device: the two root solves here re-simulate the
     echoed sequence dozens of times, and training loops request the same
-    pair calibration on every cost evaluation.
+    pair calibration on every cost evaluation.  The key is what the
+    solves read: the pair's physics
+    (:func:`~repro.pulsesim.solver.cr_physics`), the pulse arguments and
+    the echo X pulse's unitary and duration, so pairs with equal physics
+    share one calibration.
     """
     if device.coupling_strength(control, target) == 0.0:
         raise CalibrationError(
@@ -541,15 +555,10 @@ def calibrate_cr(
         )
     if x_calibration is None:
         x_calibration = calibrate_x(device, control)
-    x_key = (
-        x_calibration.qubit,
-        x_calibration.duration,
-        x_calibration.amp,
-        x_calibration.sigma,
-        x_calibration.phase,
-        x_calibration.freq_compensation,
+    key = cache_key(
+        "calibrate_cr", cr_physics(device, control, target), amp, sigma,
+        risefall_sigmas, x_calibration.duration, x_calibration.unitary,
     )
-    key = ("calibrate_cr", control, target, amp, sigma, risefall_sigmas, x_key)
     cache = device_cache(device, "calibrations", maxsize=256)
     cached = cache.get_or_compute(
         key,
@@ -558,9 +567,9 @@ def calibrate_cr(
             x_calibration,
         ),
     )
-    # shallow copy: callers may adjust fields on the returned record and
-    # must not poison the device-wide cache entry
-    return replace(cached)
+    # a fresh record naming the caller's pair: callers may adjust fields
+    # on it and must not poison the device-wide cache entry
+    return replace(cached, control=control, target=target)
 
 
 def _calibrate_cr(

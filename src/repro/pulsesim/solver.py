@@ -14,7 +14,16 @@ Two fast paths cover the paper's workloads:
   the pulse-level baseline.  A run of equal samples (the flat top) is one
   segment, and one stacked ``eigh`` exponentiates every segment.
 
-Both are memoized per device.  Both return, to the last bit, what a loop
+Both are memoized on the device, keyed by the values a solve reads
+rather than by qubit index: the drive propagator by the qubit's drive
+strength and anharmonicity, ``dt``, the Stark flag and the timeline's
+payload, plus the qubit frequency only when a ``SetFrequency`` reads it;
+the CR propagator by the control's frequency and drive strength, the
+target's frequency, the pair's ``J``, ``dt``, the samples and the frame.
+Qubits (pairs) with equal physics share one solve, and an in-place edit
+of the device misses instead of serving a stale entry.
+
+Both return, to the last bit, what a loop
 over one sample (for CR, one segment) at a time returns: terms are formed
 elementwise and summed in that loop's order, each eigensolve is a slice of
 one stacked ``eigh``, and the steps are accumulated by sequential
@@ -45,7 +54,12 @@ from repro.pulse.instructions import (
     ShiftPhase,
 )
 from repro.pulse.schedule import Schedule
-from repro.utils.cache import UnhashableKey, cache_key, device_cache, timeline_key
+from repro.utils.cache import (
+    UnhashableKey,
+    cache_key,
+    device_cache,
+    payload_timeline_key,
+)
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -110,13 +124,15 @@ def drive_channel_propagator(
     :meth:`repro.pulse.schedule.Schedule.channel_timeline`.  Delays are
     identity (decoherence is applied by the noise layer, not here).
 
-    Results are memoized per device, keyed by the timeline's waveform
-    parameters, so re-evaluating an unchanged pulse (e.g. during a
-    calibration bisection or a repeated mixer setting) is a dictionary
+    Results are memoized on the device, keyed by :func:`drive_key` (the
+    timeline's waveform parameters and the physics the solve reads), so
+    re-evaluating an unchanged pulse (e.g. during a calibration
+    bisection, or the shared mixer on every qubit) is a dictionary
     lookup.  Parameterized (unbound) timelines fall through uncached.
     """
+    timeline = list(timeline)
     try:
-        key = ("drive", qubit, include_stark, timeline_key(list(timeline)))
+        key = ("drive", drive_key(device, qubit, timeline), include_stark)
     except UnhashableKey:
         key = None
     if key is not None:
@@ -128,6 +144,56 @@ def drive_channel_propagator(
             ),
         )
     return _drive_channel_propagator(timeline, device, qubit, include_stark)
+
+
+def drive_physics(device: DeviceModel, qubit: int) -> tuple:
+    """What a drive solve on ``qubit`` reads of the device, frequency aside.
+
+    Drive strength, anharmonicity (the Stark term) and ``dt``: all that a
+    timeline without a ``SetFrequency`` reads (see :func:`drive_key`).
+    """
+    params = device.qubits[qubit]
+    return (params.drive_strength, params.anharmonicity, device.dt)
+
+
+def drive_key(
+    device: DeviceModel,
+    qubit: int,
+    timeline: Sequence[tuple[int, PulseInstruction]],
+) -> tuple:
+    """Key of everything a drive solve of ``timeline`` on ``qubit`` reads.
+
+    :func:`drive_physics`, the qubit frequency only when a
+    ``SetFrequency`` reads it, and the timeline's starts and payloads.
+    The channel is left out: the solve plays the timeline on ``qubit``
+    whatever channel it names.  Raises
+    :class:`~repro.utils.cache.UnhashableKey` for unbound parameters.
+    """
+    frequency = None
+    if any(isinstance(inst, SetFrequency) for _start, inst in timeline):
+        frequency = device.qubits[qubit].frequency
+    return (
+        drive_physics(device, qubit),
+        frequency,
+        payload_timeline_key(timeline),
+    )
+
+
+def cr_physics(device: DeviceModel, control: int, target: int) -> tuple:
+    """What a CR solve on ``(control, target)`` reads of the device.
+
+    The control's frequency and drive strength, the target's frequency,
+    the pair's exchange coupling ``J`` and ``dt``; the anharmonicities
+    are not read.
+    """
+    qc = device.qubits[control]
+    return (
+        qc.frequency,
+        qc.drive_strength,
+        device.qubits[target].frequency,
+        device.coupling_strength(control, target),
+        device.dt,
+    )
 
 
 def _drive_channel_propagator(
@@ -229,13 +295,15 @@ def cr_pair_propagator(
     4x4 unitary in the two qubits' own rotating frames, little-endian with
     the **control** qubit as bit 0.
 
-    Memoized per device, keyed by (samples, pair, phase, freq_shift):
-    calibration root solves and pulse-efficient width rescaling evaluate
-    the same envelopes repeatedly.
+    Memoized on the device, keyed by the samples, the frame and the pair's
+    physics (:func:`cr_physics`): calibration root solves and
+    pulse-efficient width rescaling evaluate the same envelopes
+    repeatedly, and pairs with equal physics share them.
     """
     samples = np.asarray(samples, dtype=complex)
     key = cache_key(
-        "cr", control, target, phase, freq_shift, include_stark, samples
+        "cr", cr_physics(device, control, target), phase, freq_shift,
+        include_stark, samples,
     )
     cache = device_cache(device, "propagators")
     return cache.get_or_compute(

@@ -57,6 +57,9 @@ __all__ = [
     "tracing_enabled",
 ]
 
+#: the ``format`` tag of a saved trace tree (:meth:`Trace.save`)
+TRACE_FORMAT = "repro-telemetry-trace-v1"
+
 
 class TelemetryError(ReproError):
     """Invalid use of the telemetry API (never raised on the hot path)."""
@@ -162,7 +165,7 @@ class Trace:
 
     def as_dict(self) -> dict:
         return {
-            "format": "repro-telemetry-trace-v1",
+            "format": TRACE_FORMAT,
             "name": self.name,
             "started_at": round(self.started_at, 6),
             "roots": [root.as_dict() for root in self.roots],

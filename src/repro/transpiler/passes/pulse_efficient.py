@@ -49,7 +49,6 @@ class PulseEfficientRZZ:
             dict(cr_calibrations) if cr_calibrations else {}
         )
         self.cr_amp = cr_amp
-        self._x_calibrations: dict[int, object] = {}
         self._unitary_cache: dict[tuple[tuple[int, int], float], tuple] = {}
 
     # ------------------------------------------------------------------
@@ -60,16 +59,12 @@ class PulseEfficientRZZ:
                 raise TranspilerError(
                     f"cannot lower RZZ on uncoupled pair {key}"
                 )
-            x_cal = self._x_calibrations.get(control)
-            if x_cal is None:
-                x_cal = calibrate_x(self.device, control)
-                self._x_calibrations[control] = x_cal
             self.cr_calibrations[key] = calibrate_cr(
                 self.device,
                 control,
                 target,
                 amp=self.cr_amp,
-                x_calibration=x_cal,
+                x_calibration=calibrate_x(self.device, control),
             )
         return self.cr_calibrations[key]
 

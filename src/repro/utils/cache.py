@@ -11,17 +11,20 @@ provides the shared plumbing:
   live with the :class:`~repro.hamiltonian.system.DeviceModel` they were
   derived from, so two devices never share entries);
 * key builders (:func:`waveform_key`, :func:`timeline_key`,
-  :func:`schedule_key`) that turn pulse IR into hashable cache keys,
-  raising :class:`UnhashableKey` for parameterized input so callers can
-  fall back to the uncached path;
+  :func:`payload_timeline_key`, :func:`schedule_key`) that turn pulse
+  IR into hashable cache keys, raising :class:`UnhashableKey` for
+  parameterized input so callers can fall back to the uncached path;
 * :func:`caching_disabled` — a context manager that turns every
   :class:`LRUCache` into a pass-through, used by the benchmarks to time
   the seed (cache-free) path honestly.
 
-Invalidation rules are documented in ``PERFORMANCE.md``: cached values
-are keyed by *pulse parameters*, so mutating a device or noise model in
-place after propagators were derived from it requires
-:func:`clear_object_caches` / the owning model's ``clear_caches()``.
+Invalidation rules are documented in ``PERFORMANCE.md``: the drive,
+CR, calibration and virtual-Z memos key on the pulse parameters and on
+the device physics they read, so an in-place device edit is seen by the
+next lookup.  The dense reference solver keys on qubit indices
+(:func:`clear_object_caches` drops its entries), and the per-pair memos
+of ``PulseEfficientRZZ`` and ``PulseLevelModel`` hold what was solved
+when they were built (build new ones after editing a device in place).
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "clear_object_caches",
     "device_cache",
     "global_cache_stats",
+    "payload_timeline_key",
     "schedule_key",
     "timeline_key",
     "waveform_key",
@@ -234,28 +238,48 @@ def waveform_key(waveform: object) -> tuple:
     return (type(waveform).__name__,) + cache_key(*items)
 
 
-def _instruction_key(instruction: object) -> tuple:
-    """Key one pulse instruction (channel + payload)."""
-    channel = getattr(instruction, "channel", None)
-    channel_part = (type(channel).__name__, getattr(channel, "index", None))
+def _payload_key(instruction: object) -> tuple:
+    """Key one pulse instruction's type and payload, not its channel."""
     name = type(instruction).__name__
     waveform = getattr(instruction, "waveform", None)
     if waveform is not None:
-        return (name, channel_part, waveform_key(waveform))
+        return (name, waveform_key(waveform))
     payload = []
     for attr in ("phase", "frequency", "duration"):
         value = getattr(instruction, attr, None)
         if value is not None:
             payload.append((attr,) + cache_key(value))
-    return (name, channel_part, tuple(payload))
+    return (name, tuple(payload))
+
+
+def _instruction_key(instruction: object) -> tuple:
+    """Key one pulse instruction (channel + payload)."""
+    channel = getattr(instruction, "channel", None)
+    channel_part = (type(channel).__name__, getattr(channel, "index", None))
+    name, payload = _payload_key(instruction)
+    return (name, channel_part, payload)
 
 
 def timeline_key(
     timeline: "list[tuple[int, object]]",
 ) -> tuple:
-    """Key a single-channel ``(start, instruction)`` timeline."""
+    """Key a ``(start, instruction)`` timeline, channels included."""
     return tuple(
         (start, _instruction_key(inst)) for start, inst in timeline
+    )
+
+
+def payload_timeline_key(
+    timeline: "list[tuple[int, object]]",
+) -> tuple:
+    """Key a single-channel timeline by its payloads, not its channel.
+
+    For a solve that plays the timeline on whatever qubit it is given
+    (the drive propagator), so the channel's index says nothing the
+    caller's physics key does not.
+    """
+    return tuple(
+        (start, _payload_key(inst)) for start, inst in timeline
     )
 
 

@@ -30,6 +30,8 @@ class OptimizerResult:
     success: bool = True
     message: str = ""
     history: list[float] = field(default_factory=list)
+    #: the evaluation budget the optimizer ran with, when it has one
+    budget: int | None = None
 
 
 class Optimizer:

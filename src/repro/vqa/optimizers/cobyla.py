@@ -15,6 +15,10 @@ class COBYLA(Optimizer):
 
     ``rhobeg`` sets the initial simplex scale; the QAOA angle landscape
     has period ~pi so the default of 0.5 explores without jumping basins.
+
+    ``maxiter`` bounds the objective evaluations.  COBYLA needs at least
+    ``n + 2`` of them for ``n`` parameters, so a smaller ``maxiter`` runs
+    with ``n + 2``; the budget used is ``OptimizerResult.budget``.
     """
 
     def __init__(self, maxiter: int = 50, rhobeg: float = 0.5, tol: float = 1e-6) -> None:
@@ -28,12 +32,14 @@ class COBYLA(Optimizer):
         x0: np.ndarray,
         bounds: Sequence[tuple[float, float]] | None,
     ) -> OptimizerResult:
+        # scipy would raise a budget below n + 2 itself, with a warning
+        budget = max(self.maxiter, len(x0) + 2)
         result = scipy_minimize(
             objective,
             x0,
             method="COBYLA",
             options={
-                "maxiter": self.maxiter,
+                "maxiter": budget,
                 "rhobeg": self.rhobeg,
                 "tol": self.tol,
             },
@@ -45,4 +51,5 @@ class COBYLA(Optimizer):
             nit=int(result.get("nfev", 0)),
             success=bool(result.success),
             message=str(result.message),
+            budget=budget,
         )

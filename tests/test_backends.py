@@ -155,6 +155,42 @@ class TestExecuteCircuit:
         # noise populates the odd-parity strings
         assert any(key in noisy for key in ("01", "10"))
 
+    def test_single_circuit_at_jobs_2_is_planned_once(self, monkeypatch):
+        from repro.backends import engine
+
+        plans = []
+
+        class CountingPlan(engine._CircuitPlan):
+            __slots__ = ()
+
+            def __init__(self, circuit, target):
+                plans.append(circuit)
+                super().__init__(circuit, target)
+
+        backend = FakeToronto()
+        qc = QuantumCircuit(3)
+        qc.h(0).cx(0, 1).cx(1, 2)
+        qc.measure_all()
+        reference = backend.run(qc, shots=256, seed=4).experiments[0]
+        monkeypatch.setattr(engine, "_CircuitPlan", CountingPlan)
+        # a density-matrix circuit is not pooled: the plan that decides
+        # so is the one it runs on
+        experiment = backend.run(qc, shots=256, seed=4, jobs=2).experiments[0]
+        assert len(plans) == 1
+        assert experiment.metadata["method"] == "density_matrix"
+        assert experiment.counts == reference.counts
+        assert experiment.metadata == reference.metadata
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("seeds", [[1, 2], []])
+    def test_one_seed_per_circuit_at_any_jobs(self, jobs, seeds):
+        backend = FakeToronto()
+        qc = QuantumCircuit(2)
+        qc.h(0).cx(0, 1)
+        qc.measure_all()
+        with pytest.raises(BackendError, match="seeds for 1 circuits"):
+            backend.run(qc, shots=16, seeds=seeds, jobs=jobs)
+
     def test_clbit_mapping_metadata(self):
         backend = FakeToronto()
         qc = QuantumCircuit(3, 2)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.backends import FakeToronto
+from repro.backends import FakeToronto, fake_backend_by_name
 from repro.core import (
     ExecutionPipeline,
     GateLevelModel,
@@ -198,10 +198,13 @@ class TestPulseLevelModel:
 
 
     def test_cx_ingredients_calibrated_once_per_physical_pair(
-        self, backend, monkeypatch
+        self, monkeypatch
     ):
         from repro.pulsesim import calibration
 
+        # a fresh backend: the module fixture's device memo outlives a
+        # test, and a warm one would solve nothing
+        backend = FakeToronto()
         task1 = MaxCutProblem(benchmark_graph(1))
         solve = calibration.virtual_z_corrected
         solves = []
@@ -211,11 +214,29 @@ class TestPulseLevelModel:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(calibration, "virtual_z_corrected", counted)
+        calibrate = calibration._calibrate_cr
+        calibrations = []
+
+        def counted_calibration(*args, **kwargs):
+            calibrations.append(args[1:3])
+            return calibrate(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "_calibrate_cr", counted_calibration)
         model = PulseLevelModel(task1, backend)
         circuit = model.build_circuit(model.initial_point(0))
         pairs = {model._physical_pair(a, b) for a, b, _w in task1.edges}
         assert len(task1.edges) == 9
-        assert len(solves) == len(pairs) == 4
+        assert len(pairs) == 4
+        # the four pairs fall in two physics classes: the control 0.08 GHz
+        # below or above its target
+        detunings = {
+            round(backend.device.qubits[c].frequency
+                  - backend.device.qubits[t].frequency, 9)
+            for c, t in pairs
+        }
+        assert len(detunings) == 2
+        assert len(solves) == 2
+        assert len(calibrations) == 2
         # an edge's gate equals the one a model that never calibrated
         # another edge builds
         for inst in circuit.instructions:
@@ -224,6 +245,40 @@ class TestPulseLevelModel:
                 fresh = PulseLevelModel(task1, backend)
                 gate = fresh._cx_pulse_gate(*inst.qubits, *op.params)
                 assert np.array_equal(op.unitary, gate.unitary)
+
+
+@pytest.mark.parametrize(
+    "name", ["auckland", "guadalupe", "montreal", "toronto"]
+)
+def test_virtual_z_memo_equals_uncached_solve_on_every_pair(name):
+    from repro.circuits import standard_gate
+    from repro.pulsesim.calibration import _rz_diag, virtual_z_corrected
+    from repro.utils.cache import caching_disabled
+
+    backend = fake_backend_by_name(name)
+    device = backend.device
+    model = PulseLevelModel(MaxCutProblem(benchmark_graph(1)), backend)
+    rzx = standard_gate("rzx", [math.pi / 2]).matrix()
+    for i, j in device.coupled_pairs():
+        for control, target in ((i, j), (j, i)):
+            calibration, _local, pre, post, _duration = model._edge_base(
+                control, target
+            )
+            assert (calibration.control, calibration.target) == (
+                control,
+                target,
+            )
+            echo = calibration.echoed_unitary(
+                device, calibration.width_pi_2, phase=math.pi
+            )
+            with caching_disabled():
+                _corrected, _fid, angles = virtual_z_corrected(echo, rzx)
+            assert np.array_equal(
+                pre, np.kron(_rz_diag(angles[3]), _rz_diag(angles[2]))
+            )
+            assert np.array_equal(
+                post, np.kron(_rz_diag(angles[1]), _rz_diag(angles[0]))
+            )
 
 
 class TestTraining:

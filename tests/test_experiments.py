@@ -1,5 +1,6 @@
 """Smoke tests of the experiment drivers (quick configuration)."""
 
+import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -54,14 +55,55 @@ class TestFig4:
         assert "Max-Cut" in fig4.render(result)
 
 
+@pytest.fixture(scope="module")
+def fig5_quick(quick):
+    """One quick fig5 run: its result, each model's ``TrainResult`` and
+    the warnings the run raised."""
+    trained = {}
+    train = fig5.train_model
+
+    def capture(model, *args, **kwargs):
+        trained[model.name] = train(model, *args, **kwargs)
+        return trained[model.name]
+
+    fig5.train_model = capture
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = fig5.run(quick)
+    finally:
+        fig5.train_model = train
+    return result, trained, caught
+
+
 class TestFig5Quick:
-    def test_runs_and_reports(self, quick):
-        result = fig5.run(quick)
+    def test_runs_and_reports(self, fig5_quick):
+        result, _trained, _caught = fig5_quick
         rendering = fig5.render(result)
         assert "hybrid+PO" in rendering
         assert result.hybrid_duration == 320
         assert result.hybrid_po_duration < 320
         assert 0.0 <= result.pulse_ar <= 1.0
+
+    def test_pulse_budget_recorded_without_warning(self, fig5_quick):
+        result, trained, caught = fig5_quick
+        # 54 parameters need n + 2 = 56 evaluations, above maxiter 12
+        assert len(trained["pulse"].best_parameters) == 54
+        assert [
+            str(w.message) for w in caught if issubclass(w.category, UserWarning)
+        ] == []
+        assert trained["pulse"].budget == result.pulse_budget == 56
+        assert "pulse-level COBYLA budget: 56 evaluations" in fig5.render(
+            result
+        )
+        # scipy already ran 56 evaluations, so the run is unchanged
+        assert trained["pulse"].evaluations == 56
+        assert trained["hybrid"].evaluations == 8
+        assert (result.pulse_ar, result.hybrid_ar, result.hybrid_po_ar) == (
+            0.5425347222222222,
+            0.5217013888888888,
+            0.5080295138888888,
+        )
 
 
 class TestTable2Quick:

@@ -10,6 +10,7 @@ from scipy.optimize import minimize
 from repro.hamiltonian import DeviceModel, TransmonQubit
 from repro.pulse import (
     Constant,
+    ControlChannel,
     Delay,
     Drag,
     DriveChannel,
@@ -669,3 +670,343 @@ class TestMatchesReferenceLoops:
             assert np.array_equal(corrected, ref_corrected)
             assert fidelity == ref_fidelity
             assert np.array_equal(angles, ref_angles)
+
+
+# ---------------------------------------------------------------------------
+# Device memos key on the physics a solve reads, not on qubit indices.
+# ---------------------------------------------------------------------------
+
+FAKE_BACKENDS = ("auckland", "guadalupe", "montreal", "toronto")
+
+
+def fake_device(name):
+    from repro.backends import fake_backend_by_name
+
+    return fake_backend_by_name(name).device
+
+
+def directed_pairs(device):
+    return [
+        pair
+        for i, j in device.coupled_pairs()
+        for pair in ((i, j), (j, i))
+    ]
+
+
+def qubit_timelines(qubit):
+    """A mixer-like pulse and a SetFrequency pulse on ``qubit``'s channel."""
+    channel = DriveChannel(qubit)
+    mixer = Schedule()
+    mixer.append(ShiftFrequency(0.03, channel))
+    mixer.append(Play(Gaussian(320, 0.4, 80, angle=0.3), channel))
+    mixer.append(ShiftFrequency(-0.03, channel))
+    set_frequency = Schedule()
+    set_frequency.append(SetFrequency(4.96, channel))
+    set_frequency.append(Play(Gaussian(160, 0.5, 40), channel))
+    return [
+        mixer.channel_timeline(channel),
+        set_frequency.channel_timeline(channel),
+    ]
+
+
+def assert_same_gate_calibration(cal, ref, qubit):
+    from repro.utils.cache import schedule_key
+
+    for field in (
+        "name", "qubit", "duration", "amp", "sigma", "phase",
+        "freq_compensation", "fidelity",
+    ):
+        assert getattr(cal, field) == getattr(ref, field), field
+    assert np.array_equal(cal.unitary, ref.unitary)
+    assert schedule_key(cal.schedule) == schedule_key(ref.schedule)
+    # the record names the caller's qubit and drives its channel
+    assert cal.qubit == qubit
+    assert cal.schedule.channels == [DriveChannel(qubit)]
+
+
+def assert_same_cr_calibration(cal, ref, control, target):
+    for field in (
+        "control", "target", "amp", "sigma", "risefall", "width_pi_2",
+        "x_control_duration", "zx_angle_at_zero_width",
+    ):
+        assert getattr(cal, field) == getattr(ref, field), field
+    assert np.array_equal(cal.x_control_unitary, ref.x_control_unitary)
+    assert (cal.control, cal.target) == (control, target)
+
+
+class TestPhysicsKeyedMemos:
+    """One solve per physics class, equal to the solve it stands in for."""
+
+    @pytest.mark.parametrize("name", FAKE_BACKENDS)
+    def test_memo_equals_uncached_solve_everywhere(self, name):
+        from repro.utils.cache import caching_disabled, device_cache
+
+        device = fake_device(name)
+        fresh = fake_device(name)
+        for qubit in range(device.num_qubits):
+            for timeline in qubit_timelines(qubit):
+                memo = drive_channel_propagator(timeline, device, qubit)
+                with caching_disabled():
+                    ref = drive_channel_propagator(timeline, fresh, qubit)
+                assert np.array_equal(memo, ref)
+            cal = calibrate_x(device, qubit)
+            with caching_disabled():
+                ref = calibrate_x(fresh, qubit)
+            assert_same_gate_calibration(cal, ref, qubit)
+        samples = cr_half(37.5)
+        for control, target in directed_pairs(device):
+            memo = cr_pair_propagator(
+                samples, device, control, target, phase=math.pi
+            )
+            with caching_disabled():
+                ref = cr_pair_propagator(
+                    samples, fresh, control, target, phase=math.pi
+                )
+            assert np.array_equal(memo, ref)
+            cal = calibrate_cr(device, control, target, amp=0.9)
+            with caching_disabled():
+                ref = calibrate_cr(fresh, control, target, amp=0.9)
+            assert_same_cr_calibration(cal, ref, control, target)
+        # every fake device has one drive class and two frequencies, so
+        # two classes of directed pair (control below or above target)
+        assert len({q.frequency for q in device.qubits}) == 2
+        calibrations = device_cache(device, "calibrations")
+        assert calibrations.misses == 1 + 2  # one X, two CR classes
+        # the propagator solves do not grow with the device either: the
+        # same 39 on the 16-qubit device as on the 27-qubit ones
+        assert device_cache(device, "propagators").misses == 39
+        for cache in fresh.__dict__["_repro_caches"].values():
+            assert len(cache) == 0
+
+    def _changed(self, device, solve, mutate):
+        """(before, after) of ``solve`` around ``mutate``, asserting the
+        second call misses the device memo."""
+        from repro.utils.cache import device_cache
+
+        before = solve()
+        cache = device_cache(device, "propagators")
+        misses = cache.misses
+        mutate()
+        after = solve()
+        assert cache.misses == misses + 1
+        assert not np.array_equal(before, after)
+        return before, after
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("drive_strength", 0.036), ("anharmonicity", -0.30)],
+    )
+    def test_drive_fields_are_keyed(self, field, value):
+        device = fake_device("toronto")
+        timeline = qubit_timelines(0)[0]
+        self._changed(
+            device,
+            lambda: drive_channel_propagator(timeline, device, 0),
+            lambda: setattr(device.qubits[0], field, value),
+        )
+
+    def test_frequency_is_keyed_only_under_set_frequency(self):
+        from repro.utils.cache import device_cache
+
+        device = fake_device("toronto")
+        mixer, set_frequency = qubit_timelines(0)
+        self._changed(
+            device,
+            lambda: drive_channel_propagator(set_frequency, device, 0),
+            lambda: setattr(device.qubits[0], "frequency", 5.04),
+        )
+        # the mixer never reads the frequency: a qubit of the other
+        # frequency class hits the same entry
+        first = drive_channel_propagator(mixer, device, 0)
+        other = next(
+            q for q, params in enumerate(device.qubits)
+            if params.frequency != device.qubits[0].frequency
+        )
+        cache = device_cache(device, "propagators")
+        hits = cache.hits
+        assert drive_channel_propagator(mixer, device, other) is first
+        assert cache.hits == hits + 1
+
+    @pytest.mark.parametrize("field", ["coupling", "control", "target"])
+    def test_cr_fields_are_keyed(self, field):
+        device = fake_device("toronto")
+        control, target = device.coupled_pairs()[0]
+        samples = cr_half(37.5)
+
+        def mutate():
+            if field == "coupling":
+                # no public setter: J is fixed at construction
+                device._coupling[(control, target)] = 0.006
+            else:
+                qubit = control if field == "control" else target
+                device.qubits[qubit].frequency += 0.01
+
+        self._changed(
+            device,
+            lambda: cr_pair_propagator(samples, device, control, target),
+            mutate,
+        )
+
+    def test_cr_control_drive_strength_is_keyed(self):
+        device = fake_device("toronto")
+        control, target = device.coupled_pairs()[0]
+        samples = cr_half(37.5)
+        self._changed(
+            device,
+            lambda: cr_pair_propagator(samples, device, control, target),
+            lambda: setattr(device.qubits[control], "drive_strength", 0.036),
+        )
+
+    def test_in_place_edit_is_seen_without_clearing(self):
+        from repro.backends import fake_backend_by_name
+        from repro.circuits.gates import PulseGate
+        from repro.utils.cache import caching_disabled
+
+        backend = fake_backend_by_name("toronto")
+        device = backend.device
+        control, target = device.coupled_pairs()[0]
+        timeline = qubit_timelines(control)[0]
+        gate = PulseGate(
+            Schedule((0, Play(Gaussian(320, 0.4, 80), DriveChannel(0)))),
+            num_qubits=1,
+        )
+        drive = drive_channel_propagator(timeline, device, control)
+        pulse = backend.pulse_unitary(gate, (control,))
+        x_cal = calibrate_x(device, control)
+        cr_cal = calibrate_cr(device, control, target, amp=0.9)
+        device.qubits[control] = TransmonQubit(
+            frequency=device.qubits[control].frequency + 0.02,
+            drive_strength=0.031,
+        )
+        with caching_disabled():
+            ref_drive = drive_channel_propagator(timeline, device, control)
+            ref_pulse = backend.pulse_unitary(gate, (control,))
+            ref_x = calibrate_x(device, control)
+            ref_cr = calibrate_cr(device, control, target, amp=0.9)
+        assert not np.array_equal(drive, ref_drive)
+        assert not np.array_equal(pulse, ref_pulse)
+        assert x_cal.amp != ref_x.amp
+        assert cr_cal.width_pi_2 != ref_cr.width_pi_2
+        assert np.array_equal(
+            drive_channel_propagator(timeline, device, control), ref_drive
+        )
+        assert np.array_equal(
+            backend.pulse_unitary(gate, (control,)), ref_pulse
+        )
+        assert_same_gate_calibration(
+            calibrate_x(device, control), ref_x, control
+        )
+        assert_same_cr_calibration(
+            calibrate_cr(device, control, target, amp=0.9), ref_cr,
+            control, target,
+        )
+
+    def test_one_drive_solve_per_mixer_pulse(self):
+        from repro.backends import FakeToronto
+        from repro.circuits.gates import PulseGate
+        from repro.core.models import HybridGatePulseModel
+        from repro.problems import MaxCutProblem, benchmark_graph
+        from repro.utils.cache import device_cache
+
+        backend = FakeToronto()
+        model = HybridGatePulseModel(
+            MaxCutProblem(benchmark_graph(1)), backend.device, p=2
+        )
+        values = model.initial_point(3)
+        circuit = model.build_circuit(values)
+        pulses = [
+            inst for inst in circuit.instructions
+            if isinstance(inst.operation, PulseGate)
+        ]
+        assert len(pulses) == 2 * model.num_qubits
+        for inst in pulses:
+            backend.pulse_unitary(inst.operation, inst.qubits)
+        # both layers' mixers differ, each played on every qubit
+        assert device_cache(backend.device, "propagators").misses == 2
+
+
+class TestChannelsStayKeyed:
+    """Only the drive solve leaves the channel out of its key: it plays a
+    timeline on the qubit it is given.  Whole-schedule keys name every
+    instruction's channel."""
+
+    @staticmethod
+    def play_on(channel, duration=320):
+        pulse = Gaussian(duration, 0.4, duration / 4)
+        return Schedule((0, Play(pulse, channel)))
+
+    def test_schedule_key_names_the_channel(self):
+        from repro.utils.cache import payload_timeline_key, schedule_key
+
+        on_d0 = self.play_on(DriveChannel(0))
+        on_d1 = self.play_on(DriveChannel(1))
+        on_u0 = self.play_on(ControlChannel(0))
+        again = self.play_on(DriveChannel(0))
+        assert schedule_key(on_d0) == schedule_key(again)
+        assert schedule_key(on_d0) != schedule_key(on_d1)
+        assert schedule_key(on_d0) != schedule_key(on_u0)
+        assert payload_timeline_key(
+            on_d0.channel_timeline(DriveChannel(0))
+        ) == payload_timeline_key(on_d1.channel_timeline(DriveChannel(1)))
+
+    def test_pulse_unitary_keeps_gate_positions_apart(self):
+        from repro.backends import FakeToronto
+        from repro.circuits.gates import PulseGate
+        from repro.utils.cache import caching_disabled
+
+        backend = FakeToronto()
+        single = drive_channel_propagator(
+            self.play_on(DriveChannel(0)).timed_instructions,
+            backend.device,
+            0,
+        )
+        results = []
+        for position in (0, 1):
+            gate = PulseGate(
+                self.play_on(DriveChannel(position)), num_qubits=2
+            )
+            memo = backend.pulse_unitary(gate, (0, 1))
+            with caching_disabled():
+                ref = backend.pulse_unitary(gate, (0, 1))
+            assert np.array_equal(memo, ref)
+            results.append(memo)
+        # gate-local channel i drives phys_qubits[i], bit i of the unitary
+        assert np.array_equal(results[0], np.kron(np.eye(2), single))
+        assert np.array_equal(results[1], np.kron(single, np.eye(2)))
+
+    def test_pulse_unitary_keys_the_frequency_under_set_frequency(self):
+        from repro.backends import FakeToronto
+        from repro.circuits.gates import PulseGate
+        from repro.utils.cache import caching_disabled
+
+        backend = FakeToronto()
+        device = backend.device
+        low, high = (
+            next(q for q, params in enumerate(device.qubits)
+                 if params.frequency == frequency)
+            for frequency in sorted({q.frequency for q in device.qubits})
+        )
+        schedule = Schedule()
+        schedule.append(SetFrequency(4.96, DriveChannel(0)))
+        schedule.append(Play(Gaussian(160, 0.5, 40), DriveChannel(0)))
+        gate = PulseGate(schedule, num_qubits=1)
+        on_low = backend.pulse_unitary(gate, (low,))
+        on_high = backend.pulse_unitary(gate, (high,))
+        assert not np.array_equal(on_low, on_high)
+        with caching_disabled():
+            ref = backend.pulse_unitary(gate, (high,))
+        assert np.array_equal(on_high, ref)
+
+    def test_dense_solver_tells_drive_from_control_channel(self):
+        from repro.utils.cache import caching_disabled
+
+        device = coupled_pair_device()
+        results = []
+        for channel in (DriveChannel(0), device.control_channel(0, 1)):
+            schedule = self.play_on(channel, duration=32)
+            memo = dense_schedule_propagator(schedule, device, [0, 1])
+            with caching_disabled():
+                ref = dense_schedule_propagator(schedule, device, [0, 1])
+            assert np.array_equal(memo, ref)
+            results.append(memo)
+        assert not np.array_equal(results[0], results[1])

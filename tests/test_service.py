@@ -236,6 +236,35 @@ class TestFingerprint:
             assert job_fingerprint(other, "ibmq_guadalupe") != key
         assert job_fingerprint(job, "ibmq_toronto") != key
 
+    def test_pulse_channel_moves_the_hash(self):
+        from repro.circuits.gates import PulseGate
+        from repro.pulse import (
+            ControlChannel,
+            DriveChannel,
+            Gaussian,
+            Play,
+            Schedule,
+        )
+        from repro.service import circuit_fingerprint
+
+        keys = []
+        for channel in (DriveChannel(0), DriveChannel(1), ControlChannel(0)):
+            circuit = QuantumCircuit(2)
+            schedule = Schedule((0, Play(Gaussian(160, 0.4, 40), channel)))
+            circuit.append(PulseGate(schedule, num_qubits=2), [0, 1])
+            circuit.measure_all()
+            job = CircuitJob(circuit, shots=SHOTS, seed=3)
+            keys.append(
+                (
+                    circuit_fingerprint(circuit),
+                    job_fingerprint(job, "ibmq_guadalupe"),
+                )
+            )
+        for index, (circuit_key, job_key) in enumerate(keys):
+            for other_circuit_key, other_job_key in keys[index + 1:]:
+                assert circuit_key != other_circuit_key
+                assert job_key != other_job_key
+
     def test_unseeded_is_not_storable(self, sweep_circuits):
         job = CircuitJob(sweep_circuits[0], shots=SHOTS, seed=None)
         assert job_fingerprint(job, "ibmq_guadalupe") is None

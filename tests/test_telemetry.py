@@ -375,6 +375,98 @@ class TestReportCLI:
         assert completed.stdout == ""
 
 
+def _span_payload(name, wall, children=()):
+    return {
+        "name": name,
+        "started_at": 0.0,
+        "wall_seconds": wall,
+        "cpu_seconds": 0.0,
+        "attributes": {},
+        "children": list(children),
+    }
+
+
+class TestProfileCLI:
+    #: two levels, binary fractions so every sum is exact: ``evaluate``
+    #: runs twice under one ``workload`` root, ``prepare`` once
+    TRACE = {
+        "format": "repro-telemetry-trace-v1",
+        "name": "synthetic",
+        "started_at": 0.0,
+        "roots": [
+            _span_payload(
+                "workload",
+                2.0,
+                [
+                    _span_payload("evaluate", 0.5),
+                    _span_payload("evaluate", 0.75),
+                    _span_payload("prepare", 0.25),
+                ],
+            )
+        ],
+    }
+    PROFILE = {
+        "evaluate": {"count": 2, "total_seconds": 1.25, "self_seconds": 1.25},
+        "workload": {"count": 1, "total_seconds": 2.0, "self_seconds": 0.5},
+        "prepare": {"count": 1, "total_seconds": 0.25, "self_seconds": 0.25},
+    }
+
+    def _trace(self, tmp_path, payload=None):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload or self.TRACE))
+        return str(path)
+
+    def test_json_totals_and_self_times(self, tmp_path, capsys):
+        path = self._trace(tmp_path)
+        assert telemetry_cli.main(["profile", path, "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == self.PROFILE
+        assert list(printed) == ["evaluate", "workload", "prepare"]
+
+    def test_table_sorted_by_self_time(self, tmp_path, capsys):
+        assert telemetry_cli.main(["profile", self._trace(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split() for line in lines[1:]] == [
+            ["evaluate", "2", "1.2500", "1.2500"],
+            ["workload", "1", "2.0000", "0.5000"],
+            ["prepare", "1", "0.2500", "0.2500"],
+        ]
+
+    def test_saved_trace_round_trips(self, tmp_path, capsys):
+        with collect_trace("t") as trace:
+            with span("outer"):
+                with span("inner"):
+                    pass
+        path = tmp_path / "saved.json"
+        trace.save(path)
+        assert telemetry_cli.main(["profile", str(path), "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert {name: row["count"] for name, row in printed.items()} == {
+            "outer": 1,
+            "inner": 1,
+        }
+
+    def test_missing_file_exits_1(self, tmp_path, capsys):
+        missing = str(tmp_path / "no-such-trace.json")
+        assert telemetry_cli.main(["profile", missing]) == 1
+        captured = capsys.readouterr()
+        assert missing in captured.err
+        assert captured.out == ""
+
+    def test_other_format_exits_1(self, tmp_path, capsys):
+        path = self._trace(tmp_path, dict(self.TRACE, format="other-v2"))
+        assert telemetry_cli.main(["profile", path]) == 1
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [[TRACE], "trace", 3])
+    def test_non_object_top_level_exits_1(self, tmp_path, capsys, payload):
+        path = self._trace(tmp_path, payload)
+        assert telemetry_cli.main(["profile", path]) == 1
+        captured = capsys.readouterr()
+        assert path in captured.err
+        assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # byte-identity: telemetry is observation only
 # ---------------------------------------------------------------------------
