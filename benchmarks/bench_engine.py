@@ -279,6 +279,13 @@ def test_bench_cached_calibration():
 
 
 def test_bench_batched_sweep():
+    _run_batched_sweep(min_speedup=5.0)
+
+
+def _run_batched_sweep(min_speedup):
+    """A 6-point hybrid-QAOA sweep on a paper model through the density
+    walk: the warm ``execute_circuits`` sweep against a per-circuit
+    cache-free loop.  Counts must agree, whatever the timing."""
     backend = FakeGuadalupe()
     problem = MaxCutProblem(benchmark_graph(1))
     model = HybridGatePulseModel(problem, backend.device)
@@ -288,9 +295,10 @@ def test_bench_batched_sweep():
         for gamma in np.linspace(0.3, 1.5, 6)
     ]
     seeds = list(range(6))
+    latest = {}
 
     def batch():
-        return execute_circuits(
+        latest["warm"] = execute_circuits(
             circuits,
             backend.target,
             noise_model=backend.noise_model,
@@ -301,7 +309,7 @@ def test_bench_batched_sweep():
 
     def seed_loop():
         with caching_disabled():
-            return [
+            latest["uncached"] = [
                 execute_circuit(
                     circuit,
                     backend.target,
@@ -316,13 +324,20 @@ def test_bench_batched_sweep():
     batch()  # warm every cache layer
     new = _best_of(batch, repeats=5, number=1)
     seed = _best_of(seed_loop, repeats=3, number=1)
+    assert [dict(r.counts) for r in latest["warm"]] == [
+        dict(r.counts) for r in latest["uncached"]
+    ], "warm sweep counts differ from the cache-free loop's"
     row = _record(
         "batched_sweep_6x_hybrid_qaoa", seed, new,
         "execute_circuits warm sweep vs per-circuit cache-free loop "
-        "(uncached baseline still uses the new kernels: lower bound)",
+        "(uncached baseline still uses the new kernels: lower bound); "
+        "counts asserted equal",
     )
     _flush()
-    assert row["speedup"] >= 5.0
+    assert row["speedup"] >= min_speedup, (
+        f"warm sweep {row['speedup']}x < {min_speedup}x floor over the "
+        "cache-free loop"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1008,6 +1023,10 @@ def main(argv=None):
         test_bench_marginalize()
         _run_trajectory_16q(trajectories=4)
         _smoke_registry_dispatch()
+        # the one engine bench that drives the density walk on a paper
+        # model; relaxed floor for the same reason, the tracked 5x
+        # assertion runs in the full mode
+        _run_batched_sweep(min_speedup=3.0)
         # relaxed floor: CI containers are slow/noisy, the tracked 3x
         # assertion runs in the full mode
         _run_batched_vs_sequential(

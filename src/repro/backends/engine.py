@@ -28,6 +28,19 @@ them, and the ZZ diagonals — is memoized on the noise model
 (``NoiseModel.superop_cache``), keyed by the channel objects it is
 built from.
 
+A variational loop re-scores one circuit structure with new angles at
+every evaluation, so the walk itself is compiled once per structure
+(:func:`_compile_density`): layering, relaxation and channel lookups,
+the memoized superoperators, qubit checks and every pass's gather plan.
+The program sits in the same memo, keyed by every value compiling reads
+(:func:`_density_program_key`), so ``clear_caches`` drops it too.  Each
+evaluation replays it: it builds only the superoperators that depend on
+the angles (parametric gates, pulse gates, ``UnitaryGate``, jitter
+kicks) and applies each pass as one gather and one matmul over a flat
+ρ, which stays in the axis order the previous pass left it in and
+returns to the canonical order once, at the end.  The ZZ diagonal is
+multiplied in that order too.
+
 Back-ends share that front-end through the **simulation-method
 registry** (:mod:`repro.simulators.registry`): each registered
 :class:`~repro.simulators.registry.MethodDescriptor` carries a
@@ -86,12 +99,18 @@ from repro.circuits.gates import (
     PulseGate,
     StandardGate,
 )
-from repro.exceptions import BackendError, ReproError, TransientError
+from repro.exceptions import (
+    BackendError,
+    ReproError,
+    SimulatorError,
+    TransientError,
+)
 from repro.noise.model import NoiseModel
 from repro.simulators.density_matrix import (
     DensityMatrix,
     channel_superop,
     expand_superop,
+    superop_plan,
     unitary_superop,
 )
 from repro.simulators.registry import (
@@ -129,7 +148,7 @@ from repro.telemetry.metrics import inc as metric_inc, observe as metric_observe
 from repro.telemetry.records import record as telemetry_record, recording_enabled
 from repro.telemetry.spans import span as telemetry_span
 from repro.utils.bitstrings import index_to_bitstring
-from repro.utils.kernels import marginalize
+from repro.utils.kernels import ApplyPlan, apply_plan, marginalize
 from repro.utils.linalg import kron_all
 from repro.utils.rng import as_generator, derive_seed
 
@@ -241,8 +260,8 @@ class _RunContext:
     that measure-duration lookups and crosstalk unitaries are derived
     once per batch rather than once per circuit.  The heavyweight memos
     (relaxation channels, static gate superoperators, ZZ diagonals,
-    pulse propagators, calibrations) live on the noise model / device
-    and persist across batches.
+    compiled density walks, pulse propagators, calibrations) live on
+    the noise model / device and persist across batches.
     """
 
     __slots__ = ("target", "measure_durations", "zz_unitaries")
@@ -818,29 +837,233 @@ def _evolve_density(
 ) -> tuple[DensityMatrix, int]:
     """The fused density-matrix walk (see the module docstring).
 
-    Per layer: one superoperator pass per multi-qubit gate — relaxation
-    · jitter kick · channels · ``U ⊗ U*`` (:func:`_gate_superop`) — then
-    the layer's single-qubit maps, 1-qubit gates composed the same way
-    and the idle qubits' relaxation, two to a pass, then one diagonal
-    pass for the ZZ crosstalk of every coupled pair.  The maps are built
-    in instruction order, so jitter kicks draw the RNG stream the
-    trajectory lowering draws.  Static gates, idle relaxations, pairs of
-    them and ZZ diagonals come from the noise model's superoperator
-    memo.  Pass totals go to the ``engine.density_passes`` counter.
+    The circuit structure's walk is compiled once
+    (:func:`_compile_density`) and kept in the noise model's
+    superoperator memo under every value compiling it reads
+    (:func:`_density_program_key`); each evaluation replays it with its
+    own gates (:meth:`_DensityProgram.replay`).  Without a noise model,
+    or under :func:`~repro.utils.cache.caching_disabled`, it compiles
+    every time.  Outcomes go to the ``engine.density_programs`` counter,
+    pass totals to ``engine.density_passes``.
     """
-    state = DensityMatrix(plan.num_local)
-    memo = noise_model.superop_cache if noise_model is not None else None
-    zz_rate = (
-        getattr(noise_model, "zz_crosstalk_ghz", 0.0) if noise_model else 0.0
+    compiled = False
+
+    def compile_program() -> _DensityProgram:
+        nonlocal compiled
+        compiled = True
+        return _compile_density(plan, circuit, noise_model, target)
+
+    if noise_model is None:
+        program = compile_program()
+    else:
+        program = noise_model.superop_cache.get_or_compute(
+            _density_program_key(plan, circuit, noise_model, target),
+            compile_program,
+        )
+    metric_inc(
+        "engine.density_programs",
+        outcome="compiled" if compiled else "reused",
     )
+    state = program.replay(circuit, noise_model, rng, unitary_provider)
+    metric_inc("engine.density_passes", program.superop_passes, kind="superop")
+    metric_inc(
+        "engine.density_passes", program.diagonal_passes, kind="diagonal"
+    )
+    return state, program.duration
+
+
+def _density_program_key(
+    plan: _CircuitPlan,
+    circuit: QuantumCircuit,
+    noise_model: NoiseModel,
+    target: Target,
+) -> tuple:
+    """Every value :func:`_compile_density` reads.
+
+    Per instruction its type, name, qubits and parameter count, which
+    fix the layering and which gates are static, plus a pulse gate's
+    duration and ``calibrated`` flag (its channel and jitter kick); the
+    layer durations, ``target.dt`` and the coupled pairs (relaxation and
+    ZZ); the noise model's T1, T2, ``dt``, gate channels, pulse error
+    rates and ZZ rate.  Channel objects sit in the key themselves, never
+    by ``id()``, so an entry keeps what it names alive.  The jitter
+    sigmas are read at replay, not here.
+    """
+    structure = []
+    for inst in circuit.instructions:
+        op = inst.operation
+        entry = (type(op), op.name, inst.qubits, len(op.params))
+        if isinstance(op, PulseGate):
+            entry += (
+                _operation_duration(inst, target),
+                getattr(op, "calibrated", False),
+            )
+        structure.append(entry)
+    return (
+        "density_program",
+        tuple(structure),
+        tuple(plan.layer_durations),
+        target.dt,
+        tuple((la, lb) for la, lb, _a, _b in plan.coupled_local_pairs),
+        tuple(noise_model.t1),
+        tuple(noise_model.t2),
+        noise_model.dt,
+        noise_model.gate_errors_key(),
+        noise_model.pulse_error_per_dt_1q,
+        noise_model.pulse_error_per_dt_2q,
+        noise_model.zz_crosstalk_ghz,
+    )
+
+
+@dataclass(frozen=True)
+class _CompiledGate:
+    """One gate of a compiled density walk: what its superoperator
+    ``R · K · C · (U ⊗ U*)`` needs besides ``U``.
+
+    ``channels`` are the superoperators of its gate or pulse channels
+    ``C``; ``jitter`` says whether it draws a jitter kick ``K`` (an
+    uncalibrated pulse gate, paper §IV-C); ``relaxation`` is the layer's
+    relaxation ``R`` of its qubits, or ``None`` when one of them has no
+    T1/T2 (those qubits then relax in the idle pass).
+    """
+
+    index: int
+    width: int
+    channels: tuple[np.ndarray, ...]
+    jitter: bool
+    relaxation: np.ndarray | None
+
+    def superop(
+        self,
+        unitary: np.ndarray,
+        noise_model: NoiseModel | None,
+        rng: np.random.Generator | None,
+    ) -> np.ndarray:
+        if unitary.shape != (1 << self.width,) * 2:
+            raise SimulatorError(
+                f"unitary of shape {unitary.shape} does not act on "
+                f"{self.width} qubit(s)"
+            )
+        superop = unitary_superop(unitary)
+        for channel in self.channels:
+            superop = channel @ superop
+        if self.jitter:
+            kick = _jitter_unitary(self.width, noise_model, rng)
+            if kick is not None:
+                superop = unitary_superop(kick) @ superop
+        if self.relaxation is not None:
+            superop = self.relaxation @ superop
+        return superop
+
+
+@dataclass(frozen=True)
+class _DensityProgram:
+    """One circuit structure's fused density walk, compiled.
+
+    ``layers`` holds, per layer, ``(operands, gates, passes,
+    diagonal)``: the layer's superoperators with a ``None`` slot for each
+    one built per evaluation; ``(slot, gate)`` for those, in instruction
+    order; one ``(gather, low, high)`` per superoperator pass (the
+    superoperator in slot ``low``, or the tensor product of slots
+    ``low`` and ``high`` on two single qubits); and the ZZ crosstalk as
+    ``(shape, row, column)`` factors (:func:`_diagonal_factors`), or
+    ``None``.  ρ stays in the axis order the previous pass left it in;
+    ``final`` gathers it back to the canonical order once.
+    """
+
+    num_qubits: int
+    layers: tuple
+    final: ApplyPlan
+    superop_passes: int
+    diagonal_passes: int
+    duration: int
+
+    def replay(
+        self,
+        circuit: QuantumCircuit,
+        noise_model: NoiseModel | None,
+        rng: np.random.Generator,
+        unitary_provider: UnitaryProvider | None,
+    ) -> DensityMatrix:
+        """Run the walk on ``circuit``, an evaluation of the compiled
+        structure: build its per-evaluation superoperators layer by
+        layer in instruction order (so jitter kicks draw the RNG stream
+        the op-by-op walk draws), then apply each pass as one gather and
+        one matmul."""
+        state = DensityMatrix(self.num_qubits)
+        rho = state.data.reshape(-1)
+        instructions = circuit.instructions
+        for operands, gates, passes, diagonal in self.layers:
+            values = list(operands)
+            for slot, gate in gates:
+                inst = instructions[gate.index]
+                values[slot] = gate.superop(
+                    _resolve_unitary(
+                        inst.operation, inst.qubits, unitary_provider
+                    ),
+                    noise_model,
+                    rng,
+                )
+            for gather, low, high in passes:
+                superop = (
+                    values[low]
+                    if high is None
+                    else expand_superop(values[low], values[high])
+                )
+                rho = (superop @ gather.gather(rho)).reshape(-1)
+            if diagonal is not None:
+                shape, row, column = diagonal
+                view = rho.reshape(shape)
+                np.multiply(view, row * column, out=view)
+        state.data = self.final.gather(rho).reshape(state.data.shape)
+        return state
+
+
+def _compile_density(
+    plan: _CircuitPlan,
+    circuit: QuantumCircuit,
+    noise_model: NoiseModel | None,
+    target: Target,
+) -> _DensityProgram:
+    """Compile the fused walk of ``circuit``'s structure.
+
+    Per layer: one superoperator pass per multi-qubit gate — relaxation
+    · jitter kick · channels · ``U ⊗ U*`` (:class:`_CompiledGate`) —
+    then the layer's single-qubit maps, 1-qubit gates composed the same
+    way and the idle qubits' relaxation, two to a pass, then one
+    diagonal pass for the ZZ crosstalk of every coupled pair.  The
+    layering, relaxation and channel lookups, qubit and shape checks and
+    every pass's gather plan (:func:`superop_plan`, from the axis order
+    the pass before leaves) happen here, once.  Static gates, idle
+    relaxations, pairs of them and ZZ diagonals come from the noise
+    model's superoperator memo; parametric gates, pulse gates and
+    ``UnitaryGate`` are left to the replay.
+    """
+    num_qubits = plan.num_local
+    memo = noise_model.superop_cache if noise_model is not None else None
+
+    def cached(key, compute):
+        return compute() if memo is None else memo.get_or_compute(key, compute)
+
+    def add_pass(low: int, high: int | None, qubits: Sequence[int]) -> None:
+        nonlocal order
+        gather = superop_plan(num_qubits, tuple(qubits), order)
+        order = gather.result_order
+        passes.append((gather, low, high))
+
+    zz_rate = noise_model.zz_crosstalk_ghz if noise_model is not None else 0.0
     zz_pairs = tuple((la, lb) for la, lb, _a, _b in plan.coupled_local_pairs)
+    order = tuple(range(2 * num_qubits))
+    layers = []
     superop_passes = diagonal_passes = 0
-    total_duration = 0
     for layer, duration in zip(plan.layers, plan.layer_durations):
         timed = noise_model is not None and duration > 0
+        operands: list[np.ndarray | None] = []
+        gates: list[tuple[int, _CompiledGate]] = []
+        passes: list[tuple] = []
         relaxed: set[int] = set()
-        # (superop, local qubit, memo key or None when built per call)
-        singles: list[tuple[np.ndarray, int, object]] = []
+        # (slot, local qubit, memo key or None when built per evaluation)
+        singles: list[tuple[int, int, object]] = []
         for idx in layer:
             inst = circuit.instructions[idx]
             op = inst.operation
@@ -851,53 +1074,158 @@ def _evolve_density(
                 noise_model.relaxation_channel(q, duration) if timed else None
                 for q in inst.qubits
             )
-            build = partial(
-                _gate_superop, inst, qubits, noise_model, rng, target,
-                unitary_provider, relaxations,
+            gate, channels = _compile_gate(
+                idx, inst, noise_model, target, relaxations
             )
-            key = None
-            if memo is not None and _is_static(op):
+            if gate.relaxation is not None:
+                relaxed.update(qubits)
+            if _is_static(op):
                 # the channel objects, not qubits or durations: a changed
                 # noise model yields new ones, so it misses instead of
                 # meeting a stale superoperator
-                key = (
-                    op.name,
-                    tuple(noise_model.gate_channels(op.name, inst.qubits)),
-                    relaxations,
+                key = (op.name, channels, relaxations)
+                operands.append(
+                    cached(
+                        key,
+                        lambda: gate.superop(
+                            _resolve_unitary(op, inst.qubits, None),
+                            noise_model,
+                            None,
+                        ),
+                    )
                 )
-                superop, folded = memo.get_or_compute(key, build)
             else:
-                superop, folded = build()
-            if folded:
-                relaxed.update(qubits)
+                key = None
+                operands.append(None)
+                gates.append((len(operands) - 1, gate))
+            slot = len(operands) - 1
             if len(qubits) == 1:
-                singles.append((superop, qubits[0], key))
+                singles.append((slot, qubits[0], key))
             else:
-                state.apply_superop(superop, qubits)
-                superop_passes += 1
+                add_pass(slot, None, qubits)
         if timed:
             for phys in plan.active_list:
                 if plan.local[phys] in relaxed:
                     continue
                 channel = noise_model.relaxation_channel(phys, duration)
                 if channel is not None:
+                    operands.append(channel_superop(channel))
                     singles.append(
-                        (channel_superop(channel), plan.local[phys], channel)
+                        (len(operands) - 1, plan.local[phys], channel)
                     )
-        superop_passes += _apply_paired(state, singles, memo)
+        for (low, q_low, k_low), (high, q_high, k_high) in zip(
+            singles[0::2], singles[1::2]
+        ):
+            if k_low is not None and k_high is not None:
+                operands.append(
+                    cached(
+                        (k_low, k_high),
+                        partial(
+                            expand_superop, operands[low], operands[high]
+                        ),
+                    )
+                )
+                add_pass(len(operands) - 1, None, [q_low, q_high])
+            else:
+                add_pass(low, high, [q_low, q_high])
+        if len(singles) % 2:
+            slot, qubit, _key = singles[-1]
+            add_pass(slot, None, [qubit])
+        superop_passes += len(passes)
+        diagonal = None
         if timed and zz_rate and zz_pairs:
             angle = 2 * math.pi * zz_rate * duration * target.dt
-            state.apply_diagonal_unitary(
-                memo.get_or_compute(
-                    (angle, zz_pairs, plan.num_local),
-                    partial(_zz_diagonal, angle, zz_pairs, plan.num_local),
-                )
+            diagonal = _diagonal_factors(
+                cached(
+                    (angle, zz_pairs, num_qubits),
+                    partial(_zz_diagonal, angle, zz_pairs, num_qubits),
+                ),
+                order,
+                num_qubits,
             )
             diagonal_passes += 1
-        total_duration += duration
-    metric_inc("engine.density_passes", superop_passes, kind="superop")
-    metric_inc("engine.density_passes", diagonal_passes, kind="diagonal")
-    return state, total_duration
+        layers.append((tuple(operands), tuple(gates), tuple(passes), diagonal))
+    return _DensityProgram(
+        num_qubits,
+        tuple(layers),
+        apply_plan(2 * num_qubits, tuple(range(2 * num_qubits)), order),
+        superop_passes,
+        diagonal_passes,
+        sum(plan.layer_durations),
+    )
+
+
+def _compile_gate(
+    index: int,
+    inst: CircuitInstruction,
+    noise_model: NoiseModel | None,
+    target: Target,
+    relaxations: tuple,
+) -> tuple[_CompiledGate, tuple]:
+    """The :class:`_CompiledGate` of one instruction, and the channel
+    objects it carries.
+
+    Pulse gates carry their duration-scaled channel and, unless
+    calibration-derived (``op.calibrated``, set by the pulse-efficient
+    pass), the parameter-transfer jitter of paper §IV-C; other gates
+    carry their noise-model channels.  ``relaxations`` holds the layer's
+    relaxation channel (or ``None``) of each of the gate's qubits.
+    """
+    op = inst.operation
+    width = len(inst.qubits)
+    if noise_model is None:
+        return _CompiledGate(index, width, (), False, None), ()
+    if isinstance(op, PulseGate):
+        channel = noise_model.pulse_gate_channel(
+            op.num_qubits, _operation_duration(inst, target)
+        )
+        channels = () if channel is None else (channel,)
+    else:
+        channels = tuple(noise_model.gate_channels(op.name, inst.qubits))
+    for channel in channels:
+        _check_channel_width(channel, inst.qubits)
+    gate = _CompiledGate(
+        index,
+        width,
+        tuple(channel_superop(channel) for channel in channels),
+        isinstance(op, PulseGate) and not getattr(op, "calibrated", False),
+        _relaxation_superop(relaxations),
+    )
+    return gate, channels
+
+
+def _diagonal_factors(
+    diagonal: np.ndarray, order: tuple[int, ...], num_qubits: int
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """``rho -> D rho D†`` for ``D = diag(diagonal)`` on a density tensor
+    stored in axis ``order`` (as :func:`superop_plan` counts axes).
+
+    Returns the shape to view ρ in — adjacent row axes merged, adjacent
+    column axes merged — and the row factor ``d`` and column factor
+    ``d*`` reshaped to broadcast over it.  Their product is
+    :meth:`DensityMatrix.apply_diagonal_unitary`'s ``outer(d, d*)`` in
+    that order; each factor has ``2**n`` entries.
+    """
+    blocks: list[list] = []  # [is row axes, axis count]
+    for axis in order:
+        is_row = axis < num_qubits
+        if blocks and blocks[-1][0] == is_row:
+            blocks[-1][1] += 1
+        else:
+            blocks.append([is_row, 1])
+    shape = tuple(1 << count for _is_row, count in blocks)
+    tensor = diagonal.reshape((2,) * num_qubits)
+    row = tensor.transpose(
+        [axis for axis in order if axis < num_qubits]
+    ).reshape([
+        size if is_row else 1 for (is_row, _), size in zip(blocks, shape)
+    ])
+    column = tensor.conj().transpose(
+        [axis - num_qubits for axis in order if axis >= num_qubits]
+    ).reshape([
+        1 if is_row else size for (is_row, _), size in zip(blocks, shape)
+    ])
+    return shape, row, column
 
 
 def _is_static(op: Instruction) -> bool:
@@ -905,90 +1233,6 @@ def _is_static(op: Instruction) -> bool:
     gate without parameters (``cx``, ``sx``, ``x``...).  Parametric
     gates, pulse gates and ``UnitaryGate`` are built per evaluation."""
     return isinstance(op, StandardGate) and not op.params
-
-
-def _gate_superop(
-    inst: CircuitInstruction,
-    qubits: Sequence[int],
-    noise_model: NoiseModel | None,
-    rng: np.random.Generator,
-    target: Target,
-    unitary_provider: UnitaryProvider | None,
-    relaxations: tuple,
-) -> tuple[np.ndarray, bool]:
-    """``R · K · C · (U ⊗ U*)`` of one gate, and whether the layer's
-    relaxation ``R`` of its qubits (``relaxations``, one channel or
-    ``None`` per qubit) is folded in."""
-    superop = unitary_superop(
-        _resolve_unitary(inst.operation, inst.qubits, unitary_provider)
-    )
-    if noise_model is None:
-        return superop, False
-    superop = _gate_noise_superop(
-        superop, inst, qubits, noise_model, rng, target
-    )
-    relaxation = _relaxation_superop(relaxations)
-    if relaxation is None:
-        return superop, False
-    return relaxation @ superop, True
-
-
-def _apply_paired(state: DensityMatrix, singles: list, memo) -> int:
-    """Apply a layer's single-qubit maps two to a pass; returns the
-    number of passes.
-
-    The maps act on distinct qubits, so the two of a pair combine into
-    one 16×16 superoperator (:func:`expand_superop`).  A pair of two
-    memoized maps is memoized under the pair of their keys; an odd map
-    left over gets a pass of its own.
-    """
-    for (low, q_low, k_low), (high, q_high, k_high) in zip(
-        singles[0::2], singles[1::2]
-    ):
-        if k_low is not None and k_high is not None:
-            pair = memo.get_or_compute(
-                (k_low, k_high), lambda: expand_superop(low, high)
-            )
-        else:
-            pair = expand_superop(low, high)
-        state.apply_superop(pair, [q_low, q_high])
-    if len(singles) % 2:
-        superop, qubit, _key = singles[-1]
-        state.apply_superop(superop, [qubit])
-    return (len(singles) + 1) // 2
-
-
-def _gate_noise_superop(
-    superop: np.ndarray,
-    inst: CircuitInstruction,
-    qubits: Sequence[int],
-    noise_model: NoiseModel,
-    rng: np.random.Generator,
-    target: Target,
-) -> np.ndarray:
-    """``superop`` followed by the gate's channels and jitter kick.
-
-    Pulse gates carry their duration-scaled channel and, unless
-    calibration-derived (``op.calibrated``, set by the pulse-efficient
-    pass and actively stabilised), the parameter-transfer jitter of
-    paper §IV-C; other gates carry their noise-model channels.
-    """
-    op = inst.operation
-    if isinstance(op, PulseGate):
-        channel = noise_model.pulse_gate_channel(
-            op.num_qubits, _operation_duration(inst, target)
-        )
-        channels = [] if channel is None else [channel]
-    else:
-        channels = noise_model.gate_channels(op.name, inst.qubits)
-    for channel in channels:
-        _check_channel_width(channel, qubits)
-        superop = channel_superop(channel) @ superop
-    if isinstance(op, PulseGate) and not getattr(op, "calibrated", False):
-        kick = _jitter_unitary(len(qubits), noise_model, rng)
-        if kick is not None:
-            superop = unitary_superop(kick) @ superop
-    return superop
 
 
 def _jitter_unitary(

@@ -363,6 +363,10 @@ class PulseLevelModel(QAOAModelBase):
         # local-correction unitary, virtual-Z pre and post phases,
         # calibrated cx duration)
         self._edge_cx: dict[tuple[int, int], tuple] = {}
+        # per edge: its last clipped (amp scale, phase, freq) and the CX
+        # unitary built from them; COBYLA moves one parameter at a time,
+        # so most edges keep theirs from one evaluation to the next
+        self._edge_unitary: dict[tuple[int, int], tuple] = {}
 
     # -- parameter layout -----------------------------------------------------
     def bounds(self) -> list[tuple[float, float]]:
@@ -476,22 +480,34 @@ class PulseLevelModel(QAOAModelBase):
         all drift — there is no vendor calibration holding it in place.
         """
         calibration, local, pre, post, duration = self._edge_base(a, b)
-        echo = calibration.echoed_unitary(
-            self.device,
-            calibration.width_pi_2,
-            phase=math.pi + phase,  # phase=0 is the +ZX point
-            amp_scale=float(np.clip(amp_scale, 0.0, 1.0)),
-            freq_shift=FREQ_UNIT * float(np.clip(freq_units, -1.0, 1.0)),
+        drive = (
+            float(np.clip(amp_scale, 0.0, 1.0)),
+            float(phase),
+            float(np.clip(freq_units, -1.0, 1.0)),
         )
+        last = self._edge_unitary.get((a, b))
+        if last is not None and last[0] == drive:
+            unitary = last[1]
+        else:
+            clipped_amp, drive_phase, clipped_freq = drive
+            echo = calibration.echoed_unitary(
+                self.device,
+                calibration.width_pi_2,
+                phase=math.pi + drive_phase,  # phase=0 is the +ZX point
+                amp_scale=clipped_amp,
+                freq_shift=FREQ_UNIT * clipped_freq,
+            )
+            # echo correction phases are fixed at the calibration point;
+            # local corrections then turn RZX(pi/2) into CX
+            unitary = local @ ((post[:, None] * echo) * pre[None, :])
+            self._edge_unitary[(a, b)] = (drive, unitary)
         gate = PulseGate(
             schedule=None,
             num_qubits=2,
             label="cx_pulse",
             params=[amp_scale, phase, freq_units],
         )
-        # echo correction phases are fixed at the calibration point;
-        # local corrections then turn RZX(pi/2) into CX
-        gate.unitary = local @ ((post[:, None] * echo) * pre[None, :])
+        gate.unitary = unitary
         gate.duration = duration
         return gate
 

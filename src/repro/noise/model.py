@@ -62,11 +62,27 @@ class NoiseModel:
         self._pulse_channel_cache = LRUCache(maxsize=256, name="pulse_channel")
         self._readout_subset_cache = LRUCache(maxsize=64, name="readout_subset")
         #: the density back-end's evaluation-invariant maps: superoperators
-        #: of parameter-free library gates, pairs of single-qubit maps and
-        #: ZZ diagonals.  Keyed by the channel objects they are built from,
-        #: so add_gate_error / set_relaxation / clear_caches change the
-        #: key instead of serving a stale entry.
+        #: of parameter-free library gates, pairs of single-qubit maps, ZZ
+        #: diagonals and each circuit structure's compiled walk.  Keyed by
+        #: the channel objects and values they are built from, so
+        #: add_gate_error / set_relaxation / clear_caches and edits of the
+        #: rates change the key instead of serving a stale entry.
         self.superop_cache = LRUCache(maxsize=1024, name="superop")
+
+    def __getstate__(self) -> dict:
+        """Pickle support: the superoperator memo ships empty.
+
+        Everything in it is derived from this model's values and is
+        rebuilt on first use.  Its compiled density walks are large
+        (a gather plan per pass, ZZ factors per layer) and a pool worker
+        mostly walks structures its parent never did, so shipping them
+        with the backend only slowed the pool's start.
+        """
+        state = dict(self.__dict__)
+        state["superop_cache"] = LRUCache(
+            maxsize=self.superop_cache.maxsize, name=self.superop_cache.name
+        )
+        return state
 
     def clear_caches(self) -> None:
         """Drop memoized channels and the superoperators built from them
@@ -154,6 +170,18 @@ class NoiseModel:
             self._gate_errors.get((gate_name, tuple(qubits)), [])
         )
         return out
+
+    def gate_errors_key(self) -> tuple:
+        """Every registered gate channel as one hashable value.
+
+        Holds the channel objects themselves, so a cache key built from
+        it keeps them alive and changes when :meth:`add_gate_error`
+        registers another.
+        """
+        return tuple(
+            (key, tuple(channels))
+            for key, channels in self._gate_errors.items()
+        )
 
     def pulse_gate_channel(
         self, num_qubits: int, duration_dt: float

@@ -327,7 +327,8 @@ class ExecutionService:
         Metrics deltas merge into the parent registry (like cache
         totals); buffered worker records persist here — the parent is
         the sink's only writer; worker span trees graft under a
-        ``shard.dispatch`` span when a trace is being collected.  Queue
+        ``shard.dispatch`` span when a trace is being collected, after a
+        ``worker.warm`` sibling for a worker's first shard.  Queue
         wait is worker pick-up time minus dispatch time (same-machine
         wall clocks, so the difference is meaningful).
         """
@@ -347,26 +348,23 @@ class ExecutionService:
         }
         if queue_wait is not None:
             attrs["queue_wait_seconds"] = round(queue_wait, 6)
-        dispatch_span = telemetry_spans.record_span(
+        if shard.warm_info is not None:
+            # shipped with the worker's first shard only, so the warm-up
+            # appears exactly once per worker in the trace; it ran before
+            # the shard, outside the dispatch's wall, so it is the
+            # dispatch's sibling, not its child
+            telemetry_spans.record_span(
+                "worker.warm",
+                wall_seconds=float(shard.warm_info.get("wall_seconds", 0.0)),
+                worker_pid=shard.worker_pid,
+                error=shard.warm_info.get("error"),
+            )
+        telemetry_spans.record_span(
             "shard.dispatch",
             wall_seconds=shard.wall_seconds,
             children=shard.trace_spans,
             **attrs,
         )
-        if dispatch_span is not None and shard.warm_info is not None:
-            # shipped with the worker's first shard only, so the warm-up
-            # appears exactly once per worker in the trace
-            warm = telemetry_spans.Span(
-                "worker.warm",
-                {
-                    "worker_pid": shard.worker_pid,
-                    "error": shard.warm_info.get("error"),
-                },
-            )
-            warm.wall_seconds = float(
-                shard.warm_info.get("wall_seconds", 0.0)
-            )
-            dispatch_span.children.insert(0, warm)
 
     @staticmethod
     def _telemetry_flags() -> tuple[bool, bool]:

@@ -82,10 +82,17 @@ def expand_superop(low: np.ndarray, high: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _superop_plan(num_qubits: int, qubits: tuple[int, ...]) -> ApplyPlan:
+def superop_plan(
+    num_qubits: int,
+    qubits: tuple[int, ...],
+    order: tuple[int, ...] | None = None,
+) -> ApplyPlan:
     """Kernel plan for a superoperator on ``qubits`` of an
     ``num_qubits``-qubit density tensor: the row axes, then the column
-    axes.  The qubits are checked once per distinct ``(n, qubits)``."""
+    axes.  ``order`` is the axis order the tensor is stored in (row axes
+    ``0..n-1`` then column axes, most significant qubit first; that
+    canonical order when omitted).  The qubits are checked once per
+    distinct ``(n, qubits, order)``."""
     if len(set(qubits)) != len(qubits) or not all(
         0 <= q < num_qubits for q in qubits
     ):
@@ -94,7 +101,9 @@ def _superop_plan(num_qubits: int, qubits: tuple[int, ...]) -> ApplyPlan:
         )
     rows = tuple(num_qubits - 1 - q for q in reversed(qubits))
     return apply_plan(
-        2 * num_qubits, rows + tuple(num_qubits + axis for axis in rows)
+        2 * num_qubits,
+        rows + tuple(num_qubits + axis for axis in rows),
+        order,
     )
 
 
@@ -137,7 +146,7 @@ class DensityMatrix:
         permutations are compiled once per ``(n, qubits)`` and cached
         (see :mod:`repro.utils.kernels`).
         """
-        plan = _superop_plan(self.num_qubits, tuple(qubits))
+        plan = superop_plan(self.num_qubits, tuple(qubits))
         if np.shape(superop) != (plan.mat_dim, plan.mat_dim):
             raise SimulatorError(
                 f"superoperator of shape {np.shape(superop)} does not act "

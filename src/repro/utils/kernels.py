@@ -7,7 +7,10 @@ trips on every gate.  Here each distinct ``(n, qubits)`` pair compiles
 once into an :class:`ApplyPlan` (forward permutation, inverse
 permutation, reshape targets) cached process-wide, and application is a
 single ``transpose → matmul → transpose`` pipeline with no per-call
-Python list construction.
+Python list construction.  A plan can also start from a tensor stored
+in another axis order and leave the result in the order the matmul
+produces (:attr:`ApplyPlan.result_order`), so a walk that applies many
+maps in a row pays one gather per map and no copy back.
 
 The same module hosts the vectorized measurement kernels: marginal
 distributions via index-map gather/scatter (bit-identical to the seed's
@@ -36,15 +39,19 @@ __all__ = [
 
 
 class ApplyPlan:
-    """Compiled axis bookkeeping for one ``(total_axes, target_axes)``.
+    """Compiled axis bookkeeping for one ``(total_axes, front_axes,
+    source_order)``.
 
-    The conceptual tensor has ``total_axes`` qubit axes and the plan
-    moves ``front_axes`` (in order) to the front.  Runs of axes that
-    stay adjacent through the permutation are merged into single coarse
-    dimensions, so the actual ``transpose`` calls involve a handful of
-    large contiguous blocks instead of ``total_axes`` stride-2 axes —
-    the difference between a fast blocked copy and a generic strided
-    gather.
+    The conceptual tensor has ``total_axes`` axes, stored in
+    ``source_order`` (memory axis ``i`` holds axis ``source_order[i]``;
+    the natural order when omitted), and the plan moves ``front_axes``
+    (in order) to the front, the other axes after them in their stored
+    order.  ``result_order`` is the stored order of the moved tensor.
+    Runs of axes that stay adjacent through the permutation are merged
+    into single coarse dimensions, so the actual ``transpose`` calls
+    involve a handful of large contiguous blocks instead of
+    ``total_axes`` stride-2 axes — the difference between a fast blocked
+    copy and a generic strided gather.
     """
 
     __slots__ = (
@@ -53,12 +60,22 @@ class ApplyPlan:
         "inv_perm",
         "mat_dim",
         "permuted_shape",
+        "result_order",
     )
 
-    def __init__(self, total_axes: int, front_axes: tuple[int, ...]) -> None:
-        rest = tuple(a for a in range(total_axes) if a not in front_axes)
-        fine_perm = front_axes + rest
-        # merge runs of consecutive original axes that the permutation
+    def __init__(
+        self,
+        total_axes: int,
+        front_axes: tuple[int, ...],
+        source_order: tuple[int, ...] | None = None,
+    ) -> None:
+        if source_order is None:
+            source_order = tuple(range(total_axes))
+        position = {axis: i for i, axis in enumerate(source_order)}
+        front = tuple(position[axis] for axis in front_axes)
+        rest = tuple(p for p in range(total_axes) if p not in front)
+        fine_perm = front + rest
+        # merge runs of consecutive stored axes that the permutation
         # keeps adjacent
         runs: list[list[int]] = []
         for axis in fine_perm:
@@ -78,12 +95,26 @@ class ApplyPlan:
         self.inv_perm = tuple(inv)
         self.mat_dim = 1 << len(front_axes)
         self.permuted_shape = tuple(1 << run[1] for run in runs)
+        self.result_order = tuple(source_order[p] for p in fine_perm)
+
+    def gather(self, flat: np.ndarray) -> np.ndarray:
+        """The planned axes of a flat tensor moved to the front, as a
+        ``(mat_dim, -1)`` matrix (a copy unless they already lead)."""
+        return (
+            flat.reshape(self.tensor_shape)
+            .transpose(self.perm)
+            .reshape(self.mat_dim, -1)
+        )
 
 
 @lru_cache(maxsize=4096)
-def apply_plan(total_axes: int, front_axes: tuple[int, ...]) -> ApplyPlan:
+def apply_plan(
+    total_axes: int,
+    front_axes: tuple[int, ...],
+    source_order: tuple[int, ...] | None = None,
+) -> ApplyPlan:
     """Cached :class:`ApplyPlan` for moving ``front_axes`` to the front."""
-    return ApplyPlan(total_axes, front_axes)
+    return ApplyPlan(total_axes, front_axes, source_order)
 
 
 def statevector_axes(qubits: tuple[int, ...], num_qubits: int) -> tuple[int, ...]:
@@ -102,8 +133,7 @@ def apply_matrix_flat(
 
     Returns a new flat array; ``flat`` is unmodified.
     """
-    tensor = flat.reshape(plan.tensor_shape).transpose(plan.perm)
-    out = matrix @ tensor.reshape(plan.mat_dim, -1)
+    out = matrix @ plan.gather(flat)
     return out.reshape(plan.permuted_shape).transpose(plan.inv_perm).reshape(-1)
 
 

@@ -246,6 +246,57 @@ class TestPulseLevelModel:
                 gate = fresh._cx_pulse_gate(*inst.qubits, *op.params)
                 assert np.array_equal(op.unitary, gate.unitary)
 
+    def test_unchanged_cx_echoes_are_reused(self, backend, monkeypatch):
+        """An edge whose clipped drive parameters did not move keeps its
+        CX unitary: the gates equal a fresh model's at random points and
+        after a one-parameter change, and only the moved edge solves its
+        echo again."""
+        from repro.pulsesim.calibration import CRCalibration
+
+        task1 = MaxCutProblem(benchmark_graph(1))
+        model = PulseLevelModel(task1, backend)
+        echo = CRCalibration.echoed_unitary
+        echoes = []
+
+        def counted(self, *args, **kwargs):
+            echoes.append(args)
+            return echo(self, *args, **kwargs)
+
+        monkeypatch.setattr(CRCalibration, "echoed_unitary", counted)
+
+        def build(values):
+            echoes.clear()
+            circuit = model.build_circuit(values)
+            solved = len(echoes)
+            fresh = PulseLevelModel(task1, backend).build_circuit(values)
+            pairs = [
+                (got.operation, want.operation)
+                for got, want in zip(circuit.instructions, fresh.instructions)
+                if got.operation.name == "cx_pulse"
+            ]
+            assert len(pairs) == 2 * len(task1.edges)
+            for got, want in pairs:
+                assert np.array_equal(got.unitary, want.unitary)
+                assert got.params == want.params
+            return solved
+
+        rng = np.random.default_rng(11)
+        lows, highs = np.array(model.bounds()).T
+        build(rng.uniform(lows, highs))  # calibrates the edges' pairs too
+        for _ in range(3):
+            values = rng.uniform(lows, highs)
+            assert build(values) == len(task1.edges)
+        assert build(values) == 0
+        # edge 4's phase moves: its echo alone is solved again
+        moved = values.copy()
+        moved[4 * 4 + 2] += 0.3
+        assert build(moved) == 1
+        # an amp scale that moves but clips to the same drive reuses it
+        moved[4 * 4 + 1] = 1.3
+        assert build(moved) == 1
+        moved[4 * 4 + 1] = 1.6
+        assert build(moved) == 0
+
 
 @pytest.mark.parametrize(
     "name", ["auckland", "guadalupe", "montreal", "toronto"]

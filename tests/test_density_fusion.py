@@ -1,4 +1,4 @@
-"""The fused density-matrix walk against the op-by-op reference walk.
+"""The fused density-matrix walk against two reference walks.
 
 The engine's density back-end composes everything that happens to a
 gate's qubits within one layer — unitary, channels, jitter kick and the
@@ -8,20 +8,34 @@ elementwise pass.  :func:`reference_evolve` keeps
 the unfused walk: two-sided unitaries, one pass per channel, per-kick
 jitter, per-qubit relaxation and per-pair ``rzz``.  Fusion only
 reorders operations on disjoint qubits, so the two walks agree up to
-float rounding: the gate is a tolerance, not ``==``.
+float rounding: that gate is a tolerance, not ``==``.
+
+The engine compiles that fused walk once per circuit structure and
+replays it over a ρ kept in whatever axis order the previous pass left.
+:func:`layer_walk_evolve` keeps the fused walk as it ran before
+compilation — every lookup per evaluation, ρ back in canonical order
+after every pass — and the compiled walk must equal it exactly up to
+six qubits (the same superoperators meet the same columns; only their
+memory order differs), and within :data:`TOLERANCE` above.
 """
 
 import copy
 import math
+import pickle
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.backends import FakeGuadalupe, FakeToronto
 from repro.backends.engine import (
+    _check_channel_width,
     _CircuitPlan,
     _evolve_exact,
+    _is_static,
+    _jitter_unitary,
     _operation_duration,
+    _relaxation_superop,
     _resolve_unitary,
     _RunContext,
     _zz_diagonal,
@@ -147,6 +161,162 @@ def reference_evolve(plan, noise_model, rng, unitary_provider):
     return rho, total_duration
 
 
+# ---------------------------------------------------------------------------
+# the per-layer fused walk, before compilation
+# ---------------------------------------------------------------------------
+
+def layer_walk_evolve(plan, noise_model, rng, unitary_provider):
+    """The fused walk as it ran per evaluation before it was compiled.
+
+    Per layer: one superoperator pass per multi-qubit gate, then the
+    single-qubit maps two to a pass, then the ZZ diagonal, each through
+    :meth:`DensityMatrix.apply_superop` in canonical order; relaxation
+    and channel lookups, memo keys and checks every time.  Returns
+    ``(rho, total_duration)``.
+    """
+    circuit, target = plan.circuit, plan.target
+    state = DensityMatrix(plan.num_local)
+    memo = noise_model.superop_cache if noise_model is not None else None
+    zz_rate = (
+        getattr(noise_model, "zz_crosstalk_ghz", 0.0) if noise_model else 0.0
+    )
+    zz_pairs = tuple((la, lb) for la, lb, _a, _b in plan.coupled_local_pairs)
+    total_duration = 0
+    for layer, duration in zip(plan.layers, plan.layer_durations):
+        timed = noise_model is not None and duration > 0
+        relaxed = set()
+        # (superop, local qubit, memo key or None when built per call)
+        singles = []
+        for idx in layer:
+            inst = circuit.instructions[idx]
+            op = inst.operation
+            if isinstance(op, Delay):
+                continue
+            qubits = [plan.local[q] for q in inst.qubits]
+            relaxations = tuple(
+                noise_model.relaxation_channel(q, duration) if timed else None
+                for q in inst.qubits
+            )
+            build = partial(
+                _layer_walk_gate_superop, inst, qubits, noise_model, rng,
+                target, unitary_provider, relaxations,
+            )
+            key = None
+            if memo is not None and _is_static(op):
+                # tagged: the compiled walk memoizes bare superoperators
+                # under the untagged key
+                key = (
+                    "layer_walk",
+                    op.name,
+                    tuple(noise_model.gate_channels(op.name, inst.qubits)),
+                    relaxations,
+                )
+                superop, folded = memo.get_or_compute(key, build)
+            else:
+                superop, folded = build()
+            if folded:
+                relaxed.update(qubits)
+            if len(qubits) == 1:
+                singles.append((superop, qubits[0], key))
+            else:
+                state.apply_superop(superop, qubits)
+        if timed:
+            for phys in plan.active_list:
+                if plan.local[phys] in relaxed:
+                    continue
+                channel = noise_model.relaxation_channel(phys, duration)
+                if channel is not None:
+                    singles.append(
+                        (channel_superop(channel), plan.local[phys], channel)
+                    )
+        _layer_walk_pairs(state, singles, memo)
+        if timed and zz_rate and zz_pairs:
+            angle = 2 * math.pi * zz_rate * duration * target.dt
+            state.apply_diagonal_unitary(
+                memo.get_or_compute(
+                    (angle, zz_pairs, plan.num_local),
+                    partial(_zz_diagonal, angle, zz_pairs, plan.num_local),
+                )
+            )
+        total_duration += duration
+    return state.data, total_duration
+
+
+def _layer_walk_gate_superop(
+    inst, qubits, noise_model, rng, target, unitary_provider, relaxations
+):
+    """``R · K · C · (U ⊗ U*)`` of one gate, and whether the layer's
+    relaxation ``R`` of its qubits is folded in."""
+    superop = unitary_superop(
+        _resolve_unitary(inst.operation, inst.qubits, unitary_provider)
+    )
+    if noise_model is None:
+        return superop, False
+    op = inst.operation
+    if isinstance(op, PulseGate):
+        channel = noise_model.pulse_gate_channel(
+            op.num_qubits, _operation_duration(inst, target)
+        )
+        channels = [] if channel is None else [channel]
+    else:
+        channels = noise_model.gate_channels(op.name, inst.qubits)
+    for channel in channels:
+        _check_channel_width(channel, qubits)
+        superop = channel_superop(channel) @ superop
+    if isinstance(op, PulseGate) and not getattr(op, "calibrated", False):
+        kick = _jitter_unitary(len(qubits), noise_model, rng)
+        if kick is not None:
+            superop = unitary_superop(kick) @ superop
+    relaxation = _relaxation_superop(relaxations)
+    if relaxation is None:
+        return superop, False
+    return relaxation @ superop, True
+
+
+def _layer_walk_pairs(state, singles, memo):
+    """A layer's single-qubit maps two to a 16×16 pass, an odd one
+    alone; a pair of two memoized maps is memoized under their keys."""
+    for (low, q_low, k_low), (high, q_high, k_high) in zip(
+        singles[0::2], singles[1::2]
+    ):
+        if k_low is not None and k_high is not None:
+            pair = memo.get_or_compute(
+                (k_low, k_high), lambda: expand_superop(low, high)
+            )
+        else:
+            pair = expand_superop(low, high)
+        state.apply_superop(pair, [q_low, q_high])
+    if len(singles) % 2:
+        superop, qubit, _key = singles[-1]
+        state.apply_superop(superop, [qubit])
+
+
+def assert_compiled_equals_layer_walk(
+    circuit, backend, noise_model, unitary_provider=None, seed=7
+):
+    """The compiled walk and :func:`layer_walk_evolve` from equal seeds:
+    ρ ``==`` up to six qubits and within :data:`TOLERANCE` above, equal
+    duration, equal RNG state afterwards.  Returns the compiled walk's
+    ρ."""
+    plan = _CircuitPlan(circuit, backend.target)
+    compiled_rng = np.random.default_rng(seed)
+    state, duration = _evolve_exact(
+        plan, circuit, "density_matrix", noise_model, compiled_rng,
+        unitary_provider, backend.target,
+    )
+    walk_rng = np.random.default_rng(seed)
+    rho, walk_duration = layer_walk_evolve(
+        plan, noise_model, walk_rng, unitary_provider
+    )
+    if plan.num_local <= 6:
+        assert np.array_equal(state.data, rho)
+    else:
+        assert np.max(np.abs(state.data - rho)) <= TOLERANCE
+    assert duration == walk_duration
+    assert compiled_rng.bit_generator.state == walk_rng.bit_generator.state
+    return state.data
+
+
 def assert_fused_matches_reference(
     circuit, backend, noise_model, unitary_provider=None, seed=7
 ):
@@ -197,6 +367,33 @@ def golden_circuit(num_qubits=4):
         qc.cx(i, i + 1)
     qc.rz(0.37, 1)
     qc.sx(2)
+    qc.measure_all()
+    return qc
+
+
+def pulse_gate(unitary, duration, calibrated=False):
+    """A pulse gate carrying its unitary, as the models build them."""
+    gate = PulseGate(
+        schedule=None,
+        num_qubits=unitary.shape[0].bit_length() - 1,
+        label="test_pulse",
+    )
+    gate.unitary = unitary
+    gate.duration = duration
+    gate.calibrated = calibrated
+    return gate
+
+
+def jitter_order_circuit():
+    """Layers in which an uncalibrated 1-qubit pulse gate precedes an
+    uncalibrated 2-qubit one: building a layer's multi-qubit maps first
+    would hand each gate the other's jitter kicks."""
+    qc = QuantumCircuit(4, 4)
+    qc.append(pulse_gate(random_unitary(1, 21), 320), [3])
+    qc.append(pulse_gate(random_unitary(2, 22), 800), [0, 1])
+    qc.sx(2)
+    qc.append(pulse_gate(random_unitary(1, 23), 160), [0])
+    qc.append(pulse_gate(random_unitary(2, 24), 640), [2, 3])
     qc.measure_all()
     return qc
 
@@ -305,6 +502,19 @@ class TestFusedWalkMatchesReference:
 
     def test_without_noise_model(self, guadalupe):
         assert_fused_matches_reference(golden_circuit(), guadalupe, None)
+
+    def test_jitter_kicks_drawn_in_instruction_order(self, guadalupe):
+        qc = jitter_order_circuit()
+        plan = _CircuitPlan(qc, guadalupe.target)
+        assert plan.layers[0] == [0, 1, 2]
+        assert guadalupe.noise_model.pulse_jitter_local > 0
+        _, rng = assert_fused_matches_reference(
+            qc, guadalupe, guadalupe.noise_model
+        )
+        assert (
+            rng.bit_generator.state
+            != np.random.default_rng(7).bit_generator.state
+        )
 
     def test_eight_qubits(self, toronto):
         problem = MaxCutProblem(benchmark_graph(3))
@@ -450,6 +660,287 @@ class TestSuperopMemo:
         assert len(noise.superop_cache) > 0
         noise.clear_caches()
         assert len(noise.superop_cache) == 0
+
+
+# ---------------------------------------------------------------------------
+# the compiled walk against the per-layer walk
+# ---------------------------------------------------------------------------
+
+def random_structure_circuit(num_qubits, structure_seed, angle_seed, depth=5):
+    """A random circuit whose structure — gate kinds, qubits, pulse
+    durations and flags, delays, barriers — depends on ``structure_seed``
+    alone and whose angles and pulse unitaries on ``angle_seed``, so two
+    angle seeds are two evaluations of one structure."""
+    shape = np.random.default_rng(structure_seed)
+    angles = np.random.default_rng(angle_seed)
+    qc = QuantumCircuit(num_qubits, num_qubits)
+    for _ in range(depth):
+        free = list(shape.permutation(num_qubits))
+        while free:
+            kind = int(shape.integers(9))
+            if kind >= 6 and len(free) >= 2:
+                qubits = [int(free.pop()), int(free.pop())]
+            else:
+                qubits = [int(free.pop())]
+                kind = min(kind, 5)
+            width = len(qubits)
+            if kind == 0:
+                qc.sx(qubits[0])
+            elif kind == 1:
+                qc.rz(float(angles.uniform(0, 2 * math.pi)), qubits[0])
+            elif kind == 2:
+                qc.delay(int(shape.choice([160, 320])), qubits[0])
+            elif kind == 6:
+                qc.cx(*qubits)
+            elif kind == 7:
+                qc.unitary(random_unitary(2, int(angles.integers(1 << 30))),
+                           qubits)
+            else:
+                qc.append(
+                    pulse_gate(
+                        random_unitary(width, int(angles.integers(1 << 30))),
+                        int(shape.choice([160, 320, 800])),
+                        calibrated=bool(shape.integers(2)),
+                    ),
+                    qubits,
+                )
+        if shape.integers(3) == 0:
+            qc.barrier()
+    qc.measure_all()
+    return qc
+
+
+def _program_outcomes(before):
+    counters = metrics_delta(before)["counters"]
+    return (
+        counters.get("engine.density_programs{outcome=compiled}", 0),
+        counters.get("engine.density_programs{outcome=reused}", 0),
+    )
+
+
+class TestCompiledWalk:
+    """The engine compiles a circuit structure's walk once and replays
+    it per evaluation over a ρ left in each pass's axis order.  It must
+    equal the per-layer walk bit for bit up to six qubits."""
+
+    def test_golden_circuit(self, guadalupe):
+        assert_compiled_equals_layer_walk(
+            golden_circuit(), guadalupe, guadalupe.noise_model
+        )
+
+    @pytest.mark.parametrize("family", ["gate", "hybrid", "pulse"])
+    def test_paper_models(self, toronto, task1, family):
+        if family == "gate":
+            circuit = _prepared(
+                toronto, task1, GateLevelModel(task1), gate_optimization=True
+            )
+        elif family == "hybrid":
+            circuit = _prepared(
+                toronto, task1, HybridGatePulseModel(task1, toronto.device),
+                gate_optimization=True, pulse_efficient=True,
+            )
+        else:
+            circuit = _prepared(
+                toronto, task1, PulseLevelModel(task1, toronto)
+            )
+        assert_compiled_equals_layer_walk(
+            circuit, toronto, toronto.noise_model, toronto.pulse_unitary
+        )
+
+    def test_delay_barrier_and_three_qubit_unitary(self, guadalupe):
+        qc = QuantumCircuit(5, 5)
+        qc.h(0)
+        qc.delay(160, 1)
+        qc.unitary(random_unitary(3, 5), [2, 0, 4])
+        qc.barrier()
+        qc.cx(0, 1)
+        qc.delay(320, 2)
+        qc.x(3)
+        qc.measure_all()
+        assert_compiled_equals_layer_walk(qc, guadalupe, guadalupe.noise_model)
+
+    @pytest.mark.parametrize(
+        "mutate", [_relax_per_qubit, _zero_zz, _drop_t1, _add_cx_error]
+    )
+    def test_noise_variants(self, guadalupe, mutate):
+        noise = copy.deepcopy(guadalupe.noise_model)
+        mutate(noise)
+        assert_compiled_equals_layer_walk(golden_circuit(), guadalupe, noise)
+
+    def test_without_noise_model(self, guadalupe):
+        assert_compiled_equals_layer_walk(golden_circuit(), guadalupe, None)
+
+    def test_jitter_kicks_drawn_in_instruction_order(self, guadalupe):
+        assert_compiled_equals_layer_walk(
+            jitter_order_circuit(), guadalupe, guadalupe.noise_model
+        )
+
+    @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5, 6, 7, 8, 9])
+    def test_random_structures_replayed(self, guadalupe, num_qubits):
+        # the first evaluation of each structure compiles, the second
+        # replays the program with other angles and pulse unitaries
+        noise = copy.deepcopy(guadalupe.noise_model)
+        structures = 3 if num_qubits <= 6 else 1
+        for structure in range(structures):
+            seed = 100 * num_qubits + structure
+            before = metrics_baseline()
+            for angle_seed in (1, 2):
+                assert_compiled_equals_layer_walk(
+                    random_structure_circuit(num_qubits, seed, angle_seed),
+                    guadalupe, noise, seed=angle_seed,
+                )
+            assert _program_outcomes(before) == (1, 1)
+
+    def test_eight_qubit_hybrid(self, toronto):
+        problem = MaxCutProblem(benchmark_graph(3))
+        model = HybridGatePulseModel(problem, toronto.device)
+        circuit = _prepared(toronto, problem, model, gate_optimization=True)
+        assert _CircuitPlan(circuit, toronto.target).num_local == 8
+        assert_compiled_equals_layer_walk(
+            circuit, toronto, toronto.noise_model, toronto.pulse_unitary
+        )
+
+    def test_program_counter_and_memo(self, guadalupe):
+        noise = copy.deepcopy(guadalupe.noise_model)
+        first = random_structure_circuit(4, 7, 1)
+        second = random_structure_circuit(4, 7, 2)
+        before = metrics_baseline()
+        _fused_rho(first, guadalupe, noise)
+        assert _program_outcomes(before) == (1, 0)
+        _fused_rho(second, guadalupe, noise)
+        assert _program_outcomes(before) == (1, 1)
+        with caching_disabled():
+            _fused_rho(second, guadalupe, noise)
+        assert _program_outcomes(before) == (2, 1)
+        noise.clear_caches()
+        _fused_rho(second, guadalupe, noise)
+        assert _program_outcomes(before) == (3, 1)
+
+    def test_pickled_noise_model_ships_an_empty_memo(self, guadalupe):
+        # pool workers get the backend pickled; the programs stay home
+        noise = copy.deepcopy(guadalupe.noise_model)
+        circuit = random_structure_circuit(4, 9, 1)
+        warm = _fused_rho(circuit, guadalupe, noise)
+        assert len(noise.superop_cache) > 0
+        clone = pickle.loads(pickle.dumps(noise))
+        assert len(clone.superop_cache) == 0
+        assert np.array_equal(_fused_rho(circuit, guadalupe, clone), warm)
+
+    def test_unitary_of_the_wrong_width_is_refused(self, guadalupe):
+        qc = QuantumCircuit(2, 2)
+        qc.append(pulse_gate(random_unitary(1, 3), 160), [0])
+        qc.measure_all()
+        gate = qc.instructions[0].operation
+        noise = copy.deepcopy(guadalupe.noise_model)
+        _fused_rho(qc, guadalupe, noise)
+        gate.unitary = random_unitary(2, 4)  # the program is reused
+        with pytest.raises(SimulatorError):
+            _fused_rho(qc, guadalupe, noise)
+
+
+def _invalidation_circuit(pulse_duration=320, calibrated=False):
+    """Static, parametric and pulse gates in timed layers.  Layer 1's
+    1-qubit pulse (``pulse_duration``) sits beside a CX, so its duration
+    changes its channel but not the layer's; layer 2's 2-qubit pulse
+    carries ``calibrated``."""
+    qc = QuantumCircuit(4, 4)
+    qc.h(0)
+    qc.rz(0.7, 1)
+    qc.append(pulse_gate(random_unitary(1, 31), 320), [2])
+    qc.sx(3)
+    qc.cx(0, 1)
+    qc.append(pulse_gate(random_unitary(1, 32), pulse_duration), [3])
+    qc.append(
+        pulse_gate(random_unitary(2, 33), 800, calibrated=calibrated), [1, 2]
+    )
+    qc.sx(3)
+    qc.measure_all()
+    return qc
+
+
+def _edit_t1(case):
+    case["noise"].t1[1] = 0.8 * case["noise"].t1[1]
+    case["noise"].clear_caches()
+
+
+def _triple_zz(case):
+    case["noise"].zz_crosstalk_ghz *= 3
+
+
+def _pulse_error_1q(case):
+    case["noise"].pulse_error_per_dt_1q *= 4
+
+
+def _pulse_error_2q(case):
+    case["noise"].pulse_error_per_dt_2q *= 4
+
+
+def _jitter_sigma(case):
+    case["noise"].pulse_jitter_local *= 3
+
+
+def _longer_cx(case):
+    case["target"].set_duration("cx", 2400)
+
+
+def _longer_pulse(case):
+    case["circuit"] = _invalidation_circuit(pulse_duration=480)
+
+
+def _calibrated_pulse(case):
+    case["circuit"] = _invalidation_circuit(calibrated=True)
+
+
+class TestProgramInvalidation:
+    """A program is fetched only for a walk that reads the same values:
+    after a compiled evolve, every edit below is seen — ρ equals a cold
+    compile's and moves."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda case: _add_cx_error(case["noise"]),
+            lambda case: _relax_per_qubit(case["noise"]),
+            _edit_t1,
+            _triple_zz,
+            _pulse_error_1q,
+            _pulse_error_2q,
+            _jitter_sigma,
+            _longer_cx,
+            _longer_pulse,
+            _calibrated_pulse,
+        ],
+        ids=[
+            "add_gate_error", "set_relaxation", "t1_and_clear_caches",
+            "zz_rate", "pulse_error_1q", "pulse_error_2q", "jitter_sigma",
+            "target_set_duration", "pulse_duration", "calibrated_flag",
+        ],
+    )
+    def test_edit_is_seen(self, guadalupe, mutate):
+        case = {
+            "circuit": _invalidation_circuit(),
+            "target": copy.deepcopy(guadalupe.target),
+            "noise": copy.deepcopy(guadalupe.noise_model),
+        }
+
+        def evolve():
+            circuit, target = case["circuit"], case["target"]
+            state, _ = _evolve_exact(
+                _CircuitPlan(circuit, target), circuit, "density_matrix",
+                case["noise"], np.random.default_rng(3), None, target,
+            )
+            return state.data
+
+        compiled = evolve()
+        before = metrics_baseline()
+        assert np.array_equal(evolve(), compiled)
+        assert _program_outcomes(before) == (0, 1)
+        mutate(case)
+        warm = evolve()
+        with caching_disabled():
+            cold = evolve()
+        assert np.array_equal(warm, cold)
+        assert not np.array_equal(warm, compiled)
 
 
 # ---------------------------------------------------------------------------

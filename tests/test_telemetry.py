@@ -568,6 +568,35 @@ class TestTraceShape:
         assert kinds.count("execute") == 8
         assert kinds.count("batch") == 1
 
+    def test_worker_warm_is_a_dispatch_sibling(self, tmp_path):
+        """A worker's warm-up runs before its first shard, outside that
+        dispatch's wall: it sits beside the dispatch, once per worker,
+        and no self time in the profile goes negative."""
+        fresh = FakeGuadalupe()  # a new pool, so its workers warm up
+        circuits = [generic_circuit(2, seed) for seed in range(2)]
+        try:
+            with collect_trace("pooled-warm") as trace:
+                fresh.run(circuits, shots=SHOTS, seed=5, jobs=2)
+        finally:
+            fresh.close_services()
+        path = tmp_path / "trace.json"
+        trace.save(path)
+        rows = telemetry_cli.profile_trace(json.loads(path.read_text()))
+        assert all(row["self_seconds"] >= 0 for row in rows.values()), rows
+        warms = trace.find("worker.warm")
+        dispatches = trace.find("shard.dispatch")
+        warm_pids = [warm.attributes["worker_pid"] for warm in warms]
+        assert sorted(warm_pids) == sorted(
+            {dispatch.attributes["worker_pid"] for dispatch in dispatches}
+        )
+        (run_jobs,) = trace.find("service.run_jobs")
+        assert all(warm in run_jobs.children for warm in warms)
+        assert all(
+            span_.name != "worker.warm"
+            for dispatch in dispatches
+            for span_ in dispatch.iter_spans()
+        )
+
     def test_inline_retries_recorded_exactly_once(self, backend):
         jobs = [
             CircuitJob(circuit=generic_circuit(3, seed), shots=SHOTS,
