@@ -61,6 +61,7 @@ from repro.pulsesim.calibration import calibrate_rotation
 from repro.pulsesim.solver import drive_channel_propagator
 from repro.circuits import QuantumCircuit
 from repro.simulators.density_matrix import DensityMatrix
+from repro.telemetry.metrics import metrics_baseline, metrics_delta
 from repro.transpiler import CouplingMap
 from repro.utils.cache import caching_disabled
 from repro.utils.linalg import apply_matrix_to_qubits
@@ -337,6 +338,78 @@ def _run_batched_sweep(min_speedup):
     assert row["speedup"] >= min_speedup, (
         f"warm sweep {row['speedup']}x < {min_speedup}x floor over the "
         "cache-free loop"
+    )
+
+
+def _superop_passes(fn):
+    """``fn()``'s ``engine.density_passes{kind=superop}`` count."""
+    before = metrics_baseline()
+    fn()
+    return metrics_delta(before)["counters"].get(
+        "engine.density_passes{kind=superop}", 0
+    )
+
+
+def _run_simplex_sweep():
+    """COBYLA's opening simplex on a paper model through the density
+    walk: x0, then one coordinate moved per circuit.  A warm replay
+    resumes from the deepest layer one of the two evaluations before it
+    already computed, so it applies fewer passes than the cache-free
+    loop, which walks every layer.  Counts must agree."""
+    backend = FakeGuadalupe()
+    problem = MaxCutProblem(benchmark_graph(1))
+    model = HybridGatePulseModel(problem, backend.device)
+    x0 = np.asarray(model.initial_point(3), dtype=float)
+    steps = 0.25 * np.eye(len(x0))
+    circuits = [model.build_circuit(x) for x in [x0, *(x0 + steps)]]
+    seeds = list(range(len(circuits)))
+    latest = {}
+
+    def sweep():
+        latest["warm"] = execute_circuits(
+            circuits,
+            backend.target,
+            noise_model=backend.noise_model,
+            shots=1024,
+            seeds=seeds,
+            unitary_provider=backend.pulse_unitary,
+        )
+
+    def seed_loop():
+        with caching_disabled():
+            latest["uncached"] = [
+                execute_circuit(
+                    circuit,
+                    backend.target,
+                    noise_model=backend.noise_model,
+                    shots=1024,
+                    seed=s,
+                    unitary_provider=backend.pulse_unitary,
+                )
+                for s, circuit in zip(seeds, circuits)
+            ]
+
+    sweep()  # compile the program
+    walked = _superop_passes(sweep)
+    full = _superop_passes(seed_loop)
+    assert [dict(r.counts) for r in latest["warm"]] == [
+        dict(r.counts) for r in latest["uncached"]
+    ], "simplex sweep counts differ from the cache-free loop's"
+    assert walked < full, "no simplex step resumed past layer 0"
+    row = _record(
+        "simplex_sweep_hybrid_qaoa",
+        _best_of(seed_loop, repeats=3, number=1),
+        _best_of(sweep, repeats=5, number=1),
+        f"x0 then one of {len(x0)} coordinates moved per circuit: warm "
+        "execute_circuits sweep vs per-circuit cache-free loop; counts "
+        "asserted equal",
+    )
+    row["superop_passes"] = walked
+    row["superop_passes_skipped"] = full - walked
+    _flush()
+    print(
+        f"simplex_sweep_hybrid_qaoa: {walked} of {full} superop passes "
+        f"walked ({full - walked} skipped)"
     )
 
 
@@ -1023,10 +1096,11 @@ def main(argv=None):
         test_bench_marginalize()
         _run_trajectory_16q(trajectories=4)
         _smoke_registry_dispatch()
-        # the one engine bench that drives the density walk on a paper
+        # the engine benches that drive the density walk on a paper
         # model; relaxed floor for the same reason, the tracked 5x
         # assertion runs in the full mode
         _run_batched_sweep(min_speedup=3.0)
+        _run_simplex_sweep()
         # relaxed floor: CI containers are slow/noisy, the tracked 3x
         # assertion runs in the full mode
         _run_batched_vs_sequential(
@@ -1050,6 +1124,7 @@ def main(argv=None):
     test_bench_cached_pulse_propagator()
     test_bench_cached_calibration()
     test_bench_batched_sweep()
+    _run_simplex_sweep()
     test_bench_trajectory_vs_density_10q_sweep()
     test_bench_trajectory_batched_vs_sequential_10q_sweep()
     test_bench_adaptive_allocation_10q()

@@ -39,7 +39,9 @@ the angles (parametric gates, pulse gates, ``UnitaryGate``, jitter
 kicks) and applies each pass as one gather and one matmul over a flat
 ρ, which stays in the axis order the previous pass left it in and
 returns to the canonical order once, at the end.  The ZZ diagonal is
-multiplied in that order too.
+multiplied in that order too.  A replay whose leading jitter-free
+layers repeat those of one of the program's last two replays starts
+from the ρ that replay kept there (:meth:`_DensityProgram.replay`).
 
 Back-ends share that front-end through the **simulation-method
 registry** (:mod:`repro.simulators.registry`): each registered
@@ -148,8 +150,8 @@ from repro.telemetry.metrics import inc as metric_inc, observe as metric_observe
 from repro.telemetry.records import record as telemetry_record, recording_enabled
 from repro.telemetry.spans import span as telemetry_span
 from repro.utils.bitstrings import index_to_bitstring
+from repro.utils.cache import caching_enabled
 from repro.utils.kernels import ApplyPlan, apply_plan, marginalize
-from repro.utils.linalg import kron_all
 from repro.utils.rng import as_generator, derive_seed
 
 UnitaryProvider = Callable[[Instruction, tuple[int, ...]], np.ndarray]
@@ -383,12 +385,16 @@ class _CircuitPlan:
 
     Carries the circuit and target it was derived from: the registry's
     capability predicates and cost estimators receive the plan (plus
-    the noise model) and need to inspect instruction content.
+    the noise model) and need to inspect instruction content.  The rest
+    reads no angle, so it is built once per circuit structure
+    (:func:`_plan_structure`) and kept in ``target.plan_cache`` under
+    :func:`_plan_key`; ``circuit`` is always the evaluation's own.
     """
 
     __slots__ = (
         "circuit",
         "target",
+        "key",
         "measured_qubits",
         "measured_clbits",
         "active_list",
@@ -402,30 +408,77 @@ class _CircuitPlan:
     def __init__(self, circuit: QuantumCircuit, target: Target) -> None:
         self.circuit = circuit
         self.target = target
-        measures = [
-            inst
-            for inst in circuit.instructions
-            if isinstance(inst.operation, Measure)
-        ]
-        self.measured_qubits = [inst.qubits[0] for inst in measures]
-        self.measured_clbits = [inst.clbits[0] for inst in measures]
-        if len(set(self.measured_qubits)) != len(self.measured_qubits):
-            raise BackendError("a qubit is measured twice")
-        if len(set(self.measured_clbits)) != len(self.measured_clbits):
-            raise BackendError("two measurements share a classical bit")
-        self.active_list = sorted(_active_qubits(circuit))
-        self.local = {
-            phys: i for i, phys in enumerate(self.active_list)
-        }
-        self.num_local = len(self.active_list)
-        self.layers, self.layer_durations = _layered_moments(
-            circuit, target
+        self.key = _plan_key(circuit, target)
+        (
+            self.measured_qubits,
+            self.measured_clbits,
+            self.active_list,
+            self.local,
+            self.num_local,
+            self.layers,
+            self.layer_durations,
+            self.coupled_local_pairs,
+        ) = target.plan_cache.get_or_compute(
+            self.key, partial(_plan_structure, circuit, target)
         )
-        self.coupled_local_pairs = [
-            (self.local[a], self.local[b], a, b)
-            for a, b in target.coupling.edges
-            if a in self.local and b in self.local
-        ]
+
+
+def _plan_key(circuit: QuantumCircuit, target: Target) -> tuple:
+    """Every value of ``circuit`` its plan's structure reads.
+
+    Per instruction its type, name, qubits, clbits and parameter count,
+    plus a delay's or pulse gate's duration and a pulse gate's
+    ``calibrated`` flag (the density program's key reads it from here).
+    The target's gate durations are not in it: ``Target.set_duration``
+    empties the memo instead.
+    """
+    entries = []
+    for inst in circuit.instructions:
+        op = inst.operation
+        entry = (type(op), op.name, inst.qubits, inst.clbits, len(op.params))
+        if isinstance(op, (Delay, PulseGate)):
+            entry += (
+                _operation_duration(inst, target),
+                getattr(op, "calibrated", False),
+            )
+        entries.append(entry)
+    return tuple(entries)
+
+
+def _plan_structure(circuit: QuantumCircuit, target: Target) -> tuple:
+    """A plan's per-structure fields, in ``_CircuitPlan.__slots__``
+    order after ``key``: measured qubits and clbits, active qubits and
+    their local map and count, layers, layer durations and coupled
+    pairs."""
+    measures = [
+        inst
+        for inst in circuit.instructions
+        if isinstance(inst.operation, Measure)
+    ]
+    measured_qubits = [inst.qubits[0] for inst in measures]
+    measured_clbits = [inst.clbits[0] for inst in measures]
+    if len(set(measured_qubits)) != len(measured_qubits):
+        raise BackendError("a qubit is measured twice")
+    if len(set(measured_clbits)) != len(measured_clbits):
+        raise BackendError("two measurements share a classical bit")
+    active_list = sorted(_active_qubits(circuit))
+    local = {phys: i for i, phys in enumerate(active_list)}
+    layers, layer_durations = _layered_moments(circuit, target)
+    coupled_local_pairs = [
+        (local[a], local[b], a, b)
+        for a, b in target.coupling.edges
+        if a in local and b in local
+    ]
+    return (
+        measured_qubits,
+        measured_clbits,
+        active_list,
+        local,
+        len(active_list),
+        layers,
+        layer_durations,
+        coupled_local_pairs,
+    )
 
 
 def _active_qubits(circuit: QuantumCircuit) -> set[int]:
@@ -645,7 +698,7 @@ def execute_circuit(
                 Counts({}),
                 sum(plan.layer_durations),
                 metadata={
-                    "active_qubits": plan.active_list,
+                    "active_qubits": list(plan.active_list),
                     "method": resolved,
                 },
             )
@@ -843,8 +896,9 @@ def _evolve_density(
     (:func:`_density_program_key`); each evaluation replays it with its
     own gates (:meth:`_DensityProgram.replay`).  Without a noise model,
     or under :func:`~repro.utils.cache.caching_disabled`, it compiles
-    every time.  Outcomes go to the ``engine.density_programs`` counter,
-    pass totals to ``engine.density_passes``.
+    every time.  Outcomes go to the ``engine.density_programs`` counter
+    (``resumed`` for a replay that started past layer 0), the passes a
+    replay applies to ``engine.density_passes``.
     """
     compiled = False
 
@@ -857,51 +911,38 @@ def _evolve_density(
         program = compile_program()
     else:
         program = noise_model.superop_cache.get_or_compute(
-            _density_program_key(plan, circuit, noise_model, target),
+            _density_program_key(plan, noise_model, target),
             compile_program,
         )
+    state, start, superops, diagonals = program.replay(
+        circuit, noise_model, rng, unitary_provider
+    )
     metric_inc(
         "engine.density_programs",
-        outcome="compiled" if compiled else "reused",
+        outcome="compiled" if compiled else "resumed" if start else "reused",
     )
-    state = program.replay(circuit, noise_model, rng, unitary_provider)
-    metric_inc("engine.density_passes", program.superop_passes, kind="superop")
-    metric_inc(
-        "engine.density_passes", program.diagonal_passes, kind="diagonal"
-    )
+    metric_inc("engine.density_passes", superops, kind="superop")
+    metric_inc("engine.density_passes", diagonals, kind="diagonal")
     return state, program.duration
 
 
 def _density_program_key(
-    plan: _CircuitPlan,
-    circuit: QuantumCircuit,
-    noise_model: NoiseModel,
-    target: Target,
+    plan: _CircuitPlan, noise_model: NoiseModel, target: Target
 ) -> tuple:
     """Every value :func:`_compile_density` reads.
 
-    Per instruction its type, name, qubits and parameter count, which
-    fix the layering and which gates are static, plus a pulse gate's
-    duration and ``calibrated`` flag (its channel and jitter kick); the
+    The plan's key (:func:`_plan_key`), which fixes the layering, which
+    gates are static and each pulse gate's channel and jitter kick; the
     layer durations, ``target.dt`` and the coupled pairs (relaxation and
     ZZ); the noise model's T1, T2, ``dt``, gate channels, pulse error
-    rates and ZZ rate.  Channel objects sit in the key themselves, never
-    by ``id()``, so an entry keeps what it names alive.  The jitter
-    sigmas are read at replay, not here.
+    rates and ZZ rate.  Channel
+    objects sit in the key themselves, never by ``id()``, so an entry
+    keeps what it names alive.  The jitter sigmas are read at replay,
+    not here.
     """
-    structure = []
-    for inst in circuit.instructions:
-        op = inst.operation
-        entry = (type(op), op.name, inst.qubits, len(op.params))
-        if isinstance(op, PulseGate):
-            entry += (
-                _operation_duration(inst, target),
-                getattr(op, "calibrated", False),
-            )
-        structure.append(entry)
     return (
         "density_program",
-        tuple(structure),
+        plan.key,
         tuple(plan.layer_durations),
         target.dt,
         tuple((la, lb) for la, lb, _a, _b in plan.coupled_local_pairs),
@@ -960,23 +1001,28 @@ class _CompiledGate:
 class _DensityProgram:
     """One circuit structure's fused density walk, compiled.
 
-    ``layers`` holds, per layer, ``(operands, gates, passes,
-    diagonal)``: the layer's superoperators with a ``None`` slot for each
+    ``layers`` holds, per layer, ``(operands, gates, passes, diagonal,
+    resume)``: the layer's superoperators with a ``None`` slot for each
     one built per evaluation; ``(slot, gate)`` for those, in instruction
     order; one ``(gather, low, high)`` per superoperator pass (the
     superoperator in slot ``low``, or the tensor product of slots
-    ``low`` and ``high`` on two single qubits); and the ZZ crosstalk as
+    ``low`` and ``high`` on two single qubits); the ZZ crosstalk as
     ``(shape, row, column)`` factors (:func:`_diagonal_factors`), or
-    ``None``.  ρ stays in the axis order the previous pass left it in;
-    ``final`` gathers it back to the canonical order once.
+    ``None``; and whether the layer is a resume point.  ρ stays in the
+    axis order the previous pass left it in; ``final`` gathers it back
+    to the canonical order once.
+
+    A *resume point* is a layer with per-evaluation gates, up to and
+    including the first layer with a jitter kick; ``resume_points``
+    lists their indices.  The ρ before one depends only on the
+    per-evaluation unitaries of the resume points before it.
     """
 
     num_qubits: int
     layers: tuple
     final: ApplyPlan
-    superop_passes: int
-    diagonal_passes: int
     duration: int
+    resume_points: tuple[int, ...]
 
     def replay(
         self,
@@ -984,26 +1030,75 @@ class _DensityProgram:
         noise_model: NoiseModel | None,
         rng: np.random.Generator,
         unitary_provider: UnitaryProvider | None,
-    ) -> DensityMatrix:
+    ) -> tuple[DensityMatrix, int, int, int]:
         """Run the walk on ``circuit``, an evaluation of the compiled
-        structure: build its per-evaluation superoperators layer by
-        layer in instruction order (so jitter kicks draw the RNG stream
-        the op-by-op walk draws), then apply each pass as one gather and
-        one matmul."""
+        structure.
+
+        Every per-evaluation unitary is resolved first, which reads no
+        RNG.  The walk starts at the deepest resume point whose earlier
+        resume points' unitaries (dtype, shape and bytes) equal those of
+        one of the last two replays of this program, from the ρ that
+        replay held there (``noise_model.replay_records``).  The layers
+        it skips draw no RNG, so ρ and the RNG state are those of a
+        walk from layer 0.  Each walked layer builds its per-evaluation
+        superoperators in instruction order (so jitter kicks draw the
+        RNG stream the op-by-op walk draws), then applies each pass as
+        one gather and one matmul.  ρ is kept as a resume point begins,
+        with a superoperator pass that writes a new array, so nothing
+        writes a kept ρ again.  Without a noise model or under
+        :func:`~repro.utils.cache.caching_disabled` nothing is kept.
+
+        Returns ``(state, start layer, superop passes, diagonal
+        passes)``, the passes being those applied.
+        """
+        instructions = circuit.instructions
+        unitaries = [
+            [
+                _resolve_unitary(
+                    instructions[gate.index].operation,
+                    instructions[gate.index].qubits,
+                    unitary_provider,
+                )
+                for _slot, gate in layer[1]
+            ]
+            for layer in self.layers
+        ]
+        inputs = tuple(
+            tuple((u.dtype.str, u.shape, u.tobytes()) for u in unitaries[i])
+            for i in self.resume_points
+        )
+        remember = (
+            noise_model is not None
+            and bool(self.resume_points)
+            and caching_enabled()
+        )
+        held = noise_model.replay_records if remember else None
+        records = held[1] if held is not None and held[0] is self else ()
         state = DensityMatrix(self.num_qubits)
         rho = state.data.reshape(-1)
-        instructions = circuit.instructions
-        for operands, gates, passes, diagonal in self.layers:
+        kept: list[np.ndarray] = []
+        resumed_at = -1  # index into resume_points
+        for record_inputs, record_kept in records:
+            depth = 0
+            while (
+                depth + 1 < len(inputs)
+                and inputs[depth] == record_inputs[depth]
+            ):
+                depth += 1
+            if depth > resumed_at:
+                resumed_at = depth
+                kept, rho = record_kept[:depth], record_kept[depth]
+        start = self.resume_points[resumed_at] if resumed_at >= 0 else 0
+        superops = diagonals = 0
+        for layer, layer_unitaries in zip(
+            self.layers[start:], unitaries[start:]
+        ):
+            operands, gates, passes, diagonal, resume = layer
+            if resume:
+                kept.append(rho)
             values = list(operands)
-            for slot, gate in gates:
-                inst = instructions[gate.index]
-                values[slot] = gate.superop(
-                    _resolve_unitary(
-                        inst.operation, inst.qubits, unitary_provider
-                    ),
-                    noise_model,
-                    rng,
-                )
+            for (slot, gate), unitary in zip(gates, layer_unitaries):
+                values[slot] = gate.superop(unitary, noise_model, rng)
             for gather, low, high in passes:
                 superop = (
                     values[low]
@@ -1011,12 +1106,16 @@ class _DensityProgram:
                     else expand_superop(values[low], values[high])
                 )
                 rho = (superop @ gather.gather(rho)).reshape(-1)
+            superops += len(passes)
             if diagonal is not None:
                 shape, row, column = diagonal
                 view = rho.reshape(shape)
                 np.multiply(view, row * column, out=view)
+                diagonals += 1
+        if remember:
+            noise_model.replay_records = (self, [(inputs, kept), *records[:1]])
         state.data = self.final.gather(rho).reshape(state.data.shape)
-        return state
+        return state, start, superops, diagonals
 
 
 def _compile_density(
@@ -1037,7 +1136,9 @@ def _compile_density(
     the pass before leaves) happen here, once.  Static gates, idle
     relaxations, pairs of them and ZZ diagonals come from the noise
     model's superoperator memo; parametric gates, pulse gates and
-    ``UnitaryGate`` are left to the replay.
+    ``UnitaryGate`` are left to the replay.  Layers with such gates are
+    resume points until the first one that draws a jitter kick, which
+    is the last.
     """
     num_qubits = plan.num_local
     memo = noise_model.superop_cache if noise_model is not None else None
@@ -1055,7 +1156,7 @@ def _compile_density(
     zz_pairs = tuple((la, lb) for la, lb, _a, _b in plan.coupled_local_pairs)
     order = tuple(range(2 * num_qubits))
     layers = []
-    superop_passes = diagonal_passes = 0
+    jitter_seen = False
     for layer, duration in zip(plan.layers, plan.layer_durations):
         timed = noise_model is not None and duration > 0
         operands: list[np.ndarray | None] = []
@@ -1131,7 +1232,6 @@ def _compile_density(
         if len(singles) % 2:
             slot, qubit, _key = singles[-1]
             add_pass(slot, None, [qubit])
-        superop_passes += len(passes)
         diagonal = None
         if timed and zz_rate and zz_pairs:
             angle = 2 * math.pi * zz_rate * duration * target.dt
@@ -1143,15 +1243,17 @@ def _compile_density(
                 order,
                 num_qubits,
             )
-            diagonal_passes += 1
-        layers.append((tuple(operands), tuple(gates), tuple(passes), diagonal))
+        resume = bool(gates) and not jitter_seen
+        jitter_seen = jitter_seen or any(gate.jitter for _slot, gate in gates)
+        layers.append(
+            (tuple(operands), tuple(gates), tuple(passes), diagonal, resume)
+        )
     return _DensityProgram(
         num_qubits,
         tuple(layers),
         apply_plan(2 * num_qubits, tuple(range(2 * num_qubits)), order),
-        superop_passes,
-        diagonal_passes,
         sum(plan.layer_durations),
+        tuple(index for index, layer in enumerate(layers) if layer[4]),
     )
 
 
@@ -1253,14 +1355,22 @@ def _jitter_unitary(
         rng,
     ):
         if len(positions) < width:
-            (position,) = positions
-            kick = kron_all([
-                np.eye(1 << (width - 1 - position)),
-                kick,
-                np.eye(1 << position),
-            ])
+            kick = _embed_kick(kick, positions[0], width)
         total = kick if total is None else kick @ total
     return total
+
+
+def _embed_kick(kick: np.ndarray, position: int, width: int) -> np.ndarray:
+    """``I ⊗ kick ⊗ I`` with the 2×2 ``kick`` on qubit ``position`` of a
+    ``width``-qubit gate, written in place: one copy of ``kick`` per
+    value of the other qubits' bits, on the diagonal blocks they
+    select."""
+    high, low = 1 << (width - 1 - position), 1 << position
+    embedded = np.zeros((high, 2, low, high, 2, low), dtype=complex)
+    for h in range(high):
+        for g in range(low):
+            embedded[h, :, g, h, :, g] = kick
+    return embedded.reshape(1 << width, 1 << width)
 
 
 def _relaxation_superop(channels: Sequence) -> np.ndarray | None:
@@ -1280,8 +1390,8 @@ def _relaxation_superop(channels: Sequence) -> np.ndarray | None:
 
 def _result_metadata(plan: _CircuitPlan, resolved: str) -> dict:
     return {
-        "active_qubits": plan.active_list,
-        "measured_qubits": plan.measured_qubits,
+        "active_qubits": list(plan.active_list),
+        "measured_qubits": list(plan.measured_qubits),
         "clbit_to_qubit": dict(
             zip(plan.measured_clbits, plan.measured_qubits)
         ),

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from repro.exceptions import BackendError
 from repro.transpiler.coupling import CouplingMap
+from repro.utils.cache import LRUCache
 
 #: IBM sample time, ns
 DEFAULT_DT = 2.0 / 9.0
@@ -67,6 +68,10 @@ class Target:
         if len(qubit_properties) != num_qubits:
             raise BackendError("qubit_properties length mismatch")
         self.qubit_properties = list(qubit_properties)
+        #: the engine's per-structure circuit plans (layers, layer
+        #: durations, active and coupled qubits), keyed by what they read
+        #: of the circuit; set_duration empties it
+        self.plan_cache = LRUCache(maxsize=256, name="circuit_plan")
 
     # ------------------------------------------------------------------
     def duration(self, name: str, qubits: Sequence[int] = ()) -> int:
@@ -104,6 +109,7 @@ class Target:
 
     def set_duration(self, name: str, samples: int) -> None:
         self._gate_durations[name] = int(samples)
+        self.plan_cache.clear()
 
     def __repr__(self) -> str:
         return (

@@ -31,6 +31,7 @@ from repro.backends import FakeGuadalupe, FakeToronto
 from repro.backends.engine import (
     _check_channel_width,
     _CircuitPlan,
+    _embed_kick,
     _evolve_exact,
     _is_static,
     _jitter_unitary,
@@ -64,7 +65,7 @@ from repro.simulators.trajectory import sample_jitter_kicks
 from repro.telemetry.metrics import metrics_baseline, metrics_delta
 from repro.utils.cache import caching_disabled
 from repro.utils.kernels import apply_matrix_flat, apply_plan
-from repro.utils.linalg import embed_matrix
+from repro.utils.linalg import embed_matrix, kron_all
 from repro.vqa import ExpectedCutCost
 
 #: max|Δρ| allowed between the fused and the reference walk; the
@@ -526,14 +527,17 @@ class TestFusedWalkMatchesReference:
         assert plan.num_local == 8
 
 
-def expected_passes(plan):
-    """Per layer: one superop pass per multi-qubit gate plus one per two
-    single-qubit maps (1-qubit gates and idle relaxations, an odd one
-    alone); one diagonal pass per timed layer.  Assumes every active
-    qubit has T1/T2 and the noise model has ZZ crosstalk."""
+def expected_passes(plan, start=0):
+    """Per layer from ``start`` on: one superop pass per multi-qubit gate
+    plus one per two single-qubit maps (1-qubit gates and idle
+    relaxations, an odd one alone); one diagonal pass per timed layer.
+    Assumes every active qubit has T1/T2 and the noise model has ZZ
+    crosstalk."""
     circuit = plan.circuit
     superops = diagonals = 0
-    for layer, duration in zip(plan.layers, plan.layer_durations):
+    for layer, duration in list(zip(plan.layers, plan.layer_durations))[
+        start:
+    ]:
         gates = [
             circuit.instructions[idx]
             for idx in layer
@@ -549,10 +553,32 @@ def expected_passes(plan):
     return superops, diagonals
 
 
+def repeat_resume_layer(plan):
+    """The layer a verbatim repeat of an evaluation resumes at: the last
+    one with a per-evaluation gate, up to the first with an uncalibrated
+    pulse gate (a jitter kick)."""
+    start = 0
+    for index, layer in enumerate(plan.layers):
+        ops = [
+            plan.circuit.instructions[idx].operation
+            for idx in layer
+            if not isinstance(plan.circuit.instructions[idx].operation, Delay)
+        ]
+        if any(not _is_static(op) for op in ops):
+            start = index
+        if any(
+            isinstance(op, PulseGate) and not getattr(op, "calibrated", False)
+            for op in ops
+        ):
+            break
+    return start
+
+
 def test_pass_counter(guadalupe, toronto, task1):
     """The ``engine.density_passes`` counter equals
     :func:`expected_passes` exactly, on the golden circuit and on a
-    prepared pulse-level QAOA circuit."""
+    prepared pulse-level QAOA circuit; repeated, the evolve resumes at
+    :func:`repeat_resume_layer` and counts only the passes it walks."""
     pulse_level = PulseLevelModel(task1, toronto)
     cases = [
         (golden_circuit(), guadalupe, None),
@@ -561,22 +587,56 @@ def test_pass_counter(guadalupe, toronto, task1):
     ]
     for circuit, backend, provider in cases:
         plan = _CircuitPlan(circuit, backend.target)
-        noise = backend.noise_model
+        noise = copy.deepcopy(backend.noise_model)
         assert all(
             noise.relaxation_channel(q, 1) is not None
             for q in plan.active_list
         )
         assert noise.zz_crosstalk_ghz > 0
-        before = metrics_baseline()
-        _evolve_exact(
-            plan, circuit, "density_matrix", noise,
-            np.random.default_rng(0), provider, backend.target,
+        resume = repeat_resume_layer(plan)
+        assert resume > 0
+        for start in (0, resume):
+            before = metrics_baseline()
+            _evolve_exact(
+                plan, circuit, "density_matrix", noise,
+                np.random.default_rng(0), provider, backend.target,
+            )
+            counters = metrics_delta(before)["counters"]
+            superops, diagonals = expected_passes(plan, start)
+            assert diagonals > 0
+            assert counters["engine.density_passes{kind=superop}"] == superops
+            assert (
+                counters["engine.density_passes{kind=diagonal}"] == diagonals
+            )
+            assert counters.get(
+                "engine.density_programs{outcome=resumed}", 0
+            ) == (start > 0)
+
+
+def test_jitter_kick_embedding(toronto):
+    """A local kick is placed into its 2-qubit gate's 4×4 directly: ``==``
+    the ``kron_all`` form at both positions, and ``_jitter_unitary``
+    draws exactly what :func:`sample_jitter_kicks` draws."""
+    kick = random_unitary(1, 41)
+    for position in (0, 1):
+        assert np.array_equal(
+            _embed_kick(kick, position, 2),
+            kron_all([np.eye(2 >> position), kick, np.eye(1 << position)]),
         )
-        counters = metrics_delta(before)["counters"]
-        superops, diagonals = expected_passes(plan)
-        assert diagonals > 0
-        assert counters["engine.density_passes{kind=superop}"] == superops
-        assert counters["engine.density_passes{kind=diagonal}"] == diagonals
+    noise = toronto.noise_model
+    assert noise.pulse_jitter_local > 0 and noise.pulse_jitter_entangling > 0
+    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    expected = None
+    for kick, positions in sample_jitter_kicks(
+        2, noise.pulse_jitter_local, noise.pulse_jitter_entangling, reference
+    ):
+        if len(positions) == 1:
+            kick = kron_all(
+                [np.eye(2 >> positions[0]), kick, np.eye(1 << positions[0])]
+            )
+        expected = kick if expected is None else kick @ expected
+    assert np.array_equal(_jitter_unitary(2, noise, rng), expected)
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -838,6 +898,219 @@ class TestCompiledWalk:
             _fused_rho(qc, guadalupe, noise)
 
 
+# ---------------------------------------------------------------------------
+# replays resumed from a recent replay's ρ
+# ---------------------------------------------------------------------------
+
+#: the parametric layers of :func:`resume_circuit`
+FIRST, MIDDLE, LAST = 2, 4, 6
+
+
+def resume_circuit(angles=(0.3, 0.5, 0.7, 0.9), jitter=False, pulse=None):
+    """Four qubits in seven barrier-separated timed layers: an H preamble
+    and a CX layer, then parametric layers ``FIRST`` (``angles[0]``,
+    ``angles[1]``), ``MIDDLE`` (``angles[2]`` and a pulse gate carrying
+    ``pulse``, uncalibrated when ``jitter``) and ``LAST``
+    (``angles[3]``), with static layers between them."""
+    qc = QuantumCircuit(4, 4)
+    for q in range(4):
+        qc.h(q)
+    qc.barrier()
+    qc.cx(0, 1)
+    qc.cx(2, 3)
+    qc.barrier()
+    qc.rx(angles[0], 0)
+    qc.rx(angles[1], 2)
+    qc.barrier()
+    for q in range(4):
+        qc.sx(q)
+    qc.barrier()
+    qc.rx(angles[2], 1)
+    unitary = random_unitary(1, 51) if pulse is None else pulse
+    qc.append(pulse_gate(unitary, 160, calibrated=not jitter), [3])
+    qc.barrier()
+    qc.cx(1, 2)
+    qc.barrier()
+    qc.rx(angles[3], 3)
+    qc.measure_all()
+    return qc
+
+
+def spliced_circuit(head, tail, cut):
+    """``head``'s first ``cut`` instructions, then ``tail``'s from there:
+    two evaluations of one structure that share a prefix."""
+    qc = QuantumCircuit(head.num_qubits, head.num_clbits)
+    for inst in head.instructions[:cut] + tail.instructions[cut:]:
+        qc.append(inst.operation, inst.qubits, inst.clbits)
+    return qc
+
+
+def assert_walked_from(circuit, backend, noise, start, seed=7, provider=None):
+    """One evolve ``==`` :func:`layer_walk_evolve` with equal RNG state
+    (:func:`assert_compiled_equals_layer_walk`) that walked from layer
+    ``start``: the pass counters equal :func:`expected_passes` from
+    there, and it counts as resumed exactly when ``start > 0``."""
+    before = metrics_baseline()
+    rho = assert_compiled_equals_layer_walk(
+        circuit, backend, noise, provider, seed
+    )
+    counters = metrics_delta(before)["counters"]
+    superops, diagonals = expected_passes(
+        _CircuitPlan(circuit, backend.target), start
+    )
+    assert counters["engine.density_passes{kind=superop}"] == superops
+    assert counters["engine.density_passes{kind=diagonal}"] == diagonals
+    assert counters.get(
+        "engine.density_programs{outcome=resumed}", 0
+    ) == (start > 0)
+    return rho
+
+
+class TestResumedReplay:
+    """A replay starts at the deepest resume point whose earlier inputs
+    equal one of the last two replays' of its program, from the ρ that
+    replay held there.  ρ and the RNG state must equal a walk from layer
+    0 (``==`` up to six qubits)."""
+
+    @pytest.fixture
+    def noise(self, guadalupe):
+        noise = copy.deepcopy(guadalupe.noise_model)
+        assert noise.replay_records is None
+        return noise
+
+    def test_layers(self, guadalupe):
+        plan = _CircuitPlan(resume_circuit(), guadalupe.target)
+        assert len(plan.layers) == LAST + 1
+        assert all(duration > 0 for duration in plan.layer_durations)
+        assert repeat_resume_layer(plan) == LAST
+        jittered = _CircuitPlan(resume_circuit(jitter=True), guadalupe.target)
+        assert repeat_resume_layer(jittered) == MIDDLE
+
+    def test_same_evaluation_twice(self, guadalupe, noise):
+        assert_walked_from(resume_circuit(), guadalupe, noise, 0)
+        assert_walked_from(resume_circuit(), guadalupe, noise, LAST, seed=8)
+
+    def test_only_the_last_layer_changed(self, guadalupe, noise):
+        assert_walked_from(resume_circuit(), guadalupe, noise, 0)
+        assert_walked_from(
+            resume_circuit((0.3, 0.5, 0.7, 1.9)), guadalupe, noise, LAST
+        )
+
+    def test_only_the_first_layer_changed(self, guadalupe, noise):
+        # the H preamble and CX layer are still skipped
+        assert_walked_from(resume_circuit(), guadalupe, noise, 0)
+        assert_walked_from(
+            resume_circuit((1.3, 0.5, 0.7, 0.9)), guadalupe, noise, FIRST
+        )
+
+    def test_simplex_pattern(self, guadalupe, noise):
+        # A, then B moves the first layer, then A' moves the middle one:
+        # A' shares A's prefix, two replays back
+        assert_walked_from(resume_circuit(), guadalupe, noise, 0)
+        assert_walked_from(
+            resume_circuit((1.3, 0.5, 0.7, 0.9)), guadalupe, noise, FIRST
+        )
+        assert_walked_from(
+            resume_circuit((0.3, 0.5, 1.7, 0.9)), guadalupe, noise, MIDDLE
+        )
+        # three replays back is forgotten
+        assert_walked_from(
+            resume_circuit((0.3, 0.5, 0.7, 1.9)), guadalupe, noise, MIDDLE
+        )
+
+    def test_two_programs_alternating(self, guadalupe, noise):
+        other = random_structure_circuit(4, 11, 1)
+        for step in range(2):
+            assert_walked_from(resume_circuit(), guadalupe, noise, 0, step)
+            assert_walked_from(other, guadalupe, noise, 0, step)
+
+    def test_not_past_a_jitter_kick(self, guadalupe, noise):
+        assert noise.pulse_jitter_local > 0
+        assert_walked_from(resume_circuit(jitter=True), guadalupe, noise, 0)
+        assert_walked_from(
+            resume_circuit((0.3, 0.5, 0.7, 1.9), jitter=True),
+            guadalupe, noise, MIDDLE, seed=8,
+        )
+
+    def test_clear_caches_between_replays(self, guadalupe, noise):
+        assert_walked_from(resume_circuit(), guadalupe, noise, 0)
+        noise.clear_caches()
+        assert noise.replay_records is None
+        assert_walked_from(resume_circuit(), guadalupe, noise, 0)
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda n: pickle.loads(pickle.dumps(n))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copied_noise_model_drops_records(self, guadalupe, noise, clone):
+        assert_walked_from(resume_circuit(), guadalupe, noise, 0)
+        assert noise.replay_records is not None
+        copied = clone(noise)
+        assert copied.replay_records is None
+        assert_walked_from(resume_circuit(), guadalupe, copied, 0)
+
+    def test_caching_disabled_does_not_resume(self, guadalupe, noise):
+        assert_walked_from(resume_circuit(), guadalupe, noise, 0)
+        held = noise.replay_records
+        with caching_disabled():
+            assert_walked_from(resume_circuit(), guadalupe, noise, 0)
+        assert noise.replay_records is held
+        assert_walked_from(resume_circuit(), guadalupe, noise, LAST)
+
+    def test_equal_bytes_of_another_shape_do_not_match(self, guadalupe, noise):
+        # the middle layer's pulse unitary, flattened: a replay matching
+        # bytes alone would resume at LAST and never check its shape
+        pulse = random_unitary(1, 51)
+        assert_walked_from(resume_circuit(pulse=pulse), guadalupe, noise, 0)
+        flat = resume_circuit(pulse=pulse)
+        (gate,) = [
+            inst.operation
+            for inst in flat.instructions
+            if isinstance(inst.operation, PulseGate)
+        ]
+        gate.unitary = pulse.reshape(1, 4)
+        with pytest.raises(SimulatorError):
+            _fused_rho(flat, guadalupe, noise)
+
+    def test_hybrid_simplex(self, toronto, task1):
+        # COBYLA's first steps: x0, then one coordinate moved at a time
+        noise = copy.deepcopy(toronto.noise_model)
+        model = HybridGatePulseModel(task1, toronto.device)
+        pipeline = ExecutionPipeline(
+            backend=toronto, cost=ExpectedCutCost(task1),
+            gate_optimization=True,
+        )
+        x0 = np.asarray(model.initial_point(3), dtype=float)
+        points = [x0, *(x0 + 0.25 * np.eye(len(x0)))]
+        before = metrics_baseline()
+        for step, point in enumerate(points):
+            assert_compiled_equals_layer_walk(
+                pipeline.prepare(model.build_circuit(point)), toronto, noise,
+                toronto.pulse_unitary, seed=step,
+            )
+        counters = metrics_delta(before)["counters"]
+        assert counters["engine.density_programs{outcome=compiled}"] == 1
+        assert counters["engine.density_programs{outcome=resumed}"] == len(x0)
+
+    @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5, 6, 7, 8, 9])
+    def test_random_structures(self, guadalupe, noise, num_qubits):
+        # a compile, all angles changed, a repeat of two replays back, a
+        # shared first half, the same again
+        for structure in range(3 if num_qubits <= 6 else 1):
+            seed = 300 * num_qubits + structure
+            first = random_structure_circuit(num_qubits, seed, 1)
+            second = random_structure_circuit(num_qubits, seed, 2)
+            spliced = spliced_circuit(
+                first, second, len(first.instructions) // 2
+            )
+            for step, circuit in enumerate(
+                [first, second, first, spliced, spliced]
+            ):
+                assert_compiled_equals_layer_walk(
+                    circuit, guadalupe, noise, seed=step
+                )
+
+
 def _invalidation_circuit(pulse_duration=320, calibrated=False):
     """Static, parametric and pulse gates in timed layers.  Layer 1's
     1-qubit pulse (``pulse_duration``) sits beside a CX, so its duration
@@ -941,6 +1214,45 @@ class TestProgramInvalidation:
             cold = evolve()
         assert np.array_equal(warm, cold)
         assert not np.array_equal(warm, compiled)
+
+
+class TestPlanMemo:
+    """A circuit plan's structure is built once per circuit structure and
+    kept on the target; ``plan.circuit`` stays the evaluation's own."""
+
+    def test_shared_by_evaluations_of_one_structure(self, guadalupe):
+        target = copy.deepcopy(guadalupe.target)
+        first = _CircuitPlan(resume_circuit(), target)
+        second_circuit = resume_circuit((1.3, 0.5, 0.7, 0.9))
+        second = _CircuitPlan(second_circuit, target)
+        assert second.circuit is second_circuit
+        assert second.layers is first.layers
+        assert second.key == first.key
+
+    def test_durations_are_in_the_key(self, guadalupe):
+        target = copy.deepcopy(guadalupe.target)
+        plans = []
+        for delay in (160, 320):
+            qc = QuantumCircuit(2, 2)
+            qc.delay(delay, 0)
+            qc.sx(1)
+            qc.measure_all()
+            plans.append(_CircuitPlan(qc, target))
+        assert [plan.layer_durations for plan in plans] == [[160], [320]]
+        short, long = _invalidation_circuit(), _invalidation_circuit(480)
+        assert (
+            _CircuitPlan(short, target).key != _CircuitPlan(long, target).key
+        )
+
+    def test_set_duration_empties_it(self, guadalupe):
+        target = copy.deepcopy(guadalupe.target)
+        target.plan_cache.clear()
+        before = _CircuitPlan(golden_circuit(), target).layer_durations
+        assert len(target.plan_cache) == 1
+        target.set_duration("cx", 2400)
+        assert len(target.plan_cache) == 0
+        after = _CircuitPlan(golden_circuit(), target).layer_durations
+        assert 2400 in after and 2400 not in before
 
 
 # ---------------------------------------------------------------------------
