@@ -41,7 +41,8 @@ kicks) and applies each pass as one gather and one matmul over a flat
 returns to the canonical order once, at the end.  The ZZ diagonal is
 multiplied in that order too.  A replay whose leading jitter-free
 layers repeat those of one of the program's last two replays starts
-from the ρ that replay kept there (:meth:`_DensityProgram.replay`).
+from the ρ that replay kept there (:meth:`_DensityProgram.replay`),
+while those states fit in ``_REPLAY_RECORD_BYTES``.
 
 Back-ends share that front-end through the **simulation-method
 registry** (:mod:`repro.simulators.registry`): each registered
@@ -168,6 +169,15 @@ ADAPTIVE_ROUND_TRAJECTORIES = 32
 
 #: hard ceiling on adaptive trajectory growth (also capped by shots)
 ADAPTIVE_MAX_TRAJECTORIES = 1024
+
+#: most bytes a compiled density walk's replay records may hold: the ρ
+#: before each resume point, for two replays (2 · resume points ·
+#: 16 · 4ⁿ).  The paper's 6-qubit programs have up to 13 resume points,
+#: 1.7 MB; a program past the bound keeps nothing and never resumes
+_REPLAY_RECORD_BYTES = 2 << 20
+
+#: the ``superop_cache`` key of a noise model's one replay-records slot
+_REPLAY_RECORDS_KEY = ("density_replay_records",)
 
 
 def __getattr__(name: str):
@@ -1014,8 +1024,10 @@ class _DensityProgram:
 
     A *resume point* is a layer with per-evaluation gates, up to and
     including the first layer with a jitter kick; ``resume_points``
-    lists their indices.  The ρ before one depends only on the
-    per-evaluation unitaries of the resume points before it.
+    lists their indices, or is empty when two replays' ρ before each
+    would take more than ``_REPLAY_RECORD_BYTES``.  The ρ before one
+    depends only on the per-evaluation unitaries of the resume points
+    before it.
     """
 
     num_qubits: int
@@ -1038,15 +1050,18 @@ class _DensityProgram:
         RNG.  The walk starts at the deepest resume point whose earlier
         resume points' unitaries (dtype, shape and bytes) equal those of
         one of the last two replays of this program, from the ρ that
-        replay held there (``noise_model.replay_records``).  The layers
-        it skips draw no RNG, so ρ and the RNG state are those of a
-        walk from layer 0.  Each walked layer builds its per-evaluation
-        superoperators in instruction order (so jitter kicks draw the
-        RNG stream the op-by-op walk draws), then applies each pass as
-        one gather and one matmul.  ρ is kept as a resume point begins,
-        with a superoperator pass that writes a new array, so nothing
-        writes a kept ρ again.  Without a noise model or under
-        :func:`~repro.utils.cache.caching_disabled` nothing is kept.
+        replay held there.  Those records sit in one slot of the noise
+        model's superoperator memo, for the most recently replayed
+        program only, so ``clear_caches`` and pickling drop them.  The
+        layers a replay skips draw no RNG, so ρ and the RNG state are
+        those of a walk from layer 0.  Each walked layer builds its
+        per-evaluation superoperators in instruction order (so jitter
+        kicks draw the RNG stream the op-by-op walk draws), then applies
+        each pass as one gather and one matmul.  ρ is kept as a resume
+        point begins, with a superoperator pass that writes a new array,
+        so nothing writes a kept ρ again.  Without a noise model, under
+        :func:`~repro.utils.cache.caching_disabled` or without resume
+        points nothing is compared or kept.
 
         Returns ``(state, start layer, superop passes, diagonal
         passes)``, the passes being those applied.
@@ -1063,17 +1078,24 @@ class _DensityProgram:
             ]
             for layer in self.layers
         ]
-        inputs = tuple(
-            tuple((u.dtype.str, u.shape, u.tobytes()) for u in unitaries[i])
-            for i in self.resume_points
-        )
         remember = (
             noise_model is not None
             and bool(self.resume_points)
             and caching_enabled()
         )
-        held = noise_model.replay_records if remember else None
-        records = held[1] if held is not None and held[0] is self else ()
+        records = ()
+        if remember:
+            inputs = tuple(
+                tuple(
+                    (u.dtype.str, u.shape, u.tobytes()) for u in unitaries[i]
+                )
+                for i in self.resume_points
+            )
+            holder = noise_model.superop_cache.get_or_compute(
+                _REPLAY_RECORDS_KEY, lambda: [None]
+            )
+            if holder[0] is not None and holder[0][0] is self:
+                records = holder[0][1]
         state = DensityMatrix(self.num_qubits)
         rho = state.data.reshape(-1)
         kept: list[np.ndarray] = []
@@ -1094,7 +1116,7 @@ class _DensityProgram:
             self.layers[start:], unitaries[start:]
         ):
             operands, gates, passes, diagonal, resume = layer
-            if resume:
+            if resume and remember:
                 kept.append(rho)
             values = list(operands)
             for (slot, gate), unitary in zip(gates, layer_unitaries):
@@ -1113,7 +1135,7 @@ class _DensityProgram:
                 np.multiply(view, row * column, out=view)
                 diagonals += 1
         if remember:
-            noise_model.replay_records = (self, [(inputs, kept), *records[:1]])
+            holder[0] = (self, [(inputs, kept), *records[:1]])
         state.data = self.final.gather(rho).reshape(state.data.shape)
         return state, start, superops, diagonals
 
@@ -1138,7 +1160,8 @@ def _compile_density(
     model's superoperator memo; parametric gates, pulse gates and
     ``UnitaryGate`` are left to the replay.  Layers with such gates are
     resume points until the first one that draws a jitter kick, which
-    is the last.
+    is the last; a program whose replay records would pass
+    ``_REPLAY_RECORD_BYTES`` lists none.
     """
     num_qubits = plan.num_local
     memo = noise_model.superop_cache if noise_model is not None else None
@@ -1248,12 +1271,17 @@ def _compile_density(
         layers.append(
             (tuple(operands), tuple(gates), tuple(passes), diagonal, resume)
         )
+    resume_points = tuple(
+        index for index, layer in enumerate(layers) if layer[4]
+    )
+    if 2 * len(resume_points) * (16 << 2 * num_qubits) > _REPLAY_RECORD_BYTES:
+        resume_points = ()
     return _DensityProgram(
         num_qubits,
         tuple(layers),
         apply_plan(2 * num_qubits, tuple(range(2 * num_qubits)), order),
         sum(plan.layer_durations),
-        tuple(index for index, layer in enumerate(layers) if layer[4]),
+        resume_points,
     )
 
 

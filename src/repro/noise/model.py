@@ -68,17 +68,11 @@ class NoiseModel:
         #: add_gate_error / set_relaxation / clear_caches and edits of the
         #: rates change the key instead of serving a stale entry.
         self.superop_cache = LRUCache(maxsize=1024, name="superop")
-        #: the last two replays of the most recently replayed compiled
-        #: walk, ``(program, records)``: the density states a replay of
-        #: the same structure may resume from (the engine's
-        #: ``_DensityProgram.replay``).  Emptied by clear_caches.
-        self.replay_records: tuple | None = None
 
     def __getstate__(self) -> dict:
-        """Pickle support: the superoperator memo and the replay records
-        ship empty.
+        """Pickle support: the superoperator memo ships empty.
 
-        Everything in them is derived from this model's values and is
+        Everything in it is derived from this model's values and is
         rebuilt on first use.  Its compiled density walks are large
         (a gather plan per pass, ZZ factors per layer) and a pool worker
         mostly walks structures its parent never did, so shipping them
@@ -88,7 +82,6 @@ class NoiseModel:
         state["superop_cache"] = LRUCache(
             maxsize=self.superop_cache.maxsize, name=self.superop_cache.name
         )
-        state["replay_records"] = None
         return state
 
     def clear_caches(self) -> None:
@@ -98,7 +91,6 @@ class NoiseModel:
         self._pulse_channel_cache.clear()
         self._readout_subset_cache.clear()
         self.superop_cache.clear()
-        self.replay_records = None
 
     # ------------------------------------------------------------------
     def add_gate_error(

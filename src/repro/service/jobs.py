@@ -298,7 +298,7 @@ def circuit_fingerprint(circuit: QuantumCircuit) -> tuple:
 #: during execution (distance matrices, superoperator contractions) and
 #: must not make a warmed backend digest differently than a fresh one
 _DERIVED_ATTRS = frozenset(
-    {"_repro_caches", "_distance", "_superop", "_inverse", "replay_records"}
+    {"_repro_caches", "_distance", "_superop", "_inverse"}
 )
 
 

@@ -22,6 +22,7 @@ memory order differs), and within :data:`TOLERANCE` above.
 import copy
 import math
 import pickle
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -31,12 +32,14 @@ from repro.backends import FakeGuadalupe, FakeToronto
 from repro.backends.engine import (
     _check_channel_width,
     _CircuitPlan,
+    _compile_density,
     _embed_kick,
     _evolve_exact,
     _is_static,
     _jitter_unitary,
     _operation_duration,
     _relaxation_superop,
+    _REPLAY_RECORDS_KEY,
     _resolve_unitary,
     _RunContext,
     _zz_diagonal,
@@ -945,6 +948,32 @@ def spliced_circuit(head, tail, cut):
     return qc
 
 
+def held_records(noise):
+    """The noise model's replay records, ``(program, records)``, or
+    ``None`` when its superoperator memo holds no records slot."""
+    if _REPLAY_RECORDS_KEY not in noise.superop_cache:
+        return None
+    return noise.superop_cache.get_or_compute(_REPLAY_RECORDS_KEY, list)[0]
+
+
+def layered_circuit(num_qubits, layers, angle_seed):
+    """An H preamble, then ``layers`` rounds of an ``rz`` on every qubit
+    and a CX layer, barrier-separated: one resume point per round."""
+    angles = np.random.default_rng(angle_seed)
+    qc = QuantumCircuit(num_qubits, num_qubits)
+    for q in range(num_qubits):
+        qc.h(q)
+    for _ in range(layers):
+        qc.barrier()
+        for q in range(num_qubits):
+            qc.rz(float(angles.uniform(0, 2 * math.pi)), q)
+        qc.barrier()
+        for q in range(0, num_qubits - 1, 2):
+            qc.cx(q, q + 1)
+    qc.measure_all()
+    return qc
+
+
 def assert_walked_from(circuit, backend, noise, start, seed=7, provider=None):
     """One evolve ``==`` :func:`layer_walk_evolve` with equal RNG state
     (:func:`assert_compiled_equals_layer_walk`) that walked from layer
@@ -975,7 +1004,7 @@ class TestResumedReplay:
     @pytest.fixture
     def noise(self, guadalupe):
         noise = copy.deepcopy(guadalupe.noise_model)
-        assert noise.replay_records is None
+        assert held_records(noise) is None
         return noise
 
     def test_layers(self, guadalupe):
@@ -1035,7 +1064,7 @@ class TestResumedReplay:
     def test_clear_caches_between_replays(self, guadalupe, noise):
         assert_walked_from(resume_circuit(), guadalupe, noise, 0)
         noise.clear_caches()
-        assert noise.replay_records is None
+        assert held_records(noise) is None
         assert_walked_from(resume_circuit(), guadalupe, noise, 0)
 
     @pytest.mark.parametrize(
@@ -1044,18 +1073,62 @@ class TestResumedReplay:
     )
     def test_copied_noise_model_drops_records(self, guadalupe, noise, clone):
         assert_walked_from(resume_circuit(), guadalupe, noise, 0)
-        assert noise.replay_records is not None
+        assert held_records(noise) is not None
         copied = clone(noise)
-        assert copied.replay_records is None
+        assert held_records(copied) is None
         assert_walked_from(resume_circuit(), guadalupe, copied, 0)
 
     def test_caching_disabled_does_not_resume(self, guadalupe, noise):
         assert_walked_from(resume_circuit(), guadalupe, noise, 0)
-        held = noise.replay_records
+        held = held_records(noise)
         with caching_disabled():
             assert_walked_from(resume_circuit(), guadalupe, noise, 0)
-        assert noise.replay_records is held
+        assert held_records(noise) is held
         assert_walked_from(resume_circuit(), guadalupe, noise, LAST)
+
+    def test_caching_disabled_keeps_no_states(self, guadalupe, noise):
+        # with records, the ρ before each of the ten resume points stays
+        # alive; under caching_disabled() the walk holds a few states at
+        # most, like a walk with nothing to keep
+        circuit = layered_circuit(6, 10, 1)
+        program = _compile_density(
+            _CircuitPlan(circuit, guadalupe.target), circuit, noise,
+            guadalupe.target,
+        )
+        resume_points = len(program.resume_points)
+        assert resume_points == 10
+        state_bytes = 16 << 12
+
+        def peak_states(angle_seed):
+            tracemalloc.start()
+            try:
+                program.replay(
+                    layered_circuit(6, 10, angle_seed), noise,
+                    np.random.default_rng(0), None,
+                )
+                return tracemalloc.get_traced_memory()[1] / state_bytes
+            finally:
+                tracemalloc.stop()
+
+        assert peak_states(2) > resume_points
+        with caching_disabled():
+            assert peak_states(3) < resume_points // 2 + 3
+
+    def test_records_are_bounded(self, guadalupe, noise):
+        # ten resume points at ten qubits would keep 2 · 10 · 16 MiB: the
+        # program keeps none, and the evolve leaves no records behind
+        circuit = layered_circuit(10, 10, 1)
+        plan = _CircuitPlan(circuit, guadalupe.target)
+        assert plan.num_local == 10
+        program = _compile_density(plan, circuit, noise, guadalupe.target)
+        assert program.resume_points == ()
+        assert all(layer[4] for layer in program.layers[1::2])
+        for seed in (1, 2):
+            _evolve_exact(
+                plan, layered_circuit(10, 10, seed), "density_matrix",
+                noise, np.random.default_rng(0), None, guadalupe.target,
+            )
+        assert held_records(noise) is None
 
     def test_equal_bytes_of_another_shape_do_not_match(self, guadalupe, noise):
         # the middle layer's pulse unitary, flattened: a replay matching
