@@ -11,6 +11,17 @@ assignment-error transform, then multinomial shot sampling.
 Only the qubits the circuit actually touches enter the simulation, so
 27-qubit devices cost no more than the 6-8 qubits a benchmark uses.
 
+One lowering turns a circuit into that noise model
+(:func:`_lower_noisy_ops`): per layer, each gate with its local qubits,
+the channels applied after it (the noise model's gate channels, or a
+pulse gate's duration-scaled channel) and whether it draws the
+parameter-transfer jitter of paper §IV-C (an uncalibrated pulse gate);
+each active qubit's relaxation over the layer; and the layer's ZZ
+angle.  :func:`_readout_relaxation` adds the measure window and the
+measured qubits' relaxation during it.  Every back-end walks these two,
+as do the statevector capability check and the telemetry channel
+count, so a change to the noise model lands in one place.
+
 The density-matrix back-end walks those moments **fused**
 (:func:`_evolve_density`).  The instructions of one layer act on
 disjoint qubits, so everything that happens to a gate's qubits before
@@ -30,8 +41,8 @@ built from.
 
 A variational loop re-scores one circuit structure with new angles at
 every evaluation, so the walk itself is compiled once per structure
-(:func:`_compile_density`): layering, relaxation and channel lookups,
-the memoized superoperators, qubit checks and every pass's gather plan.
+(:func:`_compile_density`): the lowering, the memoized
+superoperators, qubit checks and every pass's gather plan.
 The program sits in the same memo, keyed by every value compiling reads
 (:func:`_density_program_key`), so ``clear_caches`` drops it too.  Each
 evaluation replays it: it builds only the superoperators that depend on
@@ -44,11 +55,10 @@ layers repeat those of one of the program's last two replays starts
 from the ρ that replay kept there (:meth:`_DensityProgram.replay`),
 while those states fit in ``_REPLAY_RECORD_BYTES``.
 
-Back-ends share that front-end through the **simulation-method
-registry** (:mod:`repro.simulators.registry`): each registered
-:class:`~repro.simulators.registry.MethodDescriptor` carries a
-capability predicate, a cost estimator, a qubit budget and an execute
-entry point.  This module registers the four built-ins on import:
+Each registered :class:`~repro.simulators.registry.MethodDescriptor`
+(:mod:`repro.simulators.registry`) carries a capability predicate, a
+cost estimator, a qubit budget and an execute entry point.  This module
+registers the four built-ins on import:
 
 * ``"density_matrix"`` — exact mixed-state evolution, ``4**n`` memory;
   handles every noise process this library models;
@@ -85,9 +95,10 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,6 +119,7 @@ from repro.exceptions import (
     SimulatorError,
     TransientError,
 )
+from repro.noise.channels import KrausChannel
 from repro.noise.model import NoiseModel
 from repro.simulators.density_matrix import (
     DensityMatrix,
@@ -265,47 +277,16 @@ def resolve_trajectory_request(
     return total, None
 
 
-class _RunContext:
-    """Per-run (or per-batch) memo of derived execution data.
-
-    Shared across the circuits of one :func:`execute_circuits` sweep so
-    that measure-duration lookups and crosstalk unitaries are derived
-    once per batch rather than once per circuit.  The heavyweight memos
-    (relaxation channels, static gate superoperators, ZZ diagonals,
-    compiled density walks, pulse propagators, calibrations) live on
-    the noise model / device and persist across batches.
-    """
-
-    __slots__ = ("target", "measure_durations", "zz_unitaries")
-
-    def __init__(self, target: Target) -> None:
-        self.target = target
-        self.measure_durations: dict[int, int] = {}
-        self.zz_unitaries: dict[float, np.ndarray] = {}
-
-    def measure_duration(self, qubit: int) -> int:
-        duration = self.measure_durations.get(qubit)
-        if duration is None:
-            duration = self.target.duration("measure", (qubit,))
-            self.measure_durations[qubit] = duration
-        return duration
-
-    def zz_unitary(self, angle: float) -> np.ndarray:
-        rzz = self.zz_unitaries.get(angle)
-        if rzz is None:
-            rzz = np.diag(
-                np.exp(-1j * angle / 2 * np.array([1.0, -1.0, -1.0, 1.0]))
-            )
-            self.zz_unitaries[angle] = rzz
-        return rzz
+def _zz_unitary(angle: float) -> np.ndarray:
+    """One coupled pair's ZZ crosstalk over a layer, ``exp(-i angle/2 ZZ)``."""
+    return np.diag(np.exp(-1j * angle / 2 * np.array([1.0, -1.0, -1.0, 1.0])))
 
 
 def _zz_diagonal(
     angle: float, pairs: tuple[tuple[int, int], ...], width: int
 ) -> np.ndarray:
     """Diagonal of one layer's ZZ crosstalk on the ``width``-qubit
-    register: every coupled pair's :meth:`_RunContext.zz_unitary` at
-    once."""
+    register: every coupled pair's :func:`_zz_unitary` at once."""
     index = np.arange(1 << width)
     # sum over pairs of Z_a Z_b: +1 where the two bits agree
     zz = sum(1 - 2 * (((index >> a) ^ (index >> b)) & 1) for a, b in pairs)
@@ -501,40 +482,152 @@ def _active_qubits(circuit: QuantumCircuit) -> set[int]:
     return active
 
 
+# ---------------------------------------------------------------------------
+# lowering: the noise model, layer by layer
+# ---------------------------------------------------------------------------
+
+class _LoweredGate(NamedTuple):
+    """One gate of a lowered layer: its index in the circuit, its local
+    qubits, the channels applied after it and whether it draws a
+    parameter-transfer jitter kick."""
+
+    index: int
+    instruction: CircuitInstruction
+    qubits: tuple[int, ...]
+    channels: tuple[KrausChannel, ...]
+    jitter: bool
+
+
+class _LoweredLayer(NamedTuple):
+    """One ASAP layer: its gates, then each active qubit's relaxation,
+    then the ZZ crosstalk of every coupled pair by ``zz_angle``."""
+
+    gates: tuple[_LoweredGate, ...]
+    relaxations: tuple[KrausChannel | None, ...]
+    zz_angle: float | None
+
+
+def _lower_noisy_ops(
+    plan: _CircuitPlan,
+    circuit: QuantumCircuit,
+    noise_model: NoiseModel | None,
+    target: Target,
+) -> Iterator[_LoweredLayer]:
+    """``circuit``'s layers with the noise model attached.
+
+    A gate carries the noise model's channels for its name and qubits,
+    or, for a pulse gate, its duration-scaled channel; an uncalibrated
+    pulse gate draws jitter (paper §IV-C).  ``relaxations`` holds the
+    relaxation channel of every active qubit in local order, ``None``
+    where the qubit has no T1/T2.  It is empty, and ``zz_angle`` is
+    ``None``, when the layer takes no time or there is no noise model;
+    ``zz_angle`` is also ``None`` without ZZ crosstalk.  Nothing is
+    checked here, so a capability predicate can read the lowering
+    without raising; each back-end checks what it consumes.
+    """
+    for layer, duration in zip(plan.layers, plan.layer_durations):
+        gates = []
+        for index in layer:
+            inst = circuit.instructions[index]
+            op = inst.operation
+            if isinstance(op, Delay):
+                continue
+            channels, jitter = (), False
+            if noise_model is not None and isinstance(op, PulseGate):
+                channel = noise_model.pulse_gate_channel(
+                    op.num_qubits, _operation_duration(inst, target)
+                )
+                channels = () if channel is None else (channel,)
+                jitter = not getattr(op, "calibrated", False)
+            elif noise_model is not None:
+                channels = tuple(
+                    noise_model.gate_channels(op.name, inst.qubits)
+                )
+            qubits = tuple(plan.local[q] for q in inst.qubits)
+            gates.append(_LoweredGate(index, inst, qubits, channels, jitter))
+        relaxations, zz_angle = (), None
+        if noise_model is not None and duration > 0:
+            relaxations = tuple(
+                noise_model.relaxation_channel(q, duration)
+                for q in plan.active_list
+            )
+            zz_rate = noise_model.zz_crosstalk_ghz
+            if zz_rate:
+                zz_angle = 2 * math.pi * zz_rate * duration * target.dt
+        yield _LoweredLayer(tuple(gates), relaxations, zz_angle)
+
+
+def _readout_relaxation(
+    plan: _CircuitPlan, noise_model: NoiseModel | None, fraction: float
+) -> tuple[int, list[tuple[int, KrausChannel]]]:
+    """The measure window, and ``(local qubit, channel)`` for each
+    measured qubit that relaxes during ``fraction`` of it."""
+    window = plan.target.duration("measure", plan.measured_qubits)
+    relaxations = []
+    if noise_model is not None and fraction > 0:
+        effective = int(window * fraction)
+        for q in plan.measured_qubits:
+            channel = noise_model.relaxation_channel(q, effective)
+            if channel is not None:
+                relaxations.append((plan.local[q], channel))
+    return window, relaxations
+
+
+def _measured_readout(plan: _CircuitPlan, request: _ExecutionRequest):
+    """The measured qubits' readout assignment error, or ``None`` when
+    there is none or the request leaves it out."""
+    noise_model = request.noise_model
+    if (
+        noise_model is not None
+        and request.with_readout_error
+        and noise_model.readout_error is not None
+    ):
+        return noise_model.readout_subset(plan.measured_qubits)
+    return None
+
+
+def _check_channel_width(channel, qubits: Sequence[int]) -> None:
+    """Refuse a noise channel attached to an operation of another width:
+    silently acting on a qubit subset would be wrong physics."""
+    if channel.num_qubits != len(qubits):
+        raise BackendError(
+            f"{channel.num_qubits}-qubit noise channel "
+            f"{channel.name!r} attached to a {len(qubits)}-qubit "
+            f"operation"
+        )
+
+
+def _jitter_draws(noise_model: NoiseModel, width: int) -> bool:
+    """Whether a jittered gate on ``width`` qubits draws a kick
+    (:func:`~repro.simulators.trajectory.sample_jitter_kicks`)."""
+    return noise_model.pulse_jitter_local > 0 or (
+        noise_model.pulse_jitter_entangling > 0 and width == 2
+    )
+
+
 def _noise_touches_state(
-    circuit: QuantumCircuit, noise_model: NoiseModel | None
+    plan: _CircuitPlan, noise_model: NoiseModel | None
 ) -> bool:
     """Whether any configured noise acts on the quantum state itself.
 
-    Readout assignment error is *classical* post-processing of the
-    measurement distribution, so a model carrying only readout error
-    still admits pure-state simulation.
+    Relaxation (readout relaxation included) and ZZ crosstalk do
+    whenever the model has them; otherwise a lowered gate's channel or
+    jitter kick does.  Readout assignment error is *classical*
+    post-processing of the measurement distribution, so a model
+    carrying only readout error still admits pure-state simulation.
     """
     if noise_model is None:
         return False
     if noise_model.has_relaxation or noise_model.zz_crosstalk_ghz:
         return True
-    for inst in circuit.instructions:
-        op = inst.operation
-        if isinstance(op, (Barrier, Measure, Delay)):
-            continue
-        if isinstance(op, PulseGate):
-            if (
-                noise_model.pulse_error_per_dt_1q > 0
-                or noise_model.pulse_error_per_dt_2q > 0
-            ):
-                return True
-            if not getattr(op, "calibrated", False) and (
-                noise_model.pulse_jitter_local > 0
-                or (
-                    noise_model.pulse_jitter_entangling > 0
-                    and op.num_qubits == 2
-                )
-            ):
-                return True
-        elif noise_model.gate_channels(op.name, inst.qubits):
-            return True
-    return False
+    return any(
+        gate.channels
+        or (gate.jitter and _jitter_draws(noise_model, len(gate.qubits)))
+        for layer in _lower_noisy_ops(
+            plan, plan.circuit, noise_model, plan.target
+        )
+        for gate in layer.gates
+    )
 
 
 def select_method(
@@ -608,7 +701,6 @@ class _ExecutionRequest:
         "trajectory_slice",
         "trajectory_batch",
         "stabilizer_shot_batch",
-        "context",
     )
 
     noise_model: NoiseModel | None
@@ -622,7 +714,6 @@ class _ExecutionRequest:
     trajectory_slice: tuple[int, int] | None
     trajectory_batch: int | None
     stabilizer_shot_batch: int | None
-    context: _RunContext
 
 
 def execute_circuit(
@@ -640,7 +731,6 @@ def execute_circuit(
     trajectory_slice: tuple[int, int] | None = None,
     trajectory_batch: int | None = None,
     stabilizer_shot_batch: int | None = None,
-    _context: _RunContext | None = None,
     _resolved: tuple[_CircuitPlan, str] | None = None,
 ) -> ExperimentResult:
     """Run one circuit and sample measurement outcomes.
@@ -676,7 +766,6 @@ def execute_circuit(
         raise BackendError("trajectory_batch must be >= 1")
     if stabilizer_shot_batch is not None and stabilizer_shot_batch < 1:
         raise BackendError("stabilizer_shot_batch must be >= 1")
-    context = _context if _context is not None else _RunContext(target)
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
     with telemetry_span("engine.execute", shots=int(shots)) as exec_span:
@@ -734,7 +823,6 @@ def execute_circuit(
                     trajectory_slice=trajectory_slice,
                     trajectory_batch=trajectory_batch,
                     stabilizer_shot_batch=stabilizer_shot_batch,
-                    context=context,
                 ),
             )
     wall = time.perf_counter() - wall_start
@@ -760,23 +848,18 @@ def execute_circuit(
 def _noise_channel_count(
     plan: _CircuitPlan, noise_model: NoiseModel | None
 ) -> int:
-    """Count of per-gate noise channels the circuit attracts.
+    """Count of the gate and pulse channels the lowering attaches.
 
     Telemetry-record bookkeeping only (the channel lookups are memoized
     on the noise model); computed solely when recording is enabled.
     """
-    if noise_model is None:
-        return 0
-    total = 0
-    for inst in plan.circuit.instructions:
-        op = inst.operation
-        if isinstance(op, (Barrier, Measure, Delay)):
-            continue
-        if isinstance(op, PulseGate):
-            total += 1
-        else:
-            total += len(noise_model.gate_channels(op.name, inst.qubits))
-    return total
+    return sum(
+        len(gate.channels)
+        for layer in _lower_noisy_ops(
+            plan, plan.circuit, noise_model, plan.target
+        )
+        for gate in layer.gates
+    )
 
 
 def _execute_exact(
@@ -790,10 +873,10 @@ def _execute_exact(
     the state (``effective_noise=None``) — that is the noiseless escape
     hatch, not an approximation; classical readout error still applies.
     """
-    noise_model = request.noise_model
-    context = request.context
     rng = as_generator(request.seed)
-    effective_noise = noise_model if resolved == "density_matrix" else None
+    effective_noise = (
+        request.noise_model if resolved == "density_matrix" else None
+    )
     with telemetry_span("engine.evolve", method=resolved):
         state, total_duration = _evolve_exact(
             plan,
@@ -804,35 +887,19 @@ def _execute_exact(
             request.unitary_provider,
             plan.target,
         )
-
-    measure_duration = max(
-        context.measure_duration(q) for q in plan.measured_qubits
+    window, relaxations = _readout_relaxation(
+        plan, effective_noise, request.readout_relaxation_fraction
     )
-    if (
-        effective_noise is not None
-        and request.readout_relaxation_fraction > 0
-    ):
-        effective = int(
-            measure_duration * request.readout_relaxation_fraction
-        )
-        for q in plan.measured_qubits:
-            channel = effective_noise.relaxation_channel(q, effective)
-            if channel is not None:
-                state.apply_channel(channel, [plan.local[q]])
-    total_duration += measure_duration
+    for qubit, channel in relaxations:
+        state.apply_channel(channel, [qubit])
 
-    probs = state.probabilities()
-    marginal = _marginalize(
-        probs,
+    marginal = marginalize(
+        state.probabilities(),
         [plan.local[q] for q in plan.measured_qubits],
         plan.num_local,
     )
-    if (
-        noise_model is not None
-        and request.with_readout_error
-        and noise_model.readout_error is not None
-    ):
-        readout = noise_model.readout_subset(plan.measured_qubits)
+    readout = _measured_readout(plan, request)
+    if readout is not None:
         marginal = readout.apply_to_probabilities(marginal)
 
     counts_raw = rng.multinomial(request.shots, marginal / marginal.sum())
@@ -842,17 +909,9 @@ def _execute_exact(
     )
     return ExperimentResult(
         counts,
-        total_duration,
+        total_duration + window,
         metadata=_result_metadata(plan, resolved),
     )
-
-
-def _execute_density_matrix(plan, request) -> ExperimentResult:
-    return _execute_exact(plan, request, "density_matrix")
-
-
-def _execute_statevector(plan, request) -> ExperimentResult:
-    return _execute_exact(plan, request, "statevector")
 
 
 def _evolve_exact(
@@ -877,16 +936,12 @@ def _evolve_exact(
             plan, circuit, noise_model, rng, unitary_provider, target
         )
     state = Statevector(plan.num_local)
-    for layer in plan.layers:
-        for idx in layer:
-            inst = circuit.instructions[idx]
-            if not isinstance(inst.operation, Delay):
-                state.evolve(
-                    _resolve_unitary(
-                        inst.operation, inst.qubits, unitary_provider
-                    ),
-                    [plan.local[q] for q in inst.qubits],
-                )
+    for layer in _lower_noisy_ops(plan, circuit, None, target):
+        for _index, inst, qubits, _channels, _jitter in layer.gates:
+            matrix = _resolve_unitary(
+                inst.operation, inst.qubits, unitary_provider
+            )
+            state.evolve(matrix, qubits)
     return state, sum(plan.layer_durations)
 
 
@@ -1148,14 +1203,14 @@ def _compile_density(
 ) -> _DensityProgram:
     """Compile the fused walk of ``circuit``'s structure.
 
-    Per layer: one superoperator pass per multi-qubit gate — relaxation
-    · jitter kick · channels · ``U ⊗ U*`` (:class:`_CompiledGate`) —
-    then the layer's single-qubit maps, 1-qubit gates composed the same
-    way and the idle qubits' relaxation, two to a pass, then one
-    diagonal pass for the ZZ crosstalk of every coupled pair.  The
-    layering, relaxation and channel lookups, qubit and shape checks and
-    every pass's gather plan (:func:`superop_plan`, from the axis order
-    the pass before leaves) happen here, once.  Static gates, idle
+    Per lowered layer (:func:`_lower_noisy_ops`): one superoperator pass
+    per multi-qubit gate — relaxation · jitter kick · channels ·
+    ``U ⊗ U*`` (:class:`_CompiledGate`) — then the layer's single-qubit
+    maps, 1-qubit gates composed the same way and the idle qubits'
+    relaxation, two to a pass, then one diagonal pass for the ZZ
+    crosstalk of every coupled pair.  The lowering, channel-width checks
+    and every pass's gather plan (:func:`superop_plan`, from the axis
+    order the pass before leaves) happen here, once.  Static gates, idle
     relaxations, pairs of them and ZZ diagonals come from the noise
     model's superoperator memo; parametric gates, pulse gates and
     ``UnitaryGate`` are left to the replay.  Layers with such gates are
@@ -1175,34 +1230,34 @@ def _compile_density(
         order = gather.result_order
         passes.append((gather, low, high))
 
-    zz_rate = noise_model.zz_crosstalk_ghz if noise_model is not None else 0.0
     zz_pairs = tuple((la, lb) for la, lb, _a, _b in plan.coupled_local_pairs)
     order = tuple(range(2 * num_qubits))
     layers = []
     jitter_seen = False
-    for layer, duration in zip(plan.layers, plan.layer_durations):
-        timed = noise_model is not None and duration > 0
+    for lowered in _lower_noisy_ops(plan, circuit, noise_model, target):
+        # an untimed layer relaxes no qubit: each gate's memo key then
+        # holds one None per qubit, like a qubit without T1/T2
+        layer_relaxations = lowered.relaxations or (None,) * num_qubits
         operands: list[np.ndarray | None] = []
         gates: list[tuple[int, _CompiledGate]] = []
         passes: list[tuple] = []
         relaxed: set[int] = set()
         # (slot, local qubit, memo key or None when built per evaluation)
         singles: list[tuple[int, int, object]] = []
-        for idx in layer:
-            inst = circuit.instructions[idx]
-            op = inst.operation
-            if isinstance(op, Delay):
-                continue
-            qubits = [plan.local[q] for q in inst.qubits]
-            relaxations = tuple(
-                noise_model.relaxation_channel(q, duration) if timed else None
-                for q in inst.qubits
-            )
-            gate, channels = _compile_gate(
-                idx, inst, noise_model, target, relaxations
+        for index, inst, qubits, channels, jitter in lowered.gates:
+            for channel in channels:
+                _check_channel_width(channel, qubits)
+            relaxations = tuple(layer_relaxations[q] for q in qubits)
+            gate = _CompiledGate(
+                index,
+                len(qubits),
+                tuple(channel_superop(channel) for channel in channels),
+                jitter,
+                _relaxation_superop(relaxations),
             )
             if gate.relaxation is not None:
                 relaxed.update(qubits)
+            op = inst.operation
             if _is_static(op):
                 # the channel objects, not qubits or durations: a changed
                 # noise model yields new ones, so it misses instead of
@@ -1227,16 +1282,10 @@ def _compile_density(
                 singles.append((slot, qubits[0], key))
             else:
                 add_pass(slot, None, qubits)
-        if timed:
-            for phys in plan.active_list:
-                if plan.local[phys] in relaxed:
-                    continue
-                channel = noise_model.relaxation_channel(phys, duration)
-                if channel is not None:
-                    operands.append(channel_superop(channel))
-                    singles.append(
-                        (len(operands) - 1, plan.local[phys], channel)
-                    )
+        for qubit, channel in enumerate(lowered.relaxations):
+            if qubit not in relaxed and channel is not None:
+                operands.append(channel_superop(channel))
+                singles.append((len(operands) - 1, qubit, channel))
         for (low, q_low, k_low), (high, q_high, k_high) in zip(
             singles[0::2], singles[1::2]
         ):
@@ -1256,8 +1305,8 @@ def _compile_density(
             slot, qubit, _key = singles[-1]
             add_pass(slot, None, [qubit])
         diagonal = None
-        if timed and zz_rate and zz_pairs:
-            angle = 2 * math.pi * zz_rate * duration * target.dt
+        angle = lowered.zz_angle
+        if angle is not None and zz_pairs:
             diagonal = _diagonal_factors(
                 cached(
                     (angle, zz_pairs, num_qubits),
@@ -1283,45 +1332,6 @@ def _compile_density(
         sum(plan.layer_durations),
         resume_points,
     )
-
-
-def _compile_gate(
-    index: int,
-    inst: CircuitInstruction,
-    noise_model: NoiseModel | None,
-    target: Target,
-    relaxations: tuple,
-) -> tuple[_CompiledGate, tuple]:
-    """The :class:`_CompiledGate` of one instruction, and the channel
-    objects it carries.
-
-    Pulse gates carry their duration-scaled channel and, unless
-    calibration-derived (``op.calibrated``, set by the pulse-efficient
-    pass), the parameter-transfer jitter of paper §IV-C; other gates
-    carry their noise-model channels.  ``relaxations`` holds the layer's
-    relaxation channel (or ``None``) of each of the gate's qubits.
-    """
-    op = inst.operation
-    width = len(inst.qubits)
-    if noise_model is None:
-        return _CompiledGate(index, width, (), False, None), ()
-    if isinstance(op, PulseGate):
-        channel = noise_model.pulse_gate_channel(
-            op.num_qubits, _operation_duration(inst, target)
-        )
-        channels = () if channel is None else (channel,)
-    else:
-        channels = tuple(noise_model.gate_channels(op.name, inst.qubits))
-    for channel in channels:
-        _check_channel_width(channel, inst.qubits)
-    gate = _CompiledGate(
-        index,
-        width,
-        tuple(channel_superop(channel) for channel in channels),
-        isinstance(op, PulseGate) and not getattr(op, "calibrated", False),
-        _relaxation_superop(relaxations),
-    )
-    return gate, channels
 
 
 def _diagonal_factors(
@@ -1428,8 +1438,8 @@ def _result_metadata(plan: _CircuitPlan, resolved: str) -> dict:
 
 
 def _assemble_counts(
-    observed: np.ndarray,
-    values: np.ndarray,
+    observed: Sequence[int],
+    values: Sequence[int],
     measured_clbits: Sequence[int],
 ) -> Counts:
     """Map measured-qubit outcome indices onto clbit-positioned counts.
@@ -1454,14 +1464,12 @@ def _assemble_counts(
 
 def _compile_trajectory_program(
     plan: _CircuitPlan,
-    circuit: QuantumCircuit,
     noise_model: NoiseModel | None,
     unitary_provider: UnitaryProvider | None,
     readout_relaxation_fraction: float,
-    context: _RunContext,
-    target: Target,
 ) -> tuple[TrajectoryProgram, int]:
-    """Lower the circuit + noise model into a replayable step program.
+    """The lowered circuit (:func:`_lower_noisy_ops`) as a replayable
+    step program.
 
     Compiled once per circuit and replayed per trajectory, so unitary
     resolution (including pulse-gate propagators) is paid once.
@@ -1469,80 +1477,41 @@ def _compile_trajectory_program(
     included in the duration.
     """
     program = TrajectoryProgram(plan.num_local)
-    zz_rate = (
-        getattr(noise_model, "zz_crosstalk_ghz", 0.0) if noise_model else 0.0
-    )
-    total_duration = 0
-    for layer, duration in zip(plan.layers, plan.layer_durations):
-        for idx in layer:
-            inst = circuit.instructions[idx]
-            op = inst.operation
-            if isinstance(op, Delay):
-                continue
-            qubits = [plan.local[q] for q in inst.qubits]
-            matrix = _resolve_unitary(op, inst.qubits, unitary_provider)
-            program.unitary(matrix, qubits)
-            if noise_model is not None:
-                if isinstance(op, PulseGate):
-                    channel = noise_model.pulse_gate_channel(
-                        op.num_qubits, _operation_duration(inst, target)
-                    )
-                    if channel is not None:
-                        program.channel(channel.kraus_ops, qubits)
-                    if not getattr(op, "calibrated", False):
-                        program.jitter(
-                            qubits,
-                            noise_model.pulse_jitter_local,
-                            noise_model.pulse_jitter_entangling,
-                        )
-                else:
-                    for channel in noise_model.gate_channels(
-                        op.name, inst.qubits
-                    ):
-                        program.channel(channel.kraus_ops, qubits)
-        if noise_model is not None and duration > 0:
-            for phys in plan.active_list:
-                channel = noise_model.relaxation_channel(phys, duration)
-                if channel is not None:
-                    program.channel(
-                        channel.kraus_ops, [plan.local[phys]]
-                    )
-            if zz_rate:
-                angle = 2 * math.pi * zz_rate * duration * target.dt
-                rzz = context.zz_unitary(angle)
-                for la, lb, _a, _b in plan.coupled_local_pairs:
-                    program.unitary(rzz, [la, lb])
-        total_duration += duration
-
-    measure_duration = max(
-        context.measure_duration(q) for q in plan.measured_qubits
-    )
-    if noise_model is not None and readout_relaxation_fraction > 0:
-        effective = int(measure_duration * readout_relaxation_fraction)
-        for q in plan.measured_qubits:
-            channel = noise_model.relaxation_channel(q, effective)
-            if channel is not None:
-                program.channel(channel.kraus_ops, [plan.local[q]])
-    total_duration += measure_duration
-    return program, total_duration
-
-
-def _measured_readout(plan: _CircuitPlan, request: _ExecutionRequest):
-    """The measured-qubit readout model for sampling back-ends, if any."""
-    noise_model = request.noise_model
-    if (
-        noise_model is not None
-        and request.with_readout_error
-        and noise_model.readout_error is not None
+    for layer in _lower_noisy_ops(
+        plan, plan.circuit, noise_model, plan.target
     ):
-        return noise_model.readout_subset(plan.measured_qubits)
-    return None
+        for _index, inst, qubits, channels, jitter in layer.gates:
+            matrix = _resolve_unitary(
+                inst.operation, inst.qubits, unitary_provider
+            )
+            program.unitary(matrix, qubits)
+            for channel in channels:
+                _check_channel_width(channel, qubits)
+                program.channel(channel.kraus_ops, qubits)
+            if jitter:
+                program.jitter(
+                    qubits,
+                    noise_model.pulse_jitter_local,
+                    noise_model.pulse_jitter_entangling,
+                )
+        for qubit, channel in enumerate(layer.relaxations):
+            if channel is not None:
+                program.channel(channel.kraus_ops, [qubit])
+        if layer.zz_angle is not None:
+            rzz = _zz_unitary(layer.zz_angle)
+            for la, lb, _a, _b in plan.coupled_local_pairs:
+                program.unitary(rzz, [la, lb])
+    window, relaxations = _readout_relaxation(
+        plan, noise_model, readout_relaxation_fraction
+    )
+    for qubit, channel in relaxations:
+        program.channel(channel.kraus_ops, [qubit])
+    return program, sum(plan.layer_durations) + window
 
 
 def _execute_trajectory(
     plan: _CircuitPlan, request: _ExecutionRequest
 ) -> ExperimentResult:
-    noise_model = request.noise_model
     shots = request.shots
     trajectory_slice = request.trajectory_slice
     total, resolved_target_error = resolve_trajectory_request(
@@ -1557,12 +1526,9 @@ def _execute_trajectory(
     with telemetry_span("engine.compile", method="trajectory"):
         program, total_duration = _compile_trajectory_program(
             plan,
-            plan.circuit,
-            noise_model,
+            request.noise_model,
             request.unitary_provider,
             request.readout_relaxation_fraction,
-            request.context,
-            plan.target,
         )
     readout = _measured_readout(plan, request)
     measured_positions = [plan.local[q] for q in plan.measured_qubits]
@@ -1599,9 +1565,7 @@ def _execute_trajectory(
             )
     observed = sorted(outcome_counts)
     counts = _assemble_counts(
-        np.array(observed, dtype=np.int64),
-        np.array([outcome_counts[i] for i in observed], dtype=np.int64),
-        plan.measured_clbits,
+        observed, [outcome_counts[i] for i in observed], plan.measured_clbits
     )
     metadata = _result_metadata(plan, "trajectory")
     metadata["trajectories"] = total
@@ -1653,17 +1617,6 @@ def merge_trajectory_results(
 # stabilizer back-end
 # ---------------------------------------------------------------------------
 
-def _check_channel_width(channel, qubits: Sequence[int]) -> None:
-    """Refuse a noise channel attached to an operation of another width:
-    silently acting on a qubit subset would be wrong physics."""
-    if channel.num_qubits != len(qubits):
-        raise BackendError(
-            f"{channel.num_qubits}-qubit noise channel "
-            f"{channel.name!r} attached to a {len(qubits)}-qubit "
-            f"operation"
-        )
-
-
 def _stabilizer_channel(
     program: StabilizerProgram, channel, qubits: Sequence[int]
 ) -> None:
@@ -1682,99 +1635,61 @@ def _stabilizer_channel(
 
 def _compile_stabilizer_program(
     plan: _CircuitPlan,
-    circuit: QuantumCircuit,
     noise_model: NoiseModel | None,
     unitary_provider: UnitaryProvider | None,
     readout_relaxation_fraction: float,
-    context: _RunContext,
-    target: Target,
 ) -> tuple[StabilizerProgram, int]:
-    """Lower the circuit + noise model onto the Clifford tableau.
+    """The lowered circuit (:func:`_lower_noisy_ops`) on the Clifford
+    tableau, in the trajectory program's step order.
 
-    Mirrors the trajectory compile step for step; every gate must
-    conjugate Paulis to Paulis and every channel must be a Pauli
-    mixture, otherwise a :class:`BackendError` names the offending
-    piece (``auto`` dispatch never gets here — its capability predicate
-    already rejected the circuit — so these errors only reach callers
-    who pinned ``method="stabilizer"`` explicitly).
+    Every gate must conjugate Paulis to Paulis and every channel must
+    be a Pauli mixture, otherwise a :class:`BackendError` names the
+    offending piece (``auto`` dispatch never gets here — its capability
+    predicate already rejected the circuit — so these errors only reach
+    callers who pinned ``method="stabilizer"`` explicitly).
     """
     program = StabilizerProgram(plan.num_local)
-    zz_rate = (
-        getattr(noise_model, "zz_crosstalk_ghz", 0.0) if noise_model else 0.0
-    )
-    total_duration = 0
-    for layer, duration in zip(plan.layers, plan.layer_durations):
-        for idx in layer:
-            inst = circuit.instructions[idx]
-            op = inst.operation
-            if isinstance(op, Delay):
-                continue
-            qubits = [plan.local[q] for q in inst.qubits]
-            matrix = _resolve_unitary(op, inst.qubits, unitary_provider)
+    for layer in _lower_noisy_ops(
+        plan, plan.circuit, noise_model, plan.target
+    ):
+        for _index, inst, qubits, channels, jitter in layer.gates:
+            matrix = _resolve_unitary(
+                inst.operation, inst.qubits, unitary_provider
+            )
             table = clifford_conjugation_table(matrix)
             if table is None:
                 raise BackendError(
-                    f"{op.name!r} on qubits {tuple(inst.qubits)} is not "
-                    f"a Clifford operation; method='stabilizer' "
-                    f"simulates Clifford circuits only"
+                    f"{inst.operation.name!r} on qubits "
+                    f"{tuple(inst.qubits)} is not a Clifford operation; "
+                    f"method='stabilizer' simulates Clifford circuits only"
                 )
             program.clifford(table, qubits)
-            if noise_model is not None:
-                if isinstance(op, PulseGate):
-                    channel = noise_model.pulse_gate_channel(
-                        op.num_qubits, _operation_duration(inst, target)
-                    )
-                    if channel is not None:
-                        _stabilizer_channel(program, channel, qubits)
-                    if not getattr(op, "calibrated", False) and (
-                        noise_model.pulse_jitter_local > 0
-                        or (
-                            noise_model.pulse_jitter_entangling > 0
-                            and op.num_qubits == 2
-                        )
-                    ):
-                        raise BackendError(
-                            "pulse-transfer jitter is a coherent kick, "
-                            "not a Pauli channel; method='stabilizer' "
-                            "cannot model it"
-                        )
-                else:
-                    for channel in noise_model.gate_channels(
-                        op.name, inst.qubits
-                    ):
-                        _stabilizer_channel(program, channel, qubits)
-        if noise_model is not None and duration > 0:
-            for phys in plan.active_list:
-                channel = noise_model.relaxation_channel(phys, duration)
-                if channel is not None:
-                    _stabilizer_channel(
-                        program, channel, [plan.local[phys]]
-                    )
-            if zz_rate:
-                angle = 2 * math.pi * zz_rate * duration * target.dt
-                rzz = context.zz_unitary(angle)
-                table = clifford_conjugation_table(rzz)
-                if table is None:
-                    raise BackendError(
-                        f"ZZ-crosstalk rotation of {angle:.6f} rad is "
-                        f"not a Clifford operation; method='stabilizer' "
-                        f"cannot model continuous crosstalk"
-                    )
-                for la, lb, _a, _b in plan.coupled_local_pairs:
-                    program.clifford(table, [la, lb])
-        total_duration += duration
-
-    measure_duration = max(
-        context.measure_duration(q) for q in plan.measured_qubits
-    )
-    if noise_model is not None and readout_relaxation_fraction > 0:
-        effective = int(measure_duration * readout_relaxation_fraction)
-        for q in plan.measured_qubits:
-            channel = noise_model.relaxation_channel(q, effective)
+            for channel in channels:
+                _stabilizer_channel(program, channel, qubits)
+            if jitter and _jitter_draws(noise_model, len(qubits)):
+                raise BackendError(
+                    "pulse-transfer jitter is a coherent kick, not a "
+                    "Pauli channel; method='stabilizer' cannot model it"
+                )
+        for qubit, channel in enumerate(layer.relaxations):
             if channel is not None:
-                _stabilizer_channel(program, channel, [plan.local[q]])
-    total_duration += measure_duration
-    return program, total_duration
+                _stabilizer_channel(program, channel, [qubit])
+        if layer.zz_angle is not None:
+            table = clifford_conjugation_table(_zz_unitary(layer.zz_angle))
+            if table is None:
+                raise BackendError(
+                    f"ZZ-crosstalk rotation of {layer.zz_angle:.6f} rad "
+                    f"is not a Clifford operation; method='stabilizer' "
+                    f"cannot model continuous crosstalk"
+                )
+            for la, lb, _a, _b in plan.coupled_local_pairs:
+                program.clifford(table, [la, lb])
+    window, relaxations = _readout_relaxation(
+        plan, noise_model, readout_relaxation_fraction
+    )
+    for qubit, channel in relaxations:
+        _stabilizer_channel(program, channel, [qubit])
+    return program, sum(plan.layer_durations) + window
 
 
 def _execute_stabilizer(
@@ -1783,12 +1698,9 @@ def _execute_stabilizer(
     with telemetry_span("engine.compile", method="stabilizer"):
         program, total_duration = _compile_stabilizer_program(
             plan,
-            plan.circuit,
             request.noise_model,
             request.unitary_provider,
             request.readout_relaxation_fraction,
-            request.context,
-            plan.target,
         )
     with telemetry_span("stabilizer.run", shots=int(request.shots)):
         outcome_counts, per_shot = run_stabilizer_program(
@@ -1801,27 +1713,13 @@ def _execute_stabilizer(
         )
     observed = sorted(outcome_counts)
     counts = _assemble_counts(
-        np.array(observed, dtype=np.int64),
-        np.array([outcome_counts[i] for i in observed], dtype=np.int64),
-        plan.measured_clbits,
+        observed, [outcome_counts[i] for i in observed], plan.measured_clbits
     )
     metadata = _result_metadata(plan, "stabilizer")
     # True when counts came from per-shot noise/measurement sampling
     # (exact i.i.d. draws); False for the single-multinomial exact path
     metadata["per_shot_sampling"] = per_shot
     return ExperimentResult(counts, total_duration, metadata=metadata)
-
-
-def _marginalize(
-    probs: np.ndarray, positions: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Marginal distribution over ``positions`` (positions[0] = LSB out).
-
-    Vectorized index-map scatter-add (see
-    :func:`repro.utils.kernels.marginalize`); accumulation order matches
-    the historical Python loop bit-for-bit.
-    """
-    return marginalize(probs, positions, num_qubits)
 
 
 def execute_circuits(
@@ -1844,12 +1742,11 @@ def execute_circuits(
 ) -> list[ExperimentResult]:
     """Run a batch of circuits, amortizing shared derivation work.
 
-    The batch path shares one :class:`_RunContext` (measure durations,
-    crosstalk unitaries) across all circuits and leans on the persistent
-    memo layers — relaxation/pulse channels on the noise model, pulse
-    propagators and calibrations on the device — so a parameter sweep
-    pays layering, channel construction and calibration once instead of
-    once per circuit.
+    The batch leans on the persistent memo layers — circuit plans on the
+    target, relaxation/pulse channels and compiled density walks on the
+    noise model, pulse propagators and calibrations on the device — so
+    a parameter sweep pays layering, channel construction and
+    calibration once instead of once per circuit.
 
     Seeding: when ``seeds`` is given it supplies one entry per circuit
     and ``execute_circuits(cs, seeds=[s0, ...])`` returns exactly what
@@ -1882,7 +1779,6 @@ def execute_circuits(
         ]
     if _resolved is None:
         _resolved = [None] * len(circuits)
-    context = _RunContext(target)
     return [
         execute_circuit(
             circuit,
@@ -1899,7 +1795,6 @@ def execute_circuits(
             trajectory_slice=trajectory_slice,
             trajectory_batch=trajectory_batch,
             stabilizer_shot_batch=stabilizer_shot_batch,
-            _context=context,
             _resolved=resolved,
         )
         for circuit, circuit_seed, resolved in zip(
@@ -1918,7 +1813,7 @@ def _supports_any(plan: _CircuitPlan, noise_model) -> bool:
 
 
 def _supports_statevector(plan: _CircuitPlan, noise_model) -> bool:
-    return not _noise_touches_state(plan.circuit, noise_model)
+    return not _noise_touches_state(plan, noise_model)
 
 
 def _supports_stabilizer(plan: _CircuitPlan, noise_model) -> bool:
@@ -2013,7 +1908,7 @@ register_method(MethodDescriptor(
     name="density_matrix",
     supports=_supports_any,
     cost=_cost_density_matrix,
-    execute=_execute_density_matrix,
+    execute=partial(_execute_exact, resolved="density_matrix"),
     default_qubit_budget=14,
     escape_hatch=(
         "exact mixed-state evolution holds the full 4^n operator — "
@@ -2029,7 +1924,7 @@ register_method(MethodDescriptor(
     name="statevector",
     supports=_supports_statevector,
     cost=_cost_statevector,
-    execute=_execute_statevector,
+    execute=partial(_execute_exact, resolved="statevector"),
     default_qubit_budget=26,
     escape_hatch="pure states scale 2^n",
     state_bytes=lambda num_qubits: 16 << num_qubits,

@@ -1,16 +1,10 @@
-"""Error suppression: M3 readout mitigation, CVaR, ZNE, shadows."""
+"""Error suppression: M3 readout mitigation and CVaR."""
 
 from repro.mitigation.m3 import M3Mitigator, QuasiDistribution
 from repro.mitigation.cvar import cvar_expectation
-from repro.mitigation.zne import fold_circuit, richardson_extrapolate, zne_expectation
-from repro.mitigation.shadows import ClassicalShadowEstimator
 
 __all__ = [
     "M3Mitigator",
     "QuasiDistribution",
     "cvar_expectation",
-    "fold_circuit",
-    "richardson_extrapolate",
-    "zne_expectation",
-    "ClassicalShadowEstimator",
 ]

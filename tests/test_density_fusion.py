@@ -41,8 +41,8 @@ from repro.backends.engine import (
     _relaxation_superop,
     _REPLAY_RECORDS_KEY,
     _resolve_unitary,
-    _RunContext,
     _zz_diagonal,
+    _zz_unitary,
 )
 from repro.circuits import QuantumCircuit
 from repro.circuits.gates import Delay, PulseGate
@@ -1368,8 +1368,7 @@ class TestPrimitives:
         )
         assert np.array_equal(via_unitary.data, via_superop.data)
 
-    def test_zz_diagonal_matches_sequential_rzz(self, guadalupe):
-        context = _RunContext(guadalupe.target)
+    def test_zz_diagonal_matches_sequential_rzz(self):
         pairs = ((0, 1), (1, 2), (2, 3), (1, 4))
         angle = 0.0123
         rho = random_density(5, 3)
@@ -1378,7 +1377,7 @@ class TestPrimitives:
         )
         sequential = DensityMatrix(rho)
         for pair in pairs:
-            sequential.apply_unitary(context.zz_unitary(angle), list(pair))
+            sequential.apply_unitary(_zz_unitary(angle), list(pair))
         assert np.max(np.abs(fused.data - sequential.data)) <= 1e-12
 
     def test_two_qubit_relaxation_matches_expand(self):

@@ -1,4 +1,4 @@
-"""Tests for M3, CVaR, ZNE and classical shadows."""
+"""Tests for M3 and CVaR."""
 
 import numpy as np
 import pytest
@@ -6,19 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from repro.circuits import QuantumCircuit
 from repro.exceptions import MitigationError
-from repro.mitigation import (
-    ClassicalShadowEstimator,
-    M3Mitigator,
-    cvar_expectation,
-    fold_circuit,
-    richardson_extrapolate,
-    zne_expectation,
-)
+from repro.mitigation import M3Mitigator, cvar_expectation
 from repro.mitigation.m3 import QuasiDistribution
 from repro.noise import ReadoutError
-from repro.simulators import simulate_statevector
 
 
 class TestM3:
@@ -282,100 +273,3 @@ class TestCVaR:
             for alpha in (0.1, 0.3, 0.6, 1.0)
         ]
         assert values == sorted(values, reverse=True)
-
-
-class TestZNE:
-    def test_fold_preserves_unitary(self):
-        from repro.utils.linalg import process_fidelity
-        from repro.simulators import circuit_to_unitary
-
-        qc = QuantumCircuit(2)
-        qc.h(0).cx(0, 1).rz(0.4, 1)
-        folded = fold_circuit(qc, 3)
-        assert folded.size() == 3 * qc.size()
-        assert process_fidelity(
-            circuit_to_unitary(folded), circuit_to_unitary(qc)
-        ) > 1 - 1e-9
-
-    def test_fold_keeps_measurements(self):
-        qc = QuantumCircuit(1)
-        qc.x(0)
-        qc.measure_all()
-        folded = fold_circuit(qc, 3)
-        assert folded.count_ops()["measure"] == 1
-        assert folded.count_ops()["x"] == 3
-
-    def test_even_scale_rejected(self):
-        with pytest.raises(MitigationError):
-            fold_circuit(QuantumCircuit(1), 2)
-
-    def test_richardson_linear(self):
-        # y = 1 - 0.1 s  -> extrapolates to 1.0
-        assert richardson_extrapolate(
-            [1, 3], [0.9, 0.7]
-        ) == pytest.approx(1.0)
-
-    def test_richardson_validation(self):
-        with pytest.raises(MitigationError):
-            richardson_extrapolate([1], [0.9])
-        with pytest.raises(MitigationError):
-            richardson_extrapolate([1, 1], [0.9, 0.8])
-
-    def test_zne_on_simulated_decay(self):
-        # emulate an observable decaying exponentially with circuit length
-        def evaluate(circuit):
-            return float(np.exp(-0.05 * circuit.size()))
-
-        qc = QuantumCircuit(1)
-        for _ in range(4):
-            qc.x(0)
-        estimate, values = zne_expectation(qc, evaluate, (1, 3, 5))
-        assert len(values) == 3
-        assert estimate > values[0] > values[1] > values[2]
-
-
-class TestClassicalShadows:
-    def _collect(self, base_circuit, estimator, snapshots, seed=0):
-        rng = np.random.default_rng(seed)
-        for bases in estimator.sample_bases(snapshots):
-            circuit = estimator.measurement_circuit(base_circuit, bases)
-            state = simulate_statevector(
-                circuit.remove_final_measurements()
-            )
-            counts = state.sample_counts(1, seed=int(rng.integers(2**31)))
-            outcome = next(iter(counts))
-            estimator.add_snapshot(bases, outcome)
-
-    def test_zz_estimate_on_product_state(self):
-        qc = QuantumCircuit(2)
-        qc.x(0)  # |01>: Z0 Z1 = -1
-        estimator = ClassicalShadowEstimator(2, seed=1)
-        self._collect(qc, estimator, 1500)
-        estimate = estimator.expectation_zz(0, 1)
-        assert estimate == pytest.approx(-1.0, abs=0.35)
-
-    def test_expected_cut_estimate(self):
-        from repro.problems import MaxCutProblem, three_regular_6
-
-        problem = MaxCutProblem(three_regular_6())
-        qc = QuantumCircuit(6)
-        for q in (0, 2, 4):
-            qc.x(q)  # the optimal partition 010101
-        estimator = ClassicalShadowEstimator(6, seed=2)
-        self._collect(qc, estimator, 2500)
-        estimate = estimator.expected_cut(problem.edges)
-        assert estimate == pytest.approx(9.0, abs=1.5)
-
-    def test_label_validation(self):
-        estimator = ClassicalShadowEstimator(2)
-        with pytest.raises(MitigationError):
-            estimator.expectation_pauli("ZZZ")
-        with pytest.raises(MitigationError):
-            estimator.expectation_pauli("ZZ")  # no snapshots yet
-
-    def test_measured_circuit_rejected(self):
-        estimator = ClassicalShadowEstimator(1)
-        qc = QuantumCircuit(1)
-        qc.measure_all()
-        with pytest.raises(MitigationError):
-            estimator.measurement_circuit(qc, [0])

@@ -289,19 +289,20 @@ class TestStabilizerDispatch:
             )
 
     def test_mismatched_channel_width_rejected(self, backend):
-        # a 1-qubit depolarizing channel misattached to cx: amplitude
-        # back-ends raise, so the tableau must refuse too (and auto
-        # must not dispatch to it)
+        # a 1-qubit depolarizing channel misattached to cx: every
+        # back-end refuses it with the same error when it compiles the
+        # circuit (and auto must not dispatch to the tableau)
         noise = NoiseModel(backend.num_qubits)
         noise.add_depolarizing_error("cx", 0.2)  # num_qubits defaults 1
         circuit = clifford_circuit(13, seed=0)
         resolved = select_method(circuit, backend.target, noise)
         assert resolved != "stabilizer"
-        with pytest.raises(BackendError, match="1-qubit noise channel"):
-            execute_circuit(
-                circuit, backend.target, noise, shots=8, seed=0,
-                method="stabilizer",
-            )
+        for method in ("stabilizer", "trajectory"):
+            with pytest.raises(BackendError, match="1-qubit noise channel"):
+                execute_circuit(
+                    circuit, backend.target, noise, shots=8, seed=0,
+                    method=method,
+                )
 
     def test_explicit_stabilizer_on_non_pauli_noise_raises(self, backend):
         with pytest.raises(BackendError, match="not a Pauli mixture"):
@@ -377,17 +378,13 @@ class TestStabilizerAgreement:
             _CircuitPlan,
             _compile_stabilizer_program,
             _evolve_exact,
-            _RunContext,
         )
         from repro.simulators.stabilizer import _replay
 
         for n, seed in ((4, 0), (6, 1), (8, 2)):
             circuit = clifford_circuit(n, seed=seed)
             plan = _CircuitPlan(circuit, backend.target)
-            context = _RunContext(backend.target)
-            program, _ = _compile_stabilizer_program(
-                plan, circuit, None, None, 0.5, context, backend.target
-            )
+            program, _ = _compile_stabilizer_program(plan, None, None, 0.5)
             tableau = StabilizerTableau(plan.num_local)
             _replay(tableau, program.steps, None)
             positions = [plan.local[q] for q in plan.measured_qubits]
