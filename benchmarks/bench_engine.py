@@ -25,10 +25,6 @@ circuits and seeds.
 Every entry records the simulation ``method`` it exercises, and the
 JSON carries a ``schema`` block so the perf trajectory stays comparable
 across PRs.
-
-The sharding layer above this engine has its own companion suite:
-``benchmarks/bench_service.py`` emits ``BENCH_service.json`` with the
-worker-count scaling curve and store-replay numbers (see SERVICE.md).
 """
 
 import json
@@ -997,12 +993,11 @@ def _run_stabilizer_packed_vs_pershot(
 
 
 def _stabilizer_service_counts(circuit, target, noise, shots, jobs):
-    """Counts for ``circuit`` run through a ``jobs``-worker service.
+    """Counts for ``circuit`` run through a ``jobs``-worker pool.
 
-    Builds a throwaway line backend around the bench target/noise
-    (stabilizer jobs shard whole — only the trajectory method fans out
-    into slices — so two copies of the circuit exercise the sharding
-    path) and returns the first copy's counts.
+    Builds a throwaway line backend around the bench target/noise (two
+    copies of the circuit make a batch the pool splits) and returns the
+    first copy's counts.
     """
     from repro.backends.backend import SimulatedBackend
     from repro.hamiltonian.system import DeviceModel

@@ -4,10 +4,9 @@ Builds the paper's task-1 Max-Cut problem, trains the gate-level baseline
 and the hybrid gate-pulse model on the simulated ibmq_toronto, and prints
 both approximation ratios.  Runtime: ~30 s.
 
-``--jobs N`` shards batched evaluations across an
-:class:`~repro.service.ExecutionService` worker pool; results are
-seed-identical to the single-process run, and the example falls back to
-one process when a pool cannot start.
+``--jobs N`` splits the closing gamma sweep (one multi-circuit batch)
+across N worker processes; training scores one circuit at a time and
+runs inline.  Results are seed-identical to the single-process run.
 
 Run:  python examples/quickstart.py [--jobs 4]
 """
@@ -24,50 +23,22 @@ from repro.core import (
     train_model,
 )
 from repro.problems import MaxCutProblem, three_regular_6
-from repro.service import ExecutionService, SweepJob
 from repro.vqa import ExpectedCutCost
 from repro.vqa.optimizers import COBYLA
 
 
-def make_service(backend, jobs: int) -> ExecutionService:
-    """The backend's shared service, with a graceful inline fallback.
-
-    ``start()`` round-trips a probe task through the pool, so hosts
-    where worker processes cannot start fall back to one process here
-    instead of crashing mid-run.  Reusing ``backend.execution_service``
-    shares the pool the training pipeline already warmed.
-    """
-    if jobs > 1:
-        try:
-            return backend.execution_service(jobs).start()
-        except Exception as exc:  # no usable multiprocessing: fall back
-            print(f"(worker pool unavailable ({exc}); running inline)")
-    return backend.execution_service(1)
-
-
-def sweep_demo(backend, problem, pipeline, model, result, jobs: int) -> None:
-    """Score a gamma sweep around the trained optimum as service jobs."""
+def sweep_demo(pipeline, model, result) -> None:
+    """Score a gamma sweep around the trained optimum as one batch."""
     best = np.asarray(result.best_parameters, dtype=float)
     circuits = [
-        pipeline.prepare(
-            model.build_circuit(np.concatenate([[gamma], best[1:]]))
-        )
+        model.build_circuit(np.concatenate([[gamma], best[1:]]))
         for gamma in np.linspace(best[0] - 0.3, best[0] + 0.3, 8)
     ]
-    # the service is cached on the backend; main() closes it at the end
-    service = make_service(backend, jobs)
-    sweep = SweepJob(circuits, shots=1024, seed=7)
-    futures = [service.submit(job) for job in sweep.jobs()]
-    for _ in service.as_completed(futures):
-        pass  # results stream in as workers finish
-    cost = ExpectedCutCost(problem)
-    cuts = cost.evaluate_many(
-        [future.result().counts for future in futures]
-    )
-    mode = "inline" if not service.parallel else f"{service.workers} workers"
+    scored = pipeline.evaluate_many(circuits, seeds=list(range(8)))
+    cuts = [value for value, _info in scored]
     print(
-        f"\ngamma sweep around the optimum ({mode}): expected cut "
-        f"{min(cuts):.2f} .. {max(cuts):.2f} over 8 points"
+        f"\ngamma sweep around the optimum (jobs={pipeline.jobs}): "
+        f"expected cut {min(cuts):.2f} .. {max(cuts):.2f} over 8 points"
     )
 
 
@@ -77,7 +48,7 @@ def main() -> None:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for batched evaluations (default 1)",
+        help="worker processes for the gamma sweep's batch (default 1)",
     )
     args = parser.parse_args()
 
@@ -116,9 +87,7 @@ def main() -> None:
         "\ntrains a native pulse mixer (amplitude, phase, frequency)."
     )
 
-    sweep_demo(
-        backend, problem, pipeline, hybrid_model, hybrid_result, args.jobs
-    )
+    sweep_demo(pipeline, hybrid_model, hybrid_result)
     backend.close_services()
 
 

@@ -7,15 +7,12 @@ single backend.  Uses reduced iteration counts so it finishes in a few
 minutes; the full Fig. 6 reproduction lives in
 ``python -m repro.experiments fig6``.
 
-``--jobs N`` routes every stage's batched evaluations through the
-sharded :class:`~repro.service.ExecutionService` (identical numbers for
-any worker count; falls back to a single process when no pool can
-start).
+Every evaluation here scores one circuit, so it runs in this process;
+worker processes (``jobs=N``) only take multi-circuit batches, such as
+the Step-I duration search's.
 
-Run:  python examples/three_tasks_comparison.py [--jobs 4]
+Run:  python examples/three_tasks_comparison.py
 """
-
-import argparse
 
 from repro.backends import FakeToronto
 from repro.core import GateLevelModel, HybridGatePulseModel, HybridWorkflow
@@ -29,36 +26,9 @@ TASK_NAMES = {
 }
 
 
-def resolve_jobs(backend, jobs: int) -> int:
-    """Graceful fallback: probe the worker pool once, else go inline.
-
-    ``start()`` actually spins the pool up and runs a task through it
-    (creation alone is lazy and would not catch a broken
-    multiprocessing environment).
-    """
-    if jobs <= 1:
-        return 1
-    try:
-        backend.execution_service(jobs).start()
-        return jobs
-    except Exception as exc:
-        print(f"(worker pool unavailable ({exc}); running single-process)")
-        return 1
-
-
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for batched evaluations (default 1)",
-    )
-    args = parser.parse_args()
-
     backend = FakeToronto()
-    jobs = resolve_jobs(backend, args.jobs)
-    print(f"backend: {backend} (jobs={jobs})\n")
+    print(f"backend: {backend}\n")
     print(f"{'task':<22} | {'gate AR':>8} | {'hybrid AR':>9} | {'gain':>6}")
     print("-" * 56)
     for task in (1, 2, 3):
@@ -71,7 +41,6 @@ def main() -> None:
             optimizer_factory=lambda: COBYLA(maxiter=20),
             shots=1024,
             seed=100 + task,
-            jobs=jobs,
         )
         gate_ar = gate_workflow.run_stage("m3").approximation_ratio
 
@@ -85,7 +54,6 @@ def main() -> None:
             optimizer_factory=lambda: COBYLA(maxiter=20),
             shots=1024,
             seed=100 + task,
-            jobs=jobs,
         )
         hybrid_ar = hybrid_workflow.run_stage("m3").approximation_ratio
 
@@ -97,7 +65,6 @@ def main() -> None:
         "\n(paper Fig. 6 shows the hybrid model ahead on every task; the"
         "\nfull-budget reproduction is `python -m repro.experiments fig6`)"
     )
-    backend.close_services()
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ The most commonly used names are re-exported here; see DESIGN.md for the
 full subsystem map.
 
 Logging: every module logs under the ``repro`` root logger
-(``repro.service``, ``repro.telemetry``, ...), which carries a
+(``repro.telemetry``, ...), which carries a
 :class:`logging.NullHandler` — the library never calls ``basicConfig``
 or installs real handlers, so importing it cannot hijack an
 application's logging setup.  To see repro's warnings, configure your

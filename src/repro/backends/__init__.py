@@ -6,7 +6,6 @@ from repro.backends.engine import (
     autodetect_method_budgets,
     execute_circuit,
     execute_circuits,
-    merge_trajectory_results,
     method_names,
     method_qubit_budget,
     method_qubit_budgets,
@@ -43,7 +42,6 @@ __all__ = [
     "autodetect_method_budgets",
     "execute_circuit",
     "execute_circuits",
-    "merge_trajectory_results",
     "method_names",
     "method_qubit_budget",
     "method_qubit_budgets",

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.backends.engine import _plan_and_method, execute_circuits
+from repro.backends.engine import execute_circuits
 from repro.backends.result import Result
 from repro.backends.target import Target
 from repro.circuits.circuit import QuantumCircuit
@@ -64,8 +64,7 @@ class SimulatedBackend:
         self._pulse_unitary_cache = LRUCache(
             maxsize=2048, name=f"pulse_unitary[{name}]"
         )
-        # sharded execution services keyed by worker count; see
-        # execution_service()
+        # worker pools keyed by worker count; see execution_service()
         self._services: dict = {}
 
     # ------------------------------------------------------------------
@@ -89,7 +88,6 @@ class SimulatedBackend:
         method: str = "auto",
         trajectories: int | str | None = None,
         target_error: float | None = None,
-        trajectory_slice: tuple[int, int] | None = None,
         trajectory_batch: int | None = None,
         stabilizer_shot_batch: int | None = None,
     ) -> Result:
@@ -105,8 +103,8 @@ class SimulatedBackend:
         ``method`` picks the simulation back-end per circuit
         (``"auto"`` — the default — resolves via
         :func:`~repro.backends.engine.select_method`);
-        ``trajectories`` / ``target_error`` / ``trajectory_slice`` /
-        ``trajectory_batch`` configure the trajectory back-end.
+        ``trajectories`` / ``target_error`` / ``trajectory_batch``
+        configure the trajectory back-end.
         ``trajectories="auto"`` enables adaptive allocation: rounds of
         trajectories run until the counts-distribution standard error
         meets ``target_error`` (see PERFORMANCE.md).
@@ -114,14 +112,14 @@ class SimulatedBackend:
         phase-batched shot kernel (``1`` = the sequential reference;
         counts are byte-identical at every value).
 
-        ``jobs > 1`` shards the batch across the backend's persistent
-        :class:`~repro.service.futures.ExecutionService` worker pool —
-        including a *single* trajectory-method circuit, whose
-        trajectory range fans out as sub-jobs.  Per-circuit seeds are
-        resolved *before* sharding and per-trajectory RNG derives from
-        them, so ``jobs=N`` returns byte-identical counts to
-        ``jobs=1``.
+        ``jobs > 1`` splits a batch of two or more circuits across the
+        backend's persistent :class:`~repro.service.ExecutionService`
+        pool; a single circuit runs inline.  Per-circuit seeds are
+        resolved before the split, so ``jobs=N`` returns byte-identical
+        counts to ``jobs=1``.
         """
+        if jobs < 1:
+            raise BackendError(f"jobs must be >= 1, got {jobs}")
         if isinstance(circuits, QuantumCircuit):
             circuits = [circuits]
         with telemetry_span(
@@ -138,30 +136,18 @@ class SimulatedBackend:
                     else None
                     for index in range(len(circuits))
                 ]
-            noise_model = self.noise_model if with_noise else None
-            resolved = None
-            if jobs > 1 and trajectory_slice is None and len(circuits) == 1:
-                # one plan and one method ranking serve both the pooling
-                # decision and the execution
-                resolved = _plan_and_method(
-                    circuits[0], self.target, noise_model, method
-                )
-            if jobs > 1 and trajectory_slice is None and (
-                len(circuits) > 1
-                or (resolved is not None and resolved[1] == "trajectory")
-            ):
-                service = self.execution_service(jobs)
-                experiments, meta = service.run_batch(
-                    circuits,
-                    shots=shots,
-                    seeds=seeds,
-                    with_noise=with_noise,
-                    with_readout_error=with_readout_error,
-                    method=method,
-                    trajectories=trajectories,
-                    target_error=target_error,
-                    trajectory_batch=trajectory_batch,
-                    stabilizer_shot_batch=stabilizer_shot_batch,
+            options = dict(
+                shots=shots,
+                with_readout_error=with_readout_error,
+                method=method,
+                trajectories=trajectories,
+                target_error=target_error,
+                trajectory_batch=trajectory_batch,
+                stabilizer_shot_batch=stabilizer_shot_batch,
+            )
+            if jobs > 1 and len(circuits) > 1:
+                experiments, meta = self.execution_service(jobs).run_batch(
+                    circuits, seeds, with_noise=with_noise, **options
                 )
                 return Result(
                     experiments,
@@ -172,44 +158,35 @@ class SimulatedBackend:
             experiments = execute_circuits(
                 circuits,
                 target=self.target,
-                noise_model=noise_model,
-                shots=shots,
+                noise_model=self.noise_model if with_noise else None,
                 seeds=seeds,
                 unitary_provider=self.pulse_unitary,
-                with_readout_error=with_readout_error,
-                method=method,
-                trajectories=trajectories,
-                target_error=target_error,
-                trajectory_slice=trajectory_slice,
-                trajectory_batch=trajectory_batch,
-                stabilizer_shot_batch=stabilizer_shot_batch,
-                _resolved=None if resolved is None else [resolved],
+                **options,
             )
             return Result(
                 experiments, backend_name=self.name, shots=shots
             )
 
     def execution_service(self, jobs: int):
-        """This backend's persistent sharded execution service.
+        """This backend's persistent ``jobs``-process pool.
 
-        Created lazily on first use and reused for every later
-        ``run(..., jobs=N)`` call with the same worker count, so one
-        optimizer run pays the pool start-up (fork + cache warm) once.
-        Build an :class:`~repro.service.futures.ExecutionService`
-        directly for a store, backpressure or other non-default
-        options.  Call :meth:`close_services` to tear the pools down.
+        Created on first use and reused for every later
+        ``run(..., jobs=N)`` batch with the same worker count, so one
+        optimizer run pays the pool start-up (fork + warm-up) once.  A
+        service that was shut down is replaced by a new one.  Call
+        :meth:`close_services` to shut the pools down.
         """
-        from repro.service.futures import ExecutionService
+        from repro.service import ExecutionService
 
         jobs = int(jobs)
         service = self._services.get(jobs)
-        if service is None:
-            service = ExecutionService(self, jobs=jobs)
+        if service is None or service.closed:
+            service = ExecutionService(self, jobs)
             self._services[jobs] = service
         return service
 
     def close_services(self) -> None:
-        """Shut down any worker pools this backend spawned."""
+        """Shut down and join every worker pool this backend started."""
         for service in self._services.values():
             service.shutdown()
         self._services.clear()

@@ -113,12 +113,7 @@ from repro.circuits.gates import (
     PulseGate,
     StandardGate,
 )
-from repro.exceptions import (
-    BackendError,
-    ReproError,
-    SimulatorError,
-    TransientError,
-)
+from repro.exceptions import BackendError, SimulatorError
 from repro.noise.channels import KrausChannel
 from repro.noise.model import NoiseModel
 from repro.simulators.density_matrix import (
@@ -204,35 +199,6 @@ def __getattr__(name: str):
 def default_trajectory_count(shots: int) -> int:
     """Trajectory count used when the caller does not pin one."""
     return max(1, min(int(shots), DEFAULT_TRAJECTORIES))
-
-
-def classify_error(exc: BaseException) -> str:
-    """Sort an execution failure into ``"transient"`` or ``"permanent"``.
-
-    The execution service retries transient failures (same job, same
-    seed — simulation is side-effect-free, so a retry is always safe
-    and, with the seed carried along, byte-identical) and quarantines
-    permanent ones.  The taxonomy:
-
-    * **permanent** — every :class:`~repro.exceptions.ReproError`
-      except :class:`~repro.exceptions.TransientError`: validation,
-      budget and physics errors are deterministic functions of the job,
-      so re-running cannot change the outcome.  ``MemoryError`` is also
-      permanent: the same state vector will not fit on the second try.
-    * **transient** — :class:`~repro.exceptions.TransientError`,
-      broken/timed-out executors (a worker died or hung — the job
-      itself may be innocent), ``OSError`` (disk / pipe hiccups) and
-      pipe-teardown artefacts (``EOFError``, ``BrokenPipeError``).
-      Unrecognised exceptions default to transient: retries are bounded
-      and side-effect-free, so the cost of retrying a deterministic bug
-      a few times is far lower than the cost of killing a long batch
-      over an infrastructure blip the taxonomy does not know yet.
-    """
-    if isinstance(exc, TransientError):
-        return "transient"
-    if isinstance(exc, (MemoryError, ReproError)):
-        return "permanent"
-    return "transient"
 
 
 def resolve_trajectory_request(
@@ -659,22 +625,6 @@ def select_method(
     return rank_methods(plan, noise_model)[0].name
 
 
-def _plan_and_method(
-    circuit: QuantumCircuit,
-    target: Target,
-    noise_model: NoiseModel | None,
-    method: str,
-) -> tuple[_CircuitPlan, str]:
-    """``circuit``'s plan and the method ``method`` resolves to on it."""
-    with telemetry_span("engine.plan"):
-        plan = _CircuitPlan(circuit, target)
-    with telemetry_span("engine.select_method", requested=method):
-        resolved = select_method(
-            circuit, target, noise_model, method, _plan=plan
-        )
-    return plan, resolved
-
-
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
@@ -698,7 +648,6 @@ class _ExecutionRequest:
         "with_readout_error",
         "trajectories",
         "target_error",
-        "trajectory_slice",
         "trajectory_batch",
         "stabilizer_shot_batch",
     )
@@ -711,7 +660,6 @@ class _ExecutionRequest:
     with_readout_error: bool
     trajectories: int | str | None
     target_error: float | None
-    trajectory_slice: tuple[int, int] | None
     trajectory_batch: int | None
     stabilizer_shot_batch: int | None
 
@@ -728,10 +676,8 @@ def execute_circuit(
     method: str = "auto",
     trajectories: int | str | None = None,
     target_error: float | None = None,
-    trajectory_slice: tuple[int, int] | None = None,
     trajectory_batch: int | None = None,
     stabilizer_shot_batch: int | None = None,
-    _resolved: tuple[_CircuitPlan, str] | None = None,
 ) -> ExperimentResult:
     """Run one circuit and sample measurement outcomes.
 
@@ -744,10 +690,8 @@ def execute_circuit(
     ``method="statevector"`` on a noisy circuit deliberately drops every
     channel that would act on the state (readout error still applies) —
     that is the noiseless escape hatch, not an approximation of the
-    noise.  ``trajectories`` / ``trajectory_slice`` configure the
-    trajectory back-end: counts for slice ``[a, b)`` merged with the
-    complementary slices are identical to one full run at the same seed.
-    ``trajectories="auto"`` (or a bare ``target_error``) switches the
+    noise.  ``trajectories`` pins the trajectory back-end's trajectory
+    count; ``trajectories="auto"`` (or a bare ``target_error``) switches the
     trajectory back-end to adaptive allocation: trajectories run in
     rounds until the estimated counts-distribution standard error drops
     to ``target_error``.  ``trajectory_batch`` bounds how many
@@ -756,11 +700,6 @@ def execute_circuit(
     ``stabilizer_shot_batch`` is the tableau back-end's analogue: how
     many shots its phase-batched kernel stacks per round — likewise
     byte-identical at every value, with ``1`` the sequential reference.
-
-    ``_resolved`` is a ``(plan, method)`` pair from
-    :func:`_plan_and_method` for a caller that already planned the
-    circuit to make its own decision (``SimulatedBackend.run`` deciding
-    whether to pool one circuit), so the circuit is planned once.
     """
     if trajectory_batch is not None and trajectory_batch < 1:
         raise BackendError("trajectory_batch must be >= 1")
@@ -769,24 +708,18 @@ def execute_circuit(
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
     with telemetry_span("engine.execute", shots=int(shots)) as exec_span:
-        plan, resolved = (
-            _resolved
-            if _resolved is not None
-            else _plan_and_method(circuit, target, noise_model, method)
-        )
+        with telemetry_span("engine.plan"):
+            plan = _CircuitPlan(circuit, target)
+        with telemetry_span("engine.select_method", requested=method):
+            resolved = select_method(
+                circuit, target, noise_model, method, _plan=plan
+            )
         descriptor = method_descriptor(resolved)
         if exec_span:
             exec_span.annotate(
                 method=resolved,
                 qubits=plan.num_local,
                 depth=len(plan.layers),
-            )
-        if trajectory_slice is not None and resolved != "trajectory":
-            # a sliced sub-job running the full exact path would return
-            # full-shot counts per slice and the merge would multiply shots
-            raise BackendError(
-                f"trajectory_slice given but the resolved method is "
-                f"{resolved!r}; slices only apply to method='trajectory'"
             )
         check_qubit_budget(
             resolved, plan.num_local, plan=plan, noise_model=noise_model
@@ -820,7 +753,6 @@ def execute_circuit(
                     with_readout_error=with_readout_error,
                     trajectories=trajectories,
                     target_error=target_error,
-                    trajectory_slice=trajectory_slice,
                     trajectory_batch=trajectory_batch,
                     stabilizer_shot_batch=stabilizer_shot_batch,
                 ),
@@ -1513,16 +1445,9 @@ def _execute_trajectory(
     plan: _CircuitPlan, request: _ExecutionRequest
 ) -> ExperimentResult:
     shots = request.shots
-    trajectory_slice = request.trajectory_slice
     total, resolved_target_error = resolve_trajectory_request(
         request.trajectories, request.target_error, shots
     )
-    if total is None and trajectory_slice is not None:
-        raise BackendError(
-            "adaptive trajectory allocation (trajectories='auto') cannot "
-            "run a trajectory slice: the total count is only known once "
-            "the run converges; pin an integer trajectory count to slice"
-        )
     with telemetry_span("engine.compile", method="trajectory"):
         program, total_duration = _compile_trajectory_program(
             plan,
@@ -1560,7 +1485,6 @@ def _execute_trajectory(
                 request.seed,
                 measured_positions=measured_positions,
                 readout=readout,
-                trajectory_slice=trajectory_slice,
                 batch_size=request.trajectory_batch,
             )
     observed = sorted(outcome_counts)
@@ -1570,7 +1494,7 @@ def _execute_trajectory(
     metadata = _result_metadata(plan, "trajectory")
     metadata["trajectories"] = total
     if adaptive_info is not None:
-        # flat scalar keys so the result survives the on-disk store
+        # flat scalar keys keep the metadata JSON-serialisable
         metadata["adaptive"] = True
         metadata["adaptive_rounds"] = adaptive_info["rounds"]
         metadata["adaptive_target_error"] = adaptive_info["target_error"]
@@ -1578,39 +1502,7 @@ def _execute_trajectory(
             "achieved_error"
         ]
         metadata["adaptive_converged"] = adaptive_info["converged"]
-    if trajectory_slice is not None:
-        metadata["trajectory_slice"] = (
-            int(trajectory_slice[0]),
-            int(trajectory_slice[1]),
-        )
     return ExperimentResult(counts, total_duration, metadata=metadata)
-
-
-def merge_trajectory_results(
-    parts: Sequence[ExperimentResult],
-) -> ExperimentResult:
-    """Merge partial (sliced) trajectory results into one experiment.
-
-    The counts are summed and re-sorted by outcome, so the merged
-    result is identical — counts, duration and metadata — to a single
-    full-range run at the same seed, no matter how the trajectory range
-    was partitioned.
-    """
-    if not parts:
-        raise BackendError("nothing to merge")
-    if len(parts) == 1 and "trajectory_slice" not in parts[0].metadata:
-        return parts[0]
-    merged: dict[str, int] = {}
-    for part in parts:
-        for key, value in part.counts.items():
-            merged[key] = merged.get(key, 0) + int(value)
-    metadata = dict(parts[0].metadata)
-    metadata.pop("trajectory_slice", None)
-    return ExperimentResult(
-        Counts({key: merged[key] for key in sorted(merged)}),
-        parts[0].duration,
-        metadata=metadata,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1735,10 +1627,8 @@ def execute_circuits(
     method: str = "auto",
     trajectories: int | str | None = None,
     target_error: float | None = None,
-    trajectory_slice: tuple[int, int] | None = None,
     trajectory_batch: int | None = None,
     stabilizer_shot_batch: int | None = None,
-    _resolved: Sequence[tuple[_CircuitPlan, str]] | None = None,
 ) -> list[ExperimentResult]:
     """Run a batch of circuits, amortizing shared derivation work.
 
@@ -1756,12 +1646,8 @@ def execute_circuits(
     sequentially, which is likewise identical to sequential calls).
 
     ``method`` / ``trajectories`` / ``target_error`` /
-    ``trajectory_slice`` / ``trajectory_batch`` /
-    ``stabilizer_shot_batch`` apply uniformly to every circuit of the
-    batch (``"auto"`` resolves per circuit).
-
-    ``_resolved`` holds one :func:`_plan_and_method` pair per circuit,
-    passed on to :func:`execute_circuit`.
+    ``trajectory_batch`` / ``stabilizer_shot_batch`` apply uniformly to
+    every circuit of the batch (``"auto"`` resolves per circuit).
     """
     circuits = list(circuits)
     if seeds is not None:
@@ -1777,8 +1663,6 @@ def execute_circuits(
             derive_seed(seed, "batch", index)
             for index in range(len(circuits))
         ]
-    if _resolved is None:
-        _resolved = [None] * len(circuits)
     return [
         execute_circuit(
             circuit,
@@ -1792,14 +1676,10 @@ def execute_circuits(
             method=method,
             trajectories=trajectories,
             target_error=target_error,
-            trajectory_slice=trajectory_slice,
             trajectory_batch=trajectory_batch,
             stabilizer_shot_batch=stabilizer_shot_batch,
-            _resolved=resolved,
         )
-        for circuit, circuit_seed, resolved in zip(
-            circuits, seeds, _resolved
-        )
+        for circuit, circuit_seed in zip(circuits, seeds)
     ]
 
 

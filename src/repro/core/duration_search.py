@@ -19,7 +19,7 @@ the repository's default device it lands at 128 dt, the paper's number
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,21 +54,19 @@ def binary_search_mixer_duration(
     minimum: int = GAUSSIAN_GRANULARITY,
     seed: int | None = None,
     evaluations_per_point: int = 2,
-    jobs: int | None = None,
 ) -> DurationSearchResult:
     """Find the minimal feasible mixer duration (multiple of 32 dt).
 
-    ``jobs`` shards the per-candidate evaluation batches of the duration
-    grid across the execution service's workers (the amplitude
-    feasibility check stays a pure-math pre-gate that costs no
-    executions); seeds derive exactly as the sequential loop's, so the
-    search trajectory is identical for any worker count.
+    Each candidate's ``evaluations_per_point`` repetitions go through
+    :meth:`ExecutionPipeline.evaluate_many` as one batch, which
+    ``pipeline.jobs > 1`` splits across worker processes (the amplitude
+    feasibility check is a pure-math pre-gate that costs no
+    executions); seeds derive exactly as a sequential loop's, so the
+    search is identical for any worker count.
     """
     reference = model.mixer_pulse_duration
     if reference % GAUSSIAN_GRANULARITY or minimum % GAUSSIAN_GRANULARITY:
         raise ProblemError("durations must be multiples of 32 dt")
-    if jobs is not None and jobs != pipeline.jobs:
-        pipeline = replace(pipeline, jobs=jobs)
     problem = model.problem
 
     def evaluate(duration: int, salt: int) -> float:

@@ -12,7 +12,7 @@ mapping, CVaR coefficient 0.3).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,8 +59,9 @@ class ExecutionPipeline:
     use_m3: bool = False
     shots: int = 1024
     routing_seed: int = 11
-    #: worker-pool width for batched evaluations; 1 = inline (see
-    #: SERVICE.md — results are seed-identical for any value)
+    #: worker processes for multi-circuit batches (``evaluate_many``,
+    #: today the PO search's); single evaluations run inline, and
+    #: results are seed-identical for any value (:mod:`repro.service`)
     jobs: int = 1
     #: simulation method for every execution ("auto" dispatches per
     #: circuit; see PERFORMANCE.md "Simulation methods")
@@ -89,6 +90,8 @@ class ExecutionPipeline:
         # fail at construction, not hundreds of evaluations in: the
         # registry knows every valid method (plugins included)
         check_method_name(self.method)
+        if self.jobs < 1:
+            raise BackendError(f"jobs must be >= 1, got {self.jobs}")
 
     def resolved_layout(self, num_qubits: int) -> list[int]:
         layout = (
@@ -253,24 +256,13 @@ def train_model(
     optimizer: Optimizer,
     seed: int | None = None,
     initial_point: Sequence[float] | None = None,
-    jobs: int | None = None,
 ) -> TrainResult:
     """Optimise ``model`` through ``pipeline`` with ``optimizer``.
 
     The objective is the negated cost (optimizers minimise); every
     evaluation uses a fresh derived shot-noise seed so the optimizer sees
     realistic sampling noise, as on hardware.
-
-    The objective also exposes a batched form (``objective.many``):
-    optimizers that evaluate several candidate points per step (SPSA's
-    paired perturbations, population methods) score the whole population
-    through :meth:`ExecutionPipeline.evaluate_many` in one call, which
-    the execution service can shard across ``jobs`` workers.  Evaluation
-    numbering — and therefore every derived shot seed — matches the
-    sequential path exactly, so results are identical for any ``jobs``.
     """
-    if jobs is not None and jobs != pipeline.jobs:
-        pipeline = replace(pipeline, jobs=jobs)
     trace = ConvergenceTrace()
     counter = {"n": 0}
 
@@ -282,22 +274,6 @@ def train_model(
         )
         trace.record(values, value)
         return -value
-
-    def objective_many(points: Sequence[np.ndarray]) -> list[float]:
-        circuits = []
-        eval_seeds = []
-        for values in points:
-            counter["n"] += 1
-            circuits.append(model.build_circuit(values))
-            eval_seeds.append(derive_seed(seed, "eval", counter["n"]))
-        scored = pipeline.evaluate_many(circuits, seeds=eval_seeds)
-        out = []
-        for values, (value, _info) in zip(points, scored):
-            trace.record(values, value)
-            out.append(-value)
-        return out
-
-    objective.many = objective_many
 
     if initial_point is None:
         initial_point = model.initial_point(derive_seed(seed, "init"))

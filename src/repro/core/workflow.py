@@ -77,8 +77,9 @@ class HybridWorkflow:
         self.shots = shots
         self.cvar_alpha = cvar_alpha
         self.seed = seed
-        #: worker-pool width for every stage's batched evaluations;
-        #: results are seed-identical for any value (SERVICE.md)
+        #: worker processes for every stage's multi-circuit batches
+        #: (today the PO search's); results are seed-identical for any
+        #: value (:mod:`repro.service`)
         self.jobs = jobs
         #: simulation method + trajectory allocation for every stage's
         #: executions (PERFORMANCE.md "Simulation methods"); any method

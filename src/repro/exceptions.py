@@ -48,32 +48,6 @@ class BackendError(ReproError):
     """Backend execution failure or invalid run configuration."""
 
 
-class TransientError(ReproError):
-    """Infrastructure hiccup — retrying the *same* work may succeed.
-
-    Raising (or wrapping into) this class is how a component tells the
-    execution service that a failure is worth retrying: the service's
-    error taxonomy (:func:`repro.backends.engine.classify_error`)
-    treats every ``TransientError`` as retryable, while other
-    :class:`ReproError` subclasses are deterministic and permanent.
-    """
-
-
-class QuarantineError(BackendError):
-    """One or more jobs failed permanently while the rest completed.
-
-    Raised by the execution service *after* the surviving jobs of a
-    batch have finished (and, when a store is attached, been
-    checkpointed), so a re-submission of the same batch re-executes
-    only the quarantined jobs.  ``failures`` holds one
-    :class:`repro.service.jobs.JobFailure` record per quarantined job.
-    """
-
-    def __init__(self, message: str, failures: list | None = None) -> None:
-        super().__init__(message)
-        self.failures = list(failures or [])
-
-
 class MitigationError(ReproError):
     """Error-mitigation routine received inconsistent inputs."""
 

@@ -63,8 +63,9 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for batched circuit evaluations; "
-        "results are seed-identical for any value",
+        help="worker processes for multi-circuit batches (today the "
+        "PO search's); single evaluations run inline, and results are "
+        "seed-identical for any value",
     )
     parser.add_argument(
         "--method",

@@ -26,8 +26,9 @@ class ExperimentConfig:
     cvar_alpha: float = 0.3
     seed: int = 2023
     quick: bool = False
-    #: worker-pool width for batched circuit evaluations (``--jobs``);
-    #: results are seed-identical for any value (see SERVICE.md)
+    #: worker processes for multi-circuit batches (``--jobs``), today
+    #: the PO search's; single evaluations run inline, and results are
+    #: seed-identical for any value (:mod:`repro.service`)
     jobs: int = 1
     #: simulation method for every circuit execution (``--method``);
     #: any method registered with the simulation-method registry, or

@@ -7,8 +7,7 @@ methods — ``density_matrix``, ``statevector``, ``trajectory`` and
 ``stabilizer`` — on import; anything else (a GPU kernel back-end, a
 tensor-network contractor) plugs in through the same
 :func:`register_method` call and immediately participates in ``auto``
-dispatch, budget enforcement, the CLI ``--method`` choices and the
-service store fingerprint.
+dispatch, budget enforcement and the CLI ``--method`` choices.
 
 A descriptor carries everything the engine's front-end needs to treat
 the method as a black box:
@@ -23,16 +22,12 @@ the method as a black box:
 * ``default_qubit_budget`` / ``escape_hatch`` — the shipped
   active-qubit cap and the method-specific advice appended to the
   budget-exceeded error;
-* ``version`` — bumped when the method's sampling semantics change;
-  the service store fingerprint folds it in (SERVICE.md, fingerprint
-  v4) so stale cached counts can never be served across a semantic
-  change;
 * ``state_bytes(num_qubits)`` — optional memory model used by
   :func:`autodetect_method_budgets` to derive RAM-based budgets.
 
 Budgets are dynamic: the current value is the descriptor default unless
-overridden via :func:`set_method_qubit_budget`.  The execution service
-serializes the current budgets into every shard dispatch
+overridden via :func:`set_method_qubit_budget`.  The worker pool
+(:mod:`repro.service`) serializes the current budgets into every shard
 (:func:`method_qubit_budgets` / :func:`adopt_method_budgets`) so pool
 workers resolve ``auto`` exactly like the parent even after runtime
 budget changes.
@@ -91,9 +86,6 @@ class MethodDescriptor:
     #: samples of the requested distribution; ``auto`` prefers exact
     #: methods and only falls back to statistical ones on cost
     statistical: bool = False
-    #: folded into the service store fingerprint (v4): bump when the
-    #: method's seeded sampling semantics change
-    version: int = 1
     #: optional ``f(num_qubits) -> bytes`` memory model for RAM-derived
     #: budgets (None = not memory-bound, budget stays at the default)
     state_bytes: Callable | None = None
@@ -191,7 +183,7 @@ def method_qubit_budget(method: str) -> int:
 def method_qubit_budgets() -> dict[str, int]:
     """Snapshot (a copy) of every budget currently in force.
 
-    The execution service serializes this snapshot into every shard it
+    The worker pool serializes this snapshot into every shard it
     dispatches, so ``auto`` resolves identically in every worker
     process even after :func:`set_method_qubit_budget` calls in the
     parent (see :func:`adopt_method_budgets`).

@@ -56,8 +56,8 @@ are all vectorised NumPy ops over the shot axis.  The per-shot uniform
 draw count is likewise structural, so drawing uniforms in shot-major
 blocks consumes the PCG64 stream in exactly the order the historical
 per-shot loop did: counts are **byte-identical at every batch size**
-(``shot_batch=1`` is the sequential reference), which is why the batch
-knob never enters store fingerprints.
+(``shot_batch=1`` is the sequential reference), so the batch knob is a
+pure performance setting.
 
 The circuit-to-program lowering (which channels fire where) lives in
 :mod:`repro.backends.engine`; this module only knows how to run a

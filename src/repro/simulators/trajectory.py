@@ -21,10 +21,8 @@ produces byte-identical counts.
 
 Shots are divided into per-trajectory groups
 (:func:`split_shots`); each trajectory owns an independent RNG derived
-via ``derive_seed(seed, "traj", t)``, so the accumulated counts are
-identical for **any** partition of the trajectory range across workers
-— the property the sharded execution service leans on when it fans a
-trajectory job out as sub-jobs.
+via ``derive_seed(seed, "traj", t)``, so a trajectory's draws do not
+depend on which batch or round it runs in.
 
 :func:`run_trajectories_adaptive` adds adaptive trajectory allocation:
 trajectories run in rounds and stop once the estimated standard error
@@ -177,8 +175,7 @@ def split_shots(shots: int, trajectories: int) -> list[int]:
     """Deterministic shot allotment: trajectory ``t`` gets ``out[t]`` shots.
 
     The first ``shots % trajectories`` trajectories carry one extra
-    shot, so any worker holding slice ``[a, b)`` can recompute its own
-    allotment without coordination.
+    shot.
     """
     if shots < 0 or trajectories < 1:
         raise SimulatorError(
@@ -452,18 +449,15 @@ def run_trajectories(
     seed: int | None | np.random.Generator,
     measured_positions: Sequence[int],
     readout=None,
-    trajectory_slice: tuple[int, int] | None = None,
     batch_size: int | None = None,
 ) -> dict[int, int]:
-    """Accumulate measurement counts over a range of trajectories.
+    """Accumulate measurement counts over ``trajectories`` trajectories.
 
     ``measured_positions`` are the (local) qubit positions marginalised
     into the outcome index (``positions[0]`` = output LSB); ``readout``
     is an optional :class:`~repro.noise.readout.ReadoutError` already
-    restricted to the measured qubits.  ``trajectory_slice`` bounds the
-    half-open trajectory range to run (default: all of them) — merged
-    counts are identical for any slicing because trajectory ``t``'s RNG
-    is ``derive_seed(seed, "traj", t)`` regardless of the slice.
+    restricted to the measured qubits.  Trajectory ``t``'s RNG is
+    ``derive_seed(seed, "traj", t)``.
 
     ``batch_size`` bounds how many trajectories are stacked per kernel
     call (default: as many as fit :data:`DEFAULT_BATCH_ELEMENTS`);
@@ -476,23 +470,9 @@ def run_trajectories(
         raise SimulatorError("run_trajectories needs measured positions")
     if batch_size is not None and batch_size < 1:
         raise SimulatorError("batch_size must be >= 1")
-    start, stop = trajectory_slice if trajectory_slice is not None else (
-        0,
-        trajectories,
-    )
-    if not (0 <= start < stop <= trajectories):
-        raise SimulatorError(
-            f"trajectory slice [{start}, {stop}) outside "
-            f"[0, {trajectories})"
-        )
     shared_rng = seed if isinstance(seed, np.random.Generator) else None
-    if shared_rng is not None and (start, stop) != (0, trajectories):
-        raise SimulatorError(
-            "a shared Generator seed cannot run a partial trajectory "
-            "slice reproducibly; pass an integer seed"
-        )
     allotment = split_shots(shots, trajectories)
-    live = [t for t in range(start, stop) if allotment[t] > 0]
+    live = [t for t in range(trajectories) if allotment[t] > 0]
     outcome_counts: dict[int, int] = {}
     if not live:
         return outcome_counts
@@ -677,7 +657,7 @@ def run_trajectories_adaptive(
         "rounds": rounds,
         "target_error": float(target_error),
         # None (not inf) when the cap stopped the run before a variance
-        # estimate existed — inf is not valid JSON for the result store
+        # estimate existed — inf is not valid JSON
         "achieved_error": None if math.isinf(achieved) else achieved,
         "converged": achieved <= target_error,
     }

@@ -4,10 +4,9 @@ The counting half of the telemetry layer.  Unlike spans (opt-in per
 execution), metrics are **always on** — incrementing an integer in a
 dict is cheap enough to leave unguarded — and are read out with
 :func:`metrics_snapshot`.  Pool workers return a baseline-diffed delta
-of their own registry inside each :class:`ShardResult` (the same way
-cache totals travel today), and the parent folds it in with
-:func:`merge_snapshot`, so a snapshot taken after a pooled run covers
-the whole pool.
+of their own registry with each shard's result, and the parent folds it
+in with :func:`merge_snapshot`, so a snapshot taken after a pooled run
+covers the whole pool.
 
 Metric identity is ``name`` plus an optional sorted label mapping,
 rendered as ``name{k=v,...}`` in snapshots.  Three instrument kinds:

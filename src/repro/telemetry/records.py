@@ -1,7 +1,7 @@
 """Durable per-execution telemetry records (compact JSONL).
 
 Each recorded execution appends one JSON object per line to a sink
-file, by default ``<result-store>/telemetry/records.jsonl``.  Records
+file (:func:`set_record_sink`).  Records
 are the durable third of the telemetry layer — spans die with the
 process, metrics die with the process, records accumulate across runs
 and feed the ``python -m repro.telemetry report`` CLI.
@@ -10,15 +10,15 @@ Record kinds:
 
 - ``execute`` — one simulated circuit: resolved method, qubits, depth,
   channel count, shots/trajectories, wall/CPU seconds.
-- ``batch`` — one service ``run_jobs`` call: job/worker/shard counts,
-  fault counters, store hits, wall seconds.
+- ``batch`` — one pooled ``ExecutionService.run_batch`` call: circuit,
+  worker and shard counts, wall seconds.
 
 Recording is **opt-in** (:func:`set_record_sink`) and fail-soft: sink
 I/O errors are swallowed after the first warning so a full disk can
 never fail an execution.  Pool workers never write the sink directly —
-they buffer via :func:`collect_records` and ship the buffer home in the
-``ShardResult``, so a single parent process owns the file and lines are
-never interleaved.
+they buffer via :func:`collect_records` and ship the buffer home with
+the shard's result, so a single parent process owns the file and lines
+are never interleaved.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def collect_records():
     """Buffer records in memory instead of writing the sink.
 
     Used by pool workers: the buffered list crosses the process
-    boundary in the ``ShardResult`` and the parent persists it with
+    boundary in the shard's result and the parent persists it with
     :func:`write_records`.  Yields the live list.
     """
     global _BUFFER
@@ -161,9 +161,8 @@ def iter_records(path):
     """Yield record dicts from a JSONL sink, skipping torn/corrupt lines.
 
     A crash mid-append can leave a truncated last line; tolerating bad
-    lines (rather than raising) mirrors how the result store degrades
-    torn entries to misses.  A missing or unreadable sink yields
-    nothing.
+    lines (rather than raising) keeps one torn line from hiding the
+    rest.  A missing or unreadable sink yields nothing.
     """
     try:
         handle = open(path, "r", encoding="utf-8")

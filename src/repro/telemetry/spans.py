@@ -3,9 +3,8 @@
 A *span* is one named, timed region of work (wall clock plus process CPU
 time, with free-form attributes); spans nest, and one traced execution
 produces a **trace tree** covering circuit compile, method selection,
-kernel execution, trajectory rounds, shard dispatch, worker warm-up,
-store get/put and fault-recovery events (see TELEMETRY.md for the span
-schema).
+kernel execution, trajectory rounds, shard dispatch and worker
+warm-up (see TELEMETRY.md for the span schema).
 
 Tracing is **off by default and off the RNG path entirely**: the span
 API never draws entropy, never mutates execution state, and every
@@ -29,10 +28,9 @@ Instrumentation sites use :func:`span` (context manager), :func:`traced`
 where work overlaps and cannot nest lexically — e.g. shards in flight).
 
 Cross-process spans: pool workers collect their own trace around each
-shard and ship the serialized tree back in the
-:class:`~repro.service.scheduler.ShardResult`; the parent grafts it
-under its dispatch span (:meth:`Span.graft`), so one trace tree spans
-the whole pool.
+shard and ship the serialized tree back with the shard's result; the
+parent grafts it under its ``shard.dispatch`` span (:meth:`Span.graft`),
+so one trace tree spans the whole pool.
 """
 
 from __future__ import annotations

@@ -72,28 +72,6 @@ class Optimizer:
             nfev += 1
             return value
 
-        # batched protocol: objectives may expose `.many(points)` so
-        # population-style optimizers (SPSA's paired perturbations)
-        # score all candidates in one sharded pipeline call; evaluation
-        # order is preserved, so histories and derived seeds match the
-        # sequential path exactly
-        raw_many = getattr(objective, "many", None)
-        if raw_many is not None:
-            def wrapped_many(points: Sequence[np.ndarray]) -> list[float]:
-                nonlocal nfev
-                clipped = [
-                    np.clip(np.asarray(p, dtype=float), lo, hi)
-                    if lo is not None
-                    else np.asarray(p, dtype=float)
-                    for p in points
-                ]
-                values = [float(v) for v in raw_many(clipped)]
-                history.extend(values)
-                nfev += len(values)
-                return values
-
-            wrapped.many = wrapped_many
-
         result = self._minimize(wrapped, x0, bounds)
         result.history = history
         result.nfev = nfev

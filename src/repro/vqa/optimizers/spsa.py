@@ -50,22 +50,12 @@ class SPSA(Optimizer):
         best_x = x.copy()
         best_f = np.inf
         nfev = 0
-        # the paired perturbations are independent, so score them as one
-        # two-point population when the objective supports batching (the
-        # execution service then shards them across workers); evaluation
-        # order matches the sequential calls, keeping seeds identical
-        many = getattr(objective, "many", None)
         for k in range(self.maxiter):
             ak = self.a / (k + 1 + stability) ** self.alpha
             ck = self.c / (k + 1) ** self.gamma
             delta = rng.choice([-1.0, 1.0], size=x.shape)
-            if many is not None:
-                f_plus, f_minus = many(
-                    [x + ck * delta, x - ck * delta]
-                )
-            else:
-                f_plus = objective(x + ck * delta)
-                f_minus = objective(x - ck * delta)
+            f_plus = objective(x + ck * delta)
+            f_minus = objective(x - ck * delta)
             nfev += 2
             gradient = (f_plus - f_minus) / (2 * ck) * delta
             x = x - ak * gradient

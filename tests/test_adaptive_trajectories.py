@@ -1,4 +1,4 @@
-"""Adaptive trajectory allocation, store keying and slice diagnostics."""
+"""Adaptive trajectory allocation."""
 
 import numpy as np
 import pytest
@@ -7,21 +7,12 @@ from repro.backends import (
     FakeGuadalupe,
     execute_circuit,
     resolve_trajectory_request,
-    set_method_qubit_budget,
 )
 from repro.backends.engine import DEFAULT_TARGET_ERROR
 from repro.circuits import QuantumCircuit
 from repro.core import ExecutionPipeline
 from repro.exceptions import BackendError, SimulatorError
 from repro.experiments.__main__ import main as experiments_main
-from repro.service import CircuitJob, ExecutionService, job_fingerprint
-from repro.service.jobs import describe_job
-from repro.service.scheduler import (
-    _initialize_worker,
-    _run_shard,
-    run_job_on_backend,
-    worker_backend_spec,
-)
 from repro.vqa.cost import ExpectedCutCost
 from repro.problems import MaxCutProblem, benchmark_graph
 
@@ -132,14 +123,6 @@ class TestAdaptiveAllocation:
                     trajectory_batch=0,
                 )
 
-    def test_auto_cannot_slice(self, backend):
-        with pytest.raises(BackendError, match="cannot run a trajectory"):
-            execute_circuit(
-                line_circuit(4), backend.target, backend.noise_model,
-                shots=64, seed=1, method="trajectory",
-                trajectories="auto", trajectory_slice=(0, 2),
-            )
-
     def test_generator_seed_rejected(self, backend):
         with pytest.raises(SimulatorError, match="integer seed"):
             execute_circuit(
@@ -167,20 +150,20 @@ class TestAdaptiveAllocation:
 
 class TestAdaptiveThreading:
     def test_backend_run_and_service_roundtrip(self, backend):
-        reference = backend.run(
-            line_circuit(5), shots=1024, seed=9, method="trajectory",
-            trajectories="auto", target_error=0.05,
-        ).experiments[0]
-        service = ExecutionService(backend)
-        job = CircuitJob(
-            line_circuit(5), shots=1024,
-            seed=backend_run_seed(9), method="trajectory",
-            trajectories="auto", target_error=0.05,
+        circuits = [line_circuit(5), line_circuit(4)]
+        kwargs = dict(
+            shots=1024, seed=9, method="trajectory", trajectories="auto",
+            target_error=0.05,
         )
-        experiment = service.submit(job).result()
-        assert dict(experiment.counts) == dict(reference.counts)
-        # adaptive jobs never fan out as slices
-        assert service._trajectory_subjobs(job) is None
+        reference = backend.run(circuits, **kwargs)
+        try:
+            pooled = backend.run(circuits, jobs=2, **kwargs)
+        finally:
+            backend.close_services()
+        assert pooled.metadata["service"]["shards"] == 2
+        for got, want in zip(pooled.experiments, reference.experiments):
+            assert dict(got.counts) == dict(want.counts)
+            assert got.metadata == want.metadata
 
     def test_pipeline_threads_target_error(self, backend):
         problem = MaxCutProblem(benchmark_graph(1))
@@ -207,164 +190,3 @@ class TestAdaptiveThreading:
             experiments_main(["table1", "--target-error", "-1"])
         with pytest.raises(SystemExit):
             experiments_main(["table1", "--trajectories", "sometimes"])
-
-
-def backend_run_seed(seed):
-    """The per-circuit engine seed ``backend.run(seed=s)`` derives."""
-    from repro.utils.rng import derive_seed
-
-    return derive_seed(seed, "run", 0)
-
-
-class TestStoreKeys:
-    def test_keys_distinguish_trajectories_and_target_error(self):
-        base = dict(shots=64, seed=1, method="trajectory")
-        jobs = [
-            CircuitJob(line_circuit(3), trajectories=5, **base),
-            CircuitJob(line_circuit(3), trajectories=9, **base),
-            CircuitJob(line_circuit(3), trajectories="auto", **base),
-            CircuitJob(
-                line_circuit(3), trajectories="auto", target_error=0.01,
-                **base,
-            ),
-            CircuitJob(
-                line_circuit(3), trajectories="auto", target_error=0.03,
-                **base,
-            ),
-        ]
-        keys = {job_fingerprint(job, "k") for job in jobs}
-        assert len(keys) == len(jobs)
-
-    def test_equivalent_requests_collapse_to_one_key(self):
-        """Requests that run byte-identically share a store key."""
-        base = dict(shots=64, seed=1, method="trajectory")
-        # trajectories=None resolves to min(shots, 128) = 64
-        assert job_fingerprint(
-            CircuitJob(line_circuit(3), **base), "k"
-        ) == job_fingerprint(
-            CircuitJob(line_circuit(3), trajectories=64, **base), "k"
-        )
-        # bare target_error, explicit auto, and auto + the default
-        # target all resolve to the same adaptive run
-        auto_keys = {
-            job_fingerprint(
-                CircuitJob(line_circuit(3), trajectories="auto", **base),
-                "k",
-            ),
-            job_fingerprint(
-                CircuitJob(
-                    line_circuit(3), trajectories="auto",
-                    target_error=0.02, **base,
-                ),
-                "k",
-            ),
-            job_fingerprint(
-                CircuitJob(line_circuit(3), target_error=0.02, **base),
-                "k",
-            ),
-        }
-        assert len(auto_keys) == 1
-
-    def test_batched_and_sequential_share_a_key_and_a_result(
-        self, backend, tmp_path
-    ):
-        """trajectory_batch never aliases: both paths are byte-identical,
-        so a cached batched result served to a sequential request (and
-        vice versa) is exactly what that request would have computed."""
-        batched_job = CircuitJob(
-            line_circuit(4), shots=256, seed=5, method="trajectory",
-            trajectories=8,
-        )
-        sequential_job = CircuitJob(
-            line_circuit(4), shots=256, seed=5, method="trajectory",
-            trajectories=8, trajectory_batch=1,
-        )
-        assert job_fingerprint(batched_job, "k") == job_fingerprint(
-            sequential_job, "k"
-        )
-        with ExecutionService(backend, store=str(tmp_path)) as service:
-            first = service.submit(batched_job).result()
-            served = service.submit(sequential_job).result()
-            stats = service.stats()
-        assert stats["store_hits"] == 1
-        assert dict(served.counts) == dict(first.counts)
-        # the cached counts equal a fresh sequential computation
-        fresh = run_job_on_backend(backend, sequential_job)
-        assert dict(fresh.counts) == dict(served.counts)
-
-    def test_adaptive_jobs_are_stored_and_replayed(self, backend, tmp_path):
-        job = CircuitJob(
-            line_circuit(4), shots=512, seed=6, method="trajectory",
-            trajectories="auto", target_error=0.05,
-        )
-        with ExecutionService(backend, store=str(tmp_path)) as service:
-            first = service.submit(job).result()
-            replay = service.submit(job).result()
-            stats = service.stats()
-        assert stats["store_hits"] == 1
-        assert dict(replay.counts) == dict(first.counts)
-        assert replay.metadata["adaptive"] is True
-        assert (
-            replay.metadata["trajectories"]
-            == first.metadata["trajectories"]
-        )
-
-
-class TestSliceErrorNamesParentJob:
-    def subjob(self):
-        return CircuitJob(
-            line_circuit(4, name="fanout-parent"), shots=64, seed=1,
-            with_noise=True, tag="sweep-point-3", method="trajectory",
-            trajectories=8, trajectory_slice=(0, 4),
-        )
-
-    def test_describe_job_names_circuit_and_tag(self):
-        description = describe_job(self.subjob())
-        assert "fanout-parent[4q]" in description
-        assert "shots=64" in description
-        assert "seed=1" in description
-        assert "tag='sweep-point-3'" in description
-
-    def test_inline_service_budget_error_names_parent(self, backend):
-        service = ExecutionService(backend)
-        set_method_qubit_budget("trajectory", 3)
-        try:
-            future = service.submit(self.subjob())
-            with pytest.raises(BackendError) as excinfo:
-                future.result()
-        finally:
-            set_method_qubit_budget("trajectory", None)
-        message = str(excinfo.value)
-        assert "3-qubit trajectory" in message  # the original diagnosis
-        assert "trajectory slice [0, 4)" in message
-        assert "parent job fanout-parent[4q]" in message
-        assert "tag='sweep-point-3'" in message
-
-    def test_simulator_error_in_slice_also_names_parent(self, backend):
-        # not every slice failure is a BackendError: simulator-layer
-        # errors must carry the same parent-job diagnostic
-        job = CircuitJob(
-            line_circuit(4, name="fanout-parent"), shots=64,
-            seed=np.random.default_rng(0), method="trajectory",
-            trajectories=8, trajectory_slice=(0, 4),
-        )
-        with pytest.raises(SimulatorError) as excinfo:
-            run_job_on_backend(backend, job)
-        message = str(excinfo.value)
-        assert "integer seed" in message  # the original diagnosis
-        assert "trajectory slice [0, 4)" in message
-        assert "parent job fanout-parent[4q]" in message
-
-    def test_worker_shard_budget_error_names_parent(self, backend):
-        # exercise the pool worker entry point in-process: initializer
-        # then shard runner, exactly what a spawned worker executes
-        _initialize_worker(worker_backend_spec(backend), None)
-        set_method_qubit_budget("trajectory", 3)
-        try:
-            with pytest.raises(BackendError) as excinfo:
-                _run_shard([(0, self.subjob(), 0)])
-        finally:
-            set_method_qubit_budget("trajectory", None)
-        message = str(excinfo.value)
-        assert "trajectory slice [0, 4)" in message
-        assert "parent job fanout-parent[4q]" in message

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.backends import FakeToronto, fake_backend_by_name
+from repro.backends import FakeGuadalupe, FakeToronto, fake_backend_by_name
 from repro.core import (
     ExecutionPipeline,
     GateLevelModel,
@@ -17,7 +17,7 @@ from repro.core.models import FREQ_UNIT
 from repro.exceptions import ProblemError
 from repro.problems import MaxCutProblem, benchmark_graph, three_regular_6
 from repro.vqa import CVaRCost, ExpectedCutCost
-from repro.vqa.optimizers import COBYLA
+from repro.vqa.optimizers import COBYLA, SPSA
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +347,69 @@ class TestTraining:
         assert result.best_value >= first
         assert result.mixer_duration == 320
         assert result.circuit_duration > 0
+
+    # (model, train seed, SPSA seed, maxiter): trace values and best
+    # parameters computed with the batched SPSA path, which scored each
+    # perturbation pair through evaluate_many (at jobs=2, on the pool)
+    SPSA_PINS = {
+        ("gate", 23, 11, 3): (
+            [4.375, 4.2265625, 4.359375, 4.5859375, 4.2734375, 4.3203125,
+             4.2890625],
+            [0.5687369964422763, 0.6368954990558906],
+        ),
+        ("gate", 5, 3, 3): (
+            [4.28125, 4.171875, 4.25, 4.1953125, 4.0703125, 4.2265625,
+             4.296875],
+            [0.4498974389173608, 0.4179977739859818],
+        ),
+        ("gate", 2023, 7, 4): (
+            [4.640625, 4.2265625, 4.515625, 4.8828125, 4.625, 4.3984375,
+             4.8671875, 4.6796875, 4.390625],
+            [1.4005566644582812, 0.8615296629081293],
+        ),
+        ("hybrid", 23, 11, 2): (
+            [4.078125, 4.6171875, 4.140625, 4.140625, 4.203125],
+            [0.8887261602684957, 0.20919847433490785, 5.961156265381273,
+             0.1453061042110645],
+        ),
+        ("hybrid", 9, 5, 2): (
+            [4.2890625, 4.3515625, 4.15625, 4.375, 4.546875],
+            [0.44987999813118973, 0.0, 6.1156294576058,
+             0.23743752573662782],
+        ),
+    }
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("pin", sorted(SPSA_PINS), ids=str)
+    def test_spsa_trace_pinned_at_fixed_seed(self, pin, jobs):
+        # SPSA scores its paired perturbations one objective call at a
+        # time; evaluation n's shot seed is derive_seed(seed, "eval", n)
+        # at any jobs, and a single circuit never reaches the pool
+        name, seed, spsa_seed, maxiter = pin
+        values, parameters = self.SPSA_PINS[pin]
+        problem = MaxCutProblem(benchmark_graph(1))
+        backend = FakeGuadalupe()
+        model = (
+            GateLevelModel(problem) if name == "gate"
+            else HybridGatePulseModel(problem, backend.device)
+        )
+        pipeline = ExecutionPipeline(
+            backend=backend, cost=ExpectedCutCost(problem), shots=128,
+            jobs=jobs,
+        )
+        try:
+            result = train_model(
+                model, pipeline, SPSA(maxiter=maxiter, seed=spsa_seed),
+                seed=seed,
+            )
+            assert backend._services == {}  # no pool was started
+        finally:
+            backend.close_services()
+        assert result.trace.values == values
+        assert result.evaluations == len(values)
+        assert result.best_value == max(values)
+        assert result.circuit_duration == 107984
+        assert result.best_parameters.tolist() == parameters
 
     def test_deterministic_given_seed(self, problem, backend):
         pipeline = ExecutionPipeline(

@@ -6,8 +6,8 @@ randomized circuits x {noiseless, relaxation, readout} noise x
 
 * **byte-identity** where methods are exact for the same distribution —
   density matrix vs statevector when no noise touches the state, and
-  batched vs sequential trajectory execution (every batch size, every
-  worker split) at fixed seeds;
+  batched vs sequential trajectory execution (every batch size, and a
+  batch split across pool workers) at fixed seeds;
 * **TV-bounded agreement** where the relation is statistical —
   trajectory sampling against the exact density-matrix distribution.
 
@@ -30,7 +30,6 @@ import pytest
 from repro.backends import (
     FakeGuadalupe,
     execute_circuit,
-    merge_trajectory_results,
     select_method,
 )
 from repro.circuits import QuantumCircuit
@@ -48,6 +47,30 @@ DENSITY_CAP = 8
 @pytest.fixture(scope="module")
 def backend():
     return FakeGuadalupe()
+
+
+@pytest.fixture(scope="module")
+def pooled_backends(backend):
+    """``noise_kind -> backend`` on the same target and device, carrying
+    that cell's noise model; each keeps one ``jobs=2`` pool for the
+    module."""
+    from repro.backends.backend import SimulatedBackend
+
+    built = {}
+
+    def get(noise_kind):
+        if noise_kind not in built:
+            built[noise_kind] = SimulatedBackend(
+                f"matrix_{noise_kind}",
+                backend.target,
+                make_noise(noise_kind, backend.num_qubits),
+                backend.device,
+            )
+        return built[noise_kind]
+
+    yield get
+    for pooled in built.values():
+        pooled.close_services()
 
 
 def random_circuit(num_qubits: int, seed: int) -> QuantumCircuit:
@@ -123,26 +146,30 @@ class TestMethodMatrix:
             assert run.duration == reference.duration
 
     def test_trajectory_worker_split_byte_identical(
-        self, backend, num_qubits, noise_kind, circuit_seed
+        self, backend, pooled_backends, num_qubits, noise_kind,
+        circuit_seed,
     ):
-        """Any slice partition + any batch size merges to the full run."""
+        """A batch split across pool workers, at any batch size, equals
+        direct execution circuit for circuit."""
         circuit = random_circuit(num_qubits, circuit_seed)
         noise = make_noise(noise_kind, backend.num_qubits)
-        full = execute_circuit(
-            circuit, backend.target, noise, shots=512, seed=3,
-            method="trajectory", trajectories=12,
-        )
-        parts = [
+        direct = [
             execute_circuit(
-                circuit, backend.target, noise, shots=512, seed=3,
+                circuit, backend.target, noise, shots=512, seed=seed,
                 method="trajectory", trajectories=12,
-                trajectory_slice=piece, trajectory_batch=batch,
             )
-            for piece, batch in [((0, 5), 2), ((5, 6), 1), ((6, 12), None)]
+            for seed in (3, 4)
         ]
-        merged = merge_trajectory_results(parts)
-        assert counts_of(merged) == counts_of(full)
-        assert merged.metadata == full.metadata
+        for batch in (2, None):
+            pooled = pooled_backends(noise_kind).run(
+                [circuit, circuit], shots=512, seeds=[3, 4], jobs=2,
+                method="trajectory", trajectories=12,
+                trajectory_batch=batch,
+            )
+            assert pooled.metadata["service"]["shards"] == 2
+            for got, want in zip(pooled.experiments, direct):
+                assert counts_of(got) == counts_of(want)
+                assert got.metadata == want.metadata
 
     def test_exact_methods_byte_identical(
         self, backend, num_qubits, noise_kind, circuit_seed
@@ -307,8 +334,8 @@ class TestStabilizerShotBatch:
     on each flavour of stochastic program: Pauli noise (channel draws),
     noiseless-but-wide (random-measurement draws only; 28 measured
     qubits overflow the dense-marginal path), and readout-only-wide
-    (readout flip draws).  Sharding across service workers must not
-    perturb counts either.
+    (readout flip draws).  Splitting a batch across pool workers must
+    not perturb counts either.
     """
 
     BATCHES = [1, 7, 512]  # sequential, ragged mid-size, one round
@@ -351,11 +378,10 @@ class TestStabilizerShotBatch:
         )
 
     def test_worker_split_identity(self):
-        """jobs=2 through the sharded service == direct execution.
+        """jobs=2 through the worker pool == direct execution.
 
-        Stabilizer jobs shard whole (only the trajectory method fans
-        out into slices), so two copies of one circuit exercise the
-        worker split; the knob rides along through the service layer.
+        Two copies of one circuit exercise the worker split; the knob
+        rides along to the workers.
         """
         from repro.backends.backend import SimulatedBackend
         from repro.hamiltonian.system import DeviceModel

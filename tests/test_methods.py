@@ -1,13 +1,11 @@
 """Tests for simulation-method dispatch and the trajectory back-end."""
 
-import numpy as np
 import pytest
 
 from repro.backends import (
     FakeGuadalupe,
     Target,
     execute_circuit,
-    merge_trajectory_results,
     method_qubit_budget,
     select_method,
     set_method_qubit_budget,
@@ -15,7 +13,6 @@ from repro.backends import (
 from repro.circuits import QuantumCircuit
 from repro.exceptions import BackendError, SimulatorError
 from repro.noise import NoiseModel, ReadoutError
-from repro.service import CircuitJob, SweepJob, job_fingerprint
 from repro.simulators.trajectory import split_shots
 from repro.transpiler import CouplingMap
 
@@ -193,25 +190,6 @@ class TestTrajectoryMethod:
         with pytest.raises(SimulatorError):
             split_shots(8, 0)
 
-    def test_slice_merge_matches_full_run(self, backend):
-        qc = line_circuit(4)
-        full = execute_circuit(
-            qc, backend.target, backend.noise_model, shots=512, seed=9,
-            method="trajectory", trajectories=12,
-        )
-        parts = [
-            execute_circuit(
-                qc, backend.target, backend.noise_model, shots=512, seed=9,
-                method="trajectory", trajectories=12, trajectory_slice=s,
-            )
-            for s in [(0, 3), (3, 4), (4, 12)]
-        ]
-        merged = merge_trajectory_results(parts)
-        assert dict(merged.counts) == dict(full.counts)
-        assert merged.duration == full.duration
-        assert merged.metadata == full.metadata
-        assert full.metadata["trajectories"] == 12
-
     def test_counts_converge_to_density_distribution(self, backend):
         # fixed seeds: deterministic statistical check, not a flaky one
         qc = line_circuit(3)
@@ -263,103 +241,43 @@ class TestTrajectoryMethod:
                 line_circuit(3), backend.target, backend.noise_model,
                 shots=16, method="trajectory", trajectories=0,
             )
-        with pytest.raises(BackendError, match="trajectories"):
-            CircuitJob(line_circuit(3), trajectories=0)
-
-    def test_slice_rejected_for_non_trajectory_method(self, backend):
-        # a sliced sub-job falling down an exact path would return
-        # full-shot counts per slice; it must fail loudly instead
-        with pytest.raises(BackendError, match="trajectory_slice"):
-            execute_circuit(
-                line_circuit(3), backend.target, backend.noise_model,
-                shots=16, seed=0, method="density_matrix",
-                trajectory_slice=(0, 2),
-            )
-
-    def test_generator_seed_cannot_run_partial_slice(self, backend):
-        qc = line_circuit(3)
-        with pytest.raises(SimulatorError, match="integer seed"):
-            execute_circuit(
-                qc,
-                backend.target,
-                backend.noise_model,
-                shots=16,
-                seed=np.random.default_rng(0),
-                method="trajectory",
-                trajectories=8,
-                trajectory_slice=(0, 4),
-            )
-
 
 class TestServiceIntegration:
     def test_sweepjob_threads_method_and_trajectories(self):
-        jobs = SweepJob(
-            [line_circuit(3)], seed=1, method="trajectory", trajectories=7
-        ).jobs()
-        assert jobs[0].method == "trajectory"
-        assert jobs[0].trajectories == 7
-
-    def test_fingerprint_sensitive_to_method_fields(self, backend):
-        base = CircuitJob(line_circuit(3), shots=64, seed=1)
-        keys = {
-            job_fingerprint(base, "k"),
-            job_fingerprint(
-                CircuitJob(
-                    line_circuit(3), shots=64, seed=1, method="trajectory"
-                ),
-                "k",
-            ),
-            job_fingerprint(
-                CircuitJob(
-                    line_circuit(3), shots=64, seed=1,
-                    method="trajectory", trajectories=5,
-                ),
-                "k",
-            ),
-        }
-        assert len(keys) == 3
-
-    def test_fingerprint_keys_by_resolved_method_not_auto(self):
-        # counts depend on what actually runs; "auto" resolution moves
-        # with the configurable budgets, so the store keys the concrete
-        # method the service resolves
-        job = CircuitJob(line_circuit(3), shots=64, seed=1)
-        assert job.method == "auto"
-        assert job_fingerprint(
-            job, "k", resolved_method="density_matrix"
-        ) != job_fingerprint(job, "k", resolved_method="trajectory")
-        assert job_fingerprint(
-            job, "k", resolved_method="density_matrix"
-        ) == job_fingerprint(
-            CircuitJob(line_circuit(3), shots=64, seed=1,
-                       method="density_matrix"),
-            "k",
-        )
-
-    def test_trajectory_subjob_is_not_storable(self):
-        sub = CircuitJob(
-            line_circuit(3), shots=64, seed=1, method="trajectory",
-            trajectories=8, trajectory_slice=(0, 4),
-        )
-        assert job_fingerprint(sub, "k") is None
-
-    def test_jobs1_vs_jobsN_identical_for_trajectory(self):
-        qc = line_circuit(10)
-        reference = FakeGuadalupe().run(
-            qc, shots=256, seed=17, method="trajectory", trajectories=8
-        )
+        # a pooled batch hands method and trajectory count to every
+        # worker's run
         backend = FakeGuadalupe()
         try:
-            sharded = backend.run(
-                qc, shots=256, seed=17, method="trajectory",
-                trajectories=8, jobs=2,
+            result = backend.run(
+                [line_circuit(3), line_circuit(4)], shots=64, seed=1,
+                jobs=2, method="trajectory", trajectories=7,
             )
         finally:
             backend.close_services()
-        meta = sharded.metadata["service"]
-        assert meta["trajectory_subjobs"] >= 2
-        assert dict(sharded.get_counts()) == dict(reference.get_counts())
-        assert (
-            sharded.experiments[0].metadata
-            == reference.experiments[0].metadata
+        assert result.metadata["service"]["shards"] == 2
+        assert [
+            (e.metadata["method"], e.metadata["trajectories"])
+            for e in result.experiments
+        ] == [("trajectory", 7)] * 2
+
+    def test_jobs1_vs_jobsN_identical_for_trajectory(self):
+        circuits = [line_circuit(10), line_circuit(6)]
+        kwargs = dict(
+            shots=256, seed=17, method="trajectory", trajectories=8
+        )
+        reference = FakeGuadalupe().run(circuits, **kwargs)
+        backend = FakeGuadalupe()
+        try:
+            sharded = backend.run(circuits, jobs=2, **kwargs)
+            # one circuit runs inline, whatever its method
+            single = backend.run(circuits[:1], jobs=2, **kwargs)
+        finally:
+            backend.close_services()
+        assert sharded.metadata["service"]["shards"] == 2
+        assert "service" not in single.metadata
+        for got, want in zip(sharded.experiments, reference.experiments):
+            assert dict(got.counts) == dict(want.counts)
+            assert got.metadata == want.metadata
+        assert dict(single.experiments[0].counts) == dict(
+            reference.experiments[0].counts
         )

@@ -19,7 +19,6 @@ from repro.backends.engine import _CircuitPlan
 from repro.backends.result import Counts, ExperimentResult
 from repro.circuits import QuantumCircuit
 from repro.exceptions import BackendError
-from repro.service import CircuitJob, job_fingerprint
 from repro.simulators import registry
 from repro.simulators.registry import (
     MethodDescriptor,
@@ -59,7 +58,6 @@ class TestRegistryBasics:
     def test_descriptor_lookup(self):
         descriptor = method_descriptor("trajectory")
         assert descriptor.statistical
-        assert descriptor.version == 1
         assert not method_descriptor("density_matrix").statistical
 
     def test_unknown_method_error_names_registry(self):
@@ -124,7 +122,6 @@ class TestPluginRegistration:
             cost=lambda plan, noise: 0.5,  # cheaper than everything
             execute=execute,
             default_qubit_budget=64,
-            version=1,
         )
         fields.update(overrides)
         return MethodDescriptor(**fields)
@@ -153,9 +150,6 @@ class TestPluginRegistration:
                 execute_circuit(
                     circuit, backend.target, None, shots=1, method="toy"
                 )
-            # jobs validate and fingerprint plugin methods
-            job = CircuitJob(circuit, shots=64, seed=1, method="toy")
-            assert job_fingerprint(job, "k") is not None
         finally:
             unregister_method("toy")
         assert "toy" not in method_names()
@@ -164,22 +158,6 @@ class TestPluginRegistration:
                 line_circuit(2), backend.target, None, shots=1,
                 method="toy",
             )
-
-    def test_descriptor_version_retires_store_keys(self, backend):
-        """Fingerprint v4 folds the resolved descriptor's version."""
-        register_method(self._toy_descriptor())
-        try:
-            job = CircuitJob(
-                line_circuit(3), shots=64, seed=1, method="toy"
-            )
-            key_v1 = job_fingerprint(job, "k")
-            register_method(
-                self._toy_descriptor(version=2), replace=True
-            )
-            key_v2 = job_fingerprint(job, "k")
-            assert key_v1 != key_v2
-        finally:
-            unregister_method("toy")
 
 
 class TestRankMethods:
@@ -315,22 +293,15 @@ class TestBudgets:
         """
         backend = FakeGuadalupe()
         try:
-            service = backend.execution_service(2)
             # spin the pool up under the default budgets
-            warm = service.submit(
-                CircuitJob(line_circuit(3), shots=8, seed=0)
-            )
-            warm.result()
+            backend.run([line_circuit(3)] * 2, shots=8, seed=0, jobs=2)
             set_method_qubit_budget("density_matrix", 3)
             try:
-                future = service.submit(
-                    CircuitJob(
-                        line_circuit(4), shots=8, seed=0,
+                with pytest.raises(BackendError, match="3-qubit"):
+                    backend.run(
+                        [line_circuit(4)] * 2, shots=8, seed=0, jobs=2,
                         method="density_matrix",
                     )
-                )
-                with pytest.raises(BackendError, match="3-qubit"):
-                    future.result()
             finally:
                 set_method_qubit_budget("density_matrix", None)
         finally:

@@ -1,13 +1,18 @@
-"""Tests for the sharded execution service (src/repro/service/).
+"""Tests for the worker pool behind ``SimulatedBackend.run(jobs > 1)``.
 
 The load-bearing guarantee is *determinism under sharding*: for fixed
-seeds, ``jobs=1`` and ``jobs=N`` must produce byte-identical counts and
-energies.  Multi-process tests carry the ``slow`` marker (registered in
-pytest.ini) but use quick configs so the whole module stays well under
-30 s — tier-1 (`pytest -x -q`) runs everything.
+seeds, ``jobs=1`` and ``jobs=N`` give byte-identical counts, energies,
+trainings and duration searches.  The rest checks that failures stay
+loud: a worker's exception reaches the caller with its type, a dead
+worker raises ``BackendError`` and the next batch starts a fresh pool,
+and ``close_services()`` joins every worker.
 """
 
+import multiprocessing
+import os
 import pickle
+import signal
+from contextlib import ExitStack
 from dataclasses import replace
 
 import numpy as np
@@ -15,40 +20,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import FakeGuadalupe
-from repro.backends.result import Counts, ExperimentResult
+from repro.backends import (
+    FakeGuadalupe,
+    SimulatedBackend,
+    set_method_qubit_budget,
+)
+from repro.circuits import QuantumCircuit
 from repro.core import (
     ExecutionPipeline,
     GateLevelModel,
     HybridGatePulseModel,
+    PulseLevelModel,
     binary_search_mixer_duration,
     train_model,
 )
-from repro.backends.engine import classify_error
-from repro.circuits import QuantumCircuit
-from repro.exceptions import (
-    BackendError,
-    QuarantineError,
-    ReproError,
-    TransientError,
-)
+from repro.exceptions import BackendError, ReproError, SimulatorError
 from repro.problems import MaxCutProblem, benchmark_graph
-from repro.service import (
-    CircuitJob,
-    ExecutionService,
-    FaultInjected,
-    FaultPolicy,
-    FaultRule,
-    JobFailure,
-    PermanentFaultInjected,
-    ResultStore,
-    SweepJob,
-    backend_config_digest,
-    derive_job_seeds,
-    job_fingerprint,
-    plan_shards,
+from repro.service import ExecutionService, shard_bounds
+from repro.telemetry import (
+    collect_trace,
+    iter_records,
+    metrics_snapshot,
+    set_record_sink,
 )
-from repro.telemetry import clear_metrics, collect_trace
 from repro.utils.cache import cache_stats_totals
 from repro.utils.rng import derive_seed
 from repro.vqa import ExpectedCutCost
@@ -59,7 +53,9 @@ SHOTS = 128
 
 @pytest.fixture(scope="module")
 def backend():
-    return FakeGuadalupe()
+    backend = FakeGuadalupe()
+    yield backend
+    backend.close_services()
 
 
 @pytest.fixture(scope="module")
@@ -88,309 +84,146 @@ def counts_of(experiments):
     return [dict(e.counts) for e in experiments]
 
 
+def ghz(qubits: int) -> QuantumCircuit:
+    circuit = QuantumCircuit(qubits, name=f"ghz{qubits}")
+    circuit.h(0)
+    for qubit in range(qubits - 1):
+        circuit.cx(qubit, qubit + 1)
+    circuit.measure_all()
+    return circuit
+
+
+def pool_processes(backend, jobs):
+    pool = backend.execution_service(jobs)._executor
+    return list(pool._processes.values())
+
+
+def pickled(experiments):
+    return [pickle.dumps(e) for e in experiments]
+
+
+def outcome(backend, circuits, **kwargs):
+    """A run's pickled experiments, or the (type, message) it raised."""
+    try:
+        result = backend.run(circuits, **kwargs)
+    except ReproError as exc:
+        return type(exc), str(exc)
+    return pickled(result.experiments)
+
+
+class density_budget:
+    """Shrink the density-matrix qubit budget for a ``with`` block.
+
+    Every shard carries the parent's budgets, so a circuit past the
+    budget fails inside the worker that runs it.
+    """
+
+    def __init__(self, qubits):
+        self.qubits = qubits
+
+    def __enter__(self):
+        set_method_qubit_budget("density_matrix", self.qubits)
+
+    def __exit__(self, *exc):
+        set_method_qubit_budget("density_matrix", None)
+
+
+class AttemptLogBackend(SimulatedBackend):
+    """A ``FakeGuadalupe`` that appends ``pid name shots`` to a file for
+    every circuit it is asked to run, so a test can count what each
+    worker attempted (the file outlives a failing shard)."""
+
+    def __init__(self, path):
+        self.__dict__.update(FakeGuadalupe().__dict__)
+        self.log_path = str(path)
+
+    def run(self, circuits, *args, **kwargs):
+        batch = (
+            [circuits] if isinstance(circuits, QuantumCircuit) else circuits
+        )
+        with open(self.log_path, "a") as log:
+            for circuit in batch:
+                log.write(
+                    f"{os.getpid()} {circuit.name} {kwargs.get('shots')}\n"
+                )
+        return super().run(circuits, *args, **kwargs)
+
+    def worker_runs(self):
+        """Names of the circuits workers ran, warm-ups (one shot) aside."""
+        runs = []
+        with open(self.log_path) as log:
+            for line in log:
+                pid, name, shots = line.split()
+                if int(pid) != os.getpid() and shots != "1":
+                    runs.append(name)
+        return runs
+
+
 # ---------------------------------------------------------------------------
-# shard planner
+# shard plan
 # ---------------------------------------------------------------------------
 
 class TestShardPlanner:
     def test_covers_all_indices_contiguously(self):
-        shards = plan_shards(23, 4, shards_per_worker=3)
-        flat = [idx for shard in shards for idx in shard]
-        assert flat == list(range(23))
-        assert all(shard == sorted(shard) for shard in shards)
+        shards = shard_bounds(23, 4)
+        assert shards == [(0, 6), (6, 12), (12, 18), (18, 23)]
 
     def test_balanced_sizes(self):
-        shards = plan_shards(10, 2, shards_per_worker=2)
-        sizes = [len(s) for s in shards]
-        assert max(sizes) - min(sizes) <= 1
-        assert sum(sizes) == 10
-
-    def test_oversubscription_for_work_stealing(self):
-        # more shards than workers so fast workers can steal
-        shards = plan_shards(100, 4, shards_per_worker=4)
-        assert 4 < len(shards) <= 16
+        sizes = [stop - start for start, stop in shard_bounds(10, 4)]
+        assert sizes == [3, 3, 2, 2]
 
     def test_never_more_shards_than_jobs(self):
-        assert len(plan_shards(3, 8)) == 3
+        assert len(shard_bounds(3, 8)) == 3
+        assert len(shard_bounds(100, 8)) == 8
 
     def test_more_workers_than_jobs_one_job_per_shard(self):
-        # the paper's pooled batches: one density unit per worker
-        assert plan_shards(2, 2) == [[0], [1]]
-        assert plan_shards(3, 8) == [[0], [1], [2]]
+        # the paper's pooled batches: two circuits on two workers
+        assert shard_bounds(2, 2) == [(0, 1), (1, 2)]
+        assert shard_bounds(3, 8) == [(0, 1), (1, 2), (2, 3)]
 
     def test_single_job(self):
-        assert plan_shards(1, 4) == [[0]]
-        assert plan_shards(1, 1, shards_per_worker=16) == [[0]]
+        assert shard_bounds(1, 4) == [(0, 1)]
+        assert shard_bounds(5, 1) == [(0, 5)]
 
     def test_min_shard_size(self):
-        shards = plan_shards(100, 4, shards_per_worker=8, min_shard_size=10)
-        assert all(len(s) >= 10 for s in shards)
-
-    def test_min_shard_size_caps_oversubscription(self):
-        # 12 jobs / min size 4 allows at most 3 shards even though the
-        # oversubscription target asks for 8
-        shards = plan_shards(12, 2, shards_per_worker=4, min_shard_size=4)
-        assert len(shards) == 3
-        assert all(len(shard) >= 4 for shard in shards)
+        # no shard runs fewer than count // workers circuits
+        for count, workers in ((100, 4), (10, 3), (7, 7), (9, 2), (5, 8)):
+            sizes = [b - a for a, b in shard_bounds(count, workers)]
+            assert min(sizes) == max(count // workers, 1)
+            assert max(sizes) == -(-count // min(workers, count))
 
     def test_worker_floor_beats_min_shard_size(self):
-        # the one-shard-per-worker floor wins over min_shard_size: every
-        # worker gets work even if shards run small
-        shards = plan_shards(10, 8, shards_per_worker=1, min_shard_size=10)
+        # every worker gets a shard once there are as many circuits,
+        # even where that leaves shards of a single circuit
+        shards = shard_bounds(10, 8)
         assert len(shards) == 8
-        assert [idx for shard in shards for idx in shard] == list(range(10))
+        assert [b - a for a, b in shards] == [2, 2, 1, 1, 1, 1, 1, 1]
 
     def test_empty_and_invalid(self):
-        assert plan_shards(0, 4) == []
-        with pytest.raises(BackendError):
-            plan_shards(4, 0)
-
-    def test_invalid_oversubscription_and_shard_size(self):
-        for knobs in ({"shards_per_worker": 0}, {"min_shard_size": 0}):
+        assert shard_bounds(0, 4) == []
+        for count, workers in ((4, 0), (4, -1), (-1, 2)):
             with pytest.raises(BackendError):
-                plan_shards(4, 2, **knobs)
+                shard_bounds(count, workers)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        num_jobs=st.integers(0, 200),
-        workers=st.integers(1, 16),
-        shards_per_worker=st.integers(1, 8),
-        min_shard_size=st.integers(1, 20),
-    )
-    def test_property_contiguous_balanced_cover(
-        self, num_jobs, workers, shards_per_worker, min_shard_size
-    ):
-        shards = plan_shards(
-            num_jobs,
-            workers,
-            shards_per_worker=shards_per_worker,
-            min_shard_size=min_shard_size,
-        )
+    @given(count=st.integers(0, 200), workers=st.integers(1, 16))
+    def test_property_contiguous_balanced_cover(self, count, workers):
+        shards = shard_bounds(count, workers)
         # every index exactly once, in order, no empty shard
-        flat = [idx for shard in shards for idx in shard]
-        assert flat == list(range(num_jobs))
-        assert all(shards)
-        if not shards:
-            return
-        sizes = [len(shard) for shard in shards]
-        assert max(sizes) - min(sizes) <= 1
-        floor = min(workers, num_jobs)
-        assert len(shards) >= floor
-        assert len(shards) <= max(
-            min(workers * shards_per_worker, num_jobs // min_shard_size),
-            floor,
-        )
-        if len(shards) > floor:
-            # past the worker floor, min_shard_size holds
-            assert min(sizes) >= min_shard_size
+        flat = [i for start, stop in shards for i in range(start, stop)]
+        assert flat == list(range(count))
+        assert len(shards) == min(workers, count)
+        sizes = [stop - start for start, stop in shards]
+        assert all(sizes)
+        assert sizes == sorted(sizes, reverse=True)
+        if sizes:
+            assert sizes[0] - sizes[-1] <= 1
 
 
 # ---------------------------------------------------------------------------
-# job specs and seed derivation
+# determinism under sharding
 # ---------------------------------------------------------------------------
 
-class TestJobSeeds:
-    def test_sweep_seed_derivation_rule(self, sweep_circuits):
-        sweep = SweepJob(sweep_circuits, shots=SHOTS, seed=17)
-        expected = [
-            derive_seed(17, "job", i) for i in range(len(sweep_circuits))
-        ]
-        assert sweep.resolved_seeds() == expected
-        assert derive_job_seeds(17, len(sweep_circuits)) == expected
-        assert [job.seed for job in sweep.jobs()] == expected
-
-    def test_explicit_seeds_override(self, sweep_circuits):
-        seeds = list(range(100, 100 + len(sweep_circuits)))
-        sweep = SweepJob(sweep_circuits, shots=SHOTS, seeds=seeds)
-        assert [job.seed for job in sweep.jobs()] == seeds
-
-    def test_unseeded_stays_unseeded(self, sweep_circuits):
-        sweep = SweepJob(sweep_circuits, shots=SHOTS)
-        assert sweep.resolved_seeds() == [None] * len(sweep_circuits)
-
-    def test_seed_count_mismatch(self, sweep_circuits):
-        with pytest.raises(BackendError):
-            SweepJob(sweep_circuits, seeds=[1]).resolved_seeds()
-
-    def test_shots_must_be_positive(self, sweep_circuits):
-        with pytest.raises(BackendError):
-            CircuitJob(sweep_circuits[0], shots=0)
-
-
-class TestFingerprint:
-    def test_stable_and_sensitive(self, sweep_circuits):
-        job = CircuitJob(sweep_circuits[0], shots=SHOTS, seed=3)
-        key = job_fingerprint(job, "ibmq_guadalupe")
-        assert key == job_fingerprint(job, "ibmq_guadalupe")
-        assert len(key) == 64
-        # every content dimension moves the hash
-        others = [
-            CircuitJob(sweep_circuits[1], shots=SHOTS, seed=3),
-            CircuitJob(sweep_circuits[0], shots=SHOTS + 1, seed=3),
-            CircuitJob(sweep_circuits[0], shots=SHOTS, seed=4),
-            CircuitJob(
-                sweep_circuits[0], shots=SHOTS, seed=3, with_noise=False
-            ),
-        ]
-        for other in others:
-            assert job_fingerprint(other, "ibmq_guadalupe") != key
-        assert job_fingerprint(job, "ibmq_toronto") != key
-
-    def test_pulse_channel_moves_the_hash(self):
-        from repro.circuits.gates import PulseGate
-        from repro.pulse import (
-            ControlChannel,
-            DriveChannel,
-            Gaussian,
-            Play,
-            Schedule,
-        )
-        from repro.service import circuit_fingerprint
-
-        keys = []
-        for channel in (DriveChannel(0), DriveChannel(1), ControlChannel(0)):
-            circuit = QuantumCircuit(2)
-            schedule = Schedule((0, Play(Gaussian(160, 0.4, 40), channel)))
-            circuit.append(PulseGate(schedule, num_qubits=2), [0, 1])
-            circuit.measure_all()
-            job = CircuitJob(circuit, shots=SHOTS, seed=3)
-            keys.append(
-                (
-                    circuit_fingerprint(circuit),
-                    job_fingerprint(job, "ibmq_guadalupe"),
-                )
-            )
-        for index, (circuit_key, job_key) in enumerate(keys):
-            for other_circuit_key, other_job_key in keys[index + 1:]:
-                assert circuit_key != other_circuit_key
-                assert job_key != other_job_key
-
-    def test_unseeded_is_not_storable(self, sweep_circuits):
-        job = CircuitJob(sweep_circuits[0], shots=SHOTS, seed=None)
-        assert job_fingerprint(job, "ibmq_guadalupe") is None
-
-    def test_parameterized_circuit_is_not_storable(self, problem):
-        from repro.circuits import Parameter, QuantumCircuit
-
-        circuit = QuantumCircuit(1)
-        circuit.rx(Parameter("theta"), 0)
-        job = CircuitJob(circuit, shots=SHOTS, seed=1)
-        assert job_fingerprint(job, "ibmq_guadalupe") is None
-
-    def test_config_digest_separates_modified_backends(self):
-        stock = FakeGuadalupe()
-        modified = FakeGuadalupe()
-        modified.noise_model.pulse_jitter_local = 0.5
-        assert backend_config_digest(stock) == backend_config_digest(
-            FakeGuadalupe()
-        )
-        assert backend_config_digest(stock) != backend_config_digest(
-            modified
-        )
-
-    def test_config_digest_ignores_warmed_caches(
-        self, backend, sweep_circuits
-    ):
-        fresh = FakeGuadalupe()
-        # `backend` has executed many sweeps this module; its caches are
-        # warm but its physics configuration is stock
-        assert backend_config_digest(backend) == backend_config_digest(
-            fresh
-        )
-
-
-# ---------------------------------------------------------------------------
-# result store
-# ---------------------------------------------------------------------------
-
-class TestResultStore:
-    def test_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        experiment = ExperimentResult(
-            Counts({"00": 70, "11": 58}),
-            duration=4512,
-            metadata={
-                "active_qubits": [0, 1, 4],
-                "measured_qubits": [0, 1],
-                "clbit_to_qubit": {0: 0, 1: 1},
-                "weights": np.linspace(0.0, 1.0, 5),
-            },
-        )
-        key = "ab" + "0" * 62
-        store.put(key, experiment)
-        assert key in store
-        loaded = store.get(key)
-        assert dict(loaded.counts) == {"00": 70, "11": 58}
-        assert loaded.duration == 4512
-        assert loaded.metadata["active_qubits"] == [0, 1, 4]
-        assert loaded.metadata["clbit_to_qubit"] == {0: 0, 1: 1}
-        np.testing.assert_array_equal(
-            loaded.metadata["weights"], np.linspace(0.0, 1.0, 5)
-        )
-        assert store.stats()["entries"] == 1
-
-    def test_miss_and_clear(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        assert store.get("cd" + "0" * 62) is None
-        store.put(
-            "ef" + "0" * 62,
-            ExperimentResult(Counts({"0": SHOTS}), 100),
-        )
-        assert len(store) == 1
-        assert store.clear() == 1
-        assert len(store) == 0
-
-    def test_malformed_key_rejected(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        with pytest.raises(BackendError):
-            store.get("../escape")
-
-    def test_float_metadata_survives_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        key = "aa" + "1" * 62
-        store.put(
-            key,
-            ExperimentResult(
-                Counts({"0": SHOTS}),
-                100,
-                metadata={"angles": [0.98, 1.02], "scale": 0.5},
-            ),
-        )
-        loaded = store.get(key)
-        assert loaded.metadata["angles"] == [0.98, 1.02]
-        assert loaded.metadata["scale"] == 0.5
-
-    def test_unstorable_metadata_raises_backend_error(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        with pytest.raises(BackendError):
-            store.put(
-                "bb" + "1" * 62,
-                ExperimentResult(
-                    Counts({"0": SHOTS}),
-                    100,
-                    metadata={"bad": [object()]},
-                ),
-            )
-
-    def test_served_from_disk_not_recomputed(
-        self, tmp_path, backend, sweep_circuits
-    ):
-        store = ResultStore(tmp_path / "store")
-        with ExecutionService(backend, jobs=1, store=store) as service:
-            sweep = SweepJob(sweep_circuits[:3], shots=SHOTS, seed=5)
-            first = service.map(sweep)
-            ran_after_first = service.stats()["jobs_run"]
-            second = service.map(SweepJob(sweep_circuits[:3], shots=SHOTS, seed=5))
-            assert service.stats()["jobs_run"] == ran_after_first
-            assert service.stats()["store_hits"] == 3
-        assert counts_of(first) == counts_of(second)
-
-
-# ---------------------------------------------------------------------------
-# determinism under sharding (the acceptance-critical guarantee)
-# ---------------------------------------------------------------------------
-
-@pytest.mark.slow
 class TestShardingDeterminism:
     def test_counts_identical_jobs1_vs_jobs4(
         self, backend, sweep_circuits
@@ -406,11 +239,9 @@ class TestShardingDeterminism:
         durations = [e.duration for e in serial.experiments]
         assert [e.duration for e in sharded.experiments] == durations
         meta = sharded.metadata["service"]
-        assert meta["jobs"] == len(sweep_circuits)
-        assert meta["workers"] == 4
-        assert meta["per_worker"]  # at least one worker reported stats
-        for totals in meta["per_worker"].values():
-            assert {"hits", "misses", "caches"} <= set(totals)
+        assert meta["circuits"] == len(sweep_circuits)
+        assert (meta["workers"], meta["shards"]) == (4, 4)
+        assert "service" not in serial.metadata
         backend.close_services()
 
     def test_modified_backend_identical_across_jobs(self):
@@ -466,7 +297,7 @@ class TestShardingDeterminism:
             return pipeline.evaluate_many(circuits, seeds=seeds)
 
         serial = run(1)
-        sharded = run(4)
+        sharded = run(2)
         assert [v for v, _ in serial] == [v for v, _ in sharded]
         assert [i["raw_counts"] for _, i in serial] == [
             i["raw_counts"] for _, i in sharded
@@ -513,130 +344,272 @@ class TestShardingDeterminism:
             model, pipeline, parameters, seed=31
         )
         sharded = binary_search_mixer_duration(
-            model, pipeline, parameters, seed=31, jobs=3
+            model, replace(pipeline, jobs=3), parameters, seed=31
         )
         assert serial.duration == sharded.duration
         assert serial.evaluations == sharded.evaluations
         assert serial.infeasible == sharded.infeasible
         backend.close_services()
 
+    @pytest.mark.parametrize("count", [2, 3, 5])
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_counts_identical_at_every_width(
+        self, backend, sweep_circuits, jobs, count
+    ):
+        circuits = sweep_circuits[:count]
+        serial = backend.run(circuits, shots=SHOTS, seed=count)
+        with collect_trace("width") as trace:
+            sharded = backend.run(
+                circuits, shots=SHOTS, seed=count, jobs=jobs
+            )
+        assert pickled(sharded.experiments) == pickled(serial.experiments)
+        sizes = [b - a for a, b in shard_bounds(count, jobs)]
+        assert len(sizes) == min(jobs, count)
+        assert [
+            d.attributes["circuits"] for d in trace.find("shard.dispatch")
+        ] == sizes
+
+    @pytest.mark.parametrize("name", ["gate", "hybrid", "pulse"])
+    def test_evaluate_many_identical_for_every_model(
+        self, backend, problem, name
+    ):
+        model = {
+            "gate": lambda: GateLevelModel(problem),
+            "hybrid": lambda: HybridGatePulseModel(problem, backend.device),
+            "pulse": lambda: PulseLevelModel(problem, backend),
+        }[name]()
+        circuits = [
+            model.build_circuit(model.initial_point(index))
+            for index in range(3)
+        ]
+        seeds = [derive_seed(5, "many", i) for i in range(3)]
+
+        def scores(jobs):
+            pipeline = ExecutionPipeline(
+                backend=backend,
+                cost=ExpectedCutCost(problem),
+                shots=SHOTS,
+                jobs=jobs,
+            )
+            return pipeline.evaluate_many(circuits, seeds=seeds)
+
+        serial, sharded = scores(1), scores(2)
+        assert [v for v, _ in serial] == [v for v, _ in sharded]
+        assert [i["raw_counts"] for _, i in serial] == [
+            i["raw_counts"] for _, i in sharded
+        ]
+
 
 # ---------------------------------------------------------------------------
-# futures API: submit / as_completed / backpressure / shutdown
+# configuration and the backend's pool cache
 # ---------------------------------------------------------------------------
+
+class TestJobSeeds:
+    def test_sweep_seed_derivation_rule(self, backend, sweep_circuits):
+        # backend.run(seed=s) gives circuit i the shot seed
+        # derive_seed(s, "run", i) before the batch is split
+        pooled = backend.run(sweep_circuits, shots=SHOTS, seed=17, jobs=2)
+        one_by_one = [
+            backend.run(
+                circuit, shots=SHOTS, seeds=[derive_seed(17, "run", index)]
+            ).experiments[0]
+            for index, circuit in enumerate(sweep_circuits)
+        ]
+        assert pickled(pooled.experiments) == pickled(one_by_one)
+
+    def test_explicit_seeds_override(self, backend, sweep_circuits):
+        seeds = list(range(100, 100 + len(sweep_circuits)))
+        overridden = backend.run(
+            sweep_circuits, shots=SHOTS, seed=17, seeds=seeds, jobs=2
+        )
+        explicit = backend.run(sweep_circuits, shots=SHOTS, seeds=seeds)
+        derived = backend.run(sweep_circuits, shots=SHOTS, seed=17)
+        assert counts_of(overridden.experiments) == counts_of(
+            explicit.experiments
+        )
+        assert counts_of(overridden.experiments) != counts_of(
+            derived.experiments
+        )
+
+    def test_unseeded_stays_unseeded(
+        self, backend, sweep_circuits, monkeypatch
+    ):
+        # without seed or seeds the pool is handed None for every
+        # circuit, never a seed made up on the way
+        handed = []
+        run_batch = ExecutionService.run_batch
+
+        def spy(self, circuits, seeds, **options):
+            handed.append(list(seeds))
+            return run_batch(self, circuits, seeds, **options)
+
+        monkeypatch.setattr(ExecutionService, "run_batch", spy)
+        result = backend.run(sweep_circuits[:3], shots=SHOTS, jobs=2)
+        assert handed == [[None, None, None]]
+        assert [sum(e.counts.values()) for e in result.experiments] == [
+            SHOTS
+        ] * 3
+
+    def test_seed_count_mismatch(self, backend):
+        circuits = [ghz(2)] * 3
+        with pytest.raises(BackendError, match="one seed per circuit"):
+            backend.execution_service(2).run_batch(
+                circuits, [1, 2], shots=SHOTS
+            )
+        with pytest.raises(BackendError, match="2 seeds for 3 circuits"):
+            backend.run(circuits, shots=SHOTS, seeds=[1, 2])
+
 
 @pytest.mark.slow
 class TestFuturesAPI:
-    def test_submit_and_as_completed(self, backend, sweep_circuits):
-        sweep = SweepJob(sweep_circuits, shots=SHOTS, seed=13)
-        with ExecutionService(backend, jobs=2) as service:
-            futures = [service.submit(job) for job in sweep.jobs()]
-            done = list(service.as_completed(futures, timeout=60))
-            assert set(done) == set(futures)
-            ordered = [f.result() for f in futures]
-        reference = backend.run(
-            sweep_circuits, shots=SHOTS, seeds=sweep.resolved_seeds()
-        )
-        assert counts_of(ordered) == counts_of(reference.experiments)
-
-    def test_backpressure_bounds_in_flight_jobs(
-        self, backend, sweep_circuits
-    ):
-        with ExecutionService(
-            backend, jobs=2, max_pending=2
-        ) as service:
-            futures = [
-                service.submit(job)
-                for job in SweepJob(
-                    sweep_circuits, shots=SHOTS, seed=3
-                ).jobs()
-            ]
-            results = [f.result() for f in futures]
-        assert len(results) == len(sweep_circuits)
-        assert service.stats()["max_pending_seen"] <= 2
-        assert service.stats()["pending"] == 0
-
-    def test_map_respects_backpressure_bound(
-        self, backend, sweep_circuits
-    ):
-        with ExecutionService(
-            backend, jobs=2, max_pending=2
-        ) as service:
-            service.map(SweepJob(sweep_circuits, shots=SHOTS, seed=3))
-            assert service.stats()["max_pending_seen"] <= 2
-
-    def test_shutdown_rejects_new_work(self, backend, sweep_circuits):
-        service = ExecutionService(backend, jobs=2)
-        service.shutdown()
-        with pytest.raises(BackendError):
-            service.submit(
-                CircuitJob(sweep_circuits[0], shots=SHOTS, seed=1)
-            )
-
-    def test_inline_fallback_matches_pool(
-        self, backend, sweep_circuits
-    ):
-        sweep = SweepJob(sweep_circuits[:3], shots=SHOTS, seed=29)
-        with ExecutionService(backend, jobs=1) as inline:
-            inline_results = inline.map(sweep)
-            # inline mode reports the in-process cache totals uniformly
-            assert "inline" in inline.stats()["per_worker"]
-        with ExecutionService(backend, jobs=2) as pooled:
-            pooled_results = pooled.map(
-                SweepJob(sweep_circuits[:3], shots=SHOTS, seed=29)
-            )
-        assert counts_of(inline_results) == counts_of(pooled_results)
+    """How callers reach the pool: ``backend.run(..., jobs=N)``, one
+    cached service per worker count, and a final ``shutdown``."""
 
     def test_backend_reuses_one_service_per_worker_count(
         self, backend, sweep_circuits
     ):
         # an optimizer loop calls run(jobs=2) per evaluation; each call
         # must land on the same pool instead of starting a new one
-        service = backend.execution_service(2)
         try:
-            for seed in (1, 2):
-                backend.run(
-                    sweep_circuits[:2], shots=SHOTS, seed=seed, jobs=2
-                )
+            backend.run(sweep_circuits[:2], shots=SHOTS, seed=1, jobs=2)
+            service = backend.execution_service(2)
+            pool = service._executor
+            backend.run(sweep_circuits[:2], shots=SHOTS, seed=2, jobs=2)
             assert backend.execution_service(2) is service
+            assert service._executor is pool
         finally:
             backend.close_services()
 
+    def test_backpressure_bounds_in_flight_jobs(self, backend, monkeypatch):
+        # a batch queues one pool task per shard, so never more than
+        # ``jobs`` are in flight however long the batch is
+        backend.run([ghz(2), ghz(2)], shots=SHOTS, seed=1, jobs=2)
+        pool = backend.execution_service(2)._executor
+        queued = []
+        submit = pool.submit
+
+        def counting_submit(fn, circuits, *args, **kwargs):
+            queued.append(len(circuits))
+            return submit(fn, circuits, *args, **kwargs)
+
+        monkeypatch.setattr(pool, "submit", counting_submit)
+        circuits = [ghz(2 + index % 3) for index in range(9)]
+        result = backend.run(circuits, shots=SHOTS, seed=3, jobs=2)
+        assert queued == [5, 4]
+        assert pickled(result.experiments) == pickled(
+            backend.run(circuits, shots=SHOTS, seed=3).experiments
+        )
+
+    def test_map_respects_backpressure_bound(
+        self, backend, problem, monkeypatch
+    ):
+        # the pipeline's batch map (evaluate_many, the PO search's path)
+        # is one pooled batch: at most ``jobs`` tasks in flight
+        model = GateLevelModel(problem)
+        circuits = [
+            model.build_circuit(model.initial_point(index))
+            for index in range(5)
+        ]
+        pipeline = ExecutionPipeline(
+            backend=backend, cost=ExpectedCutCost(problem), shots=SHOTS,
+            jobs=2,
+        )
+        pipeline.evaluate_many(circuits[:2], seeds=[1, 2])  # start the pool
+        pool = backend.execution_service(2)._executor
+        queued = []
+        submit = pool.submit
+
+        def counting_submit(fn, circuits, *args, **kwargs):
+            queued.append(len(circuits))
+            return submit(fn, circuits, *args, **kwargs)
+
+        monkeypatch.setattr(pool, "submit", counting_submit)
+        scored = pipeline.evaluate_many(circuits, seeds=list(range(5)))
+        assert queued == [3, 2]
+        assert [value for value, _ in scored] == [
+            value for value, _ in replace(pipeline, jobs=1).evaluate_many(
+                circuits, seeds=list(range(5))
+            )
+        ]
+
+    def test_shutdown_rejects_new_work(self, sweep_circuits):
+        fresh = FakeGuadalupe()
+        circuits = sweep_circuits[:2]
+        fresh.run(circuits, shots=SHOTS, seed=1, jobs=2)
+        service = fresh.execution_service(2)
+        workers = pool_processes(fresh, 2)
+        service.shutdown()
+        service.shutdown()  # idempotent
+        assert not any(process.is_alive() for process in workers)
+        with pytest.raises(BackendError, match="shut down"):
+            service.run_batch(circuits, [1, 2], shots=SHOTS)
+        assert service._executor is None  # no pool was restarted
+        # the backend replaces its shut-down service with a fresh one
+        try:
+            again = fresh.run(circuits, shots=SHOTS, seed=1, jobs=2)
+            assert fresh.execution_service(2) is not service
+        finally:
+            fresh.close_services()
+        assert counts_of(again.experiments) == counts_of(
+            fresh.run(circuits, shots=SHOTS, seed=1).experiments
+        )
+
+    def test_inline_fallback_matches_pool(self, backend, sweep_circuits):
+        # a lone circuit, or any batch at jobs=1, runs inline in this
+        # process; either way the counts equal the pooled batch's
+        circuits = sweep_circuits[:3]
+        seeds = [derive_seed(29, "run", index) for index in range(3)]
+        pooled = backend.run(circuits, shots=SHOTS, seeds=seeds, jobs=2)
+        inline = backend.run(circuits, shots=SHOTS, seeds=seeds)
+        with collect_trace("inline") as trace:
+            lone = [
+                backend.run(circuit, shots=SHOTS, seeds=[seed], jobs=2)
+                for circuit, seed in zip(circuits, seeds)
+            ]
+        assert trace.find("shard.dispatch") == []
+        assert all("service" not in result.metadata for result in lone)
+        assert "service" not in inline.metadata
+        assert pickled(inline.experiments) == pickled(pooled.experiments)
+        assert pickled(pooled.experiments) == pickled(
+            result.experiments[0] for result in lone
+        )
+
 
 class TestServiceConfiguration:
-    """Constructor, stats and backend-cache surface; no pool starts."""
-
     def test_constructor_validation(self, backend):
-        for knobs in (
-            {"jobs": 0},
-            {"max_pending": 0},
-            {"retries": -1},
-            {"retry_backoff": -0.1},
-            {"shard_timeout": 0},
-            {"max_pool_rebuilds": -1},
-        ):
-            with pytest.raises(BackendError):
-                ExecutionService(backend, **knobs)
+        for jobs in (0, -3):
+            with pytest.raises(BackendError, match="jobs must be >= 1"):
+                ExecutionService(backend, jobs)
+        with pytest.raises(TypeError):
+            ExecutionService(backend, 2, retries=3)
 
-    def test_stats_schema(self, backend):
-        service = ExecutionService(backend, jobs=2)
-        stats = service.stats()
-        service.shutdown()
-        assert set(stats) == {
-            "workers", "pending", "jobs_submitted", "jobs_run",
-            "shards_dispatched", "store_hits", "store_misses",
-            "max_pending_seen", "per_worker", "retries",
-            "transient_errors", "timeouts", "pool_rebuilds",
-            "quarantined", "inline_fallbacks", "store_degraded",
-            "metrics",
+    @pytest.mark.parametrize("jobs", [0, -1, -3])
+    @pytest.mark.parametrize(
+        "entry",
+        ["run_batch", "run_single", "pipeline", "execution_service"],
+    )
+    def test_jobs_below_one_rejected_everywhere(
+        self, backend, problem, entry, jobs
+    ):
+        calls = {
+            "run_batch": lambda: backend.run(
+                [ghz(2), ghz(2)], shots=SHOTS, seed=1, jobs=jobs
+            ),
+            "run_single": lambda: backend.run(
+                ghz(2), shots=SHOTS, seed=1, jobs=jobs
+            ),
+            "pipeline": lambda: ExecutionPipeline(
+                backend=backend, cost=ExpectedCutCost(problem), jobs=jobs
+            ),
+            "execution_service": lambda: backend.execution_service(jobs),
         }
-        assert stats["workers"] == 2
-        assert stats["per_worker"] == {}
-        assert stats["store_degraded"] is False
+        with pytest.raises(BackendError, match="jobs must be >= 1"):
+            calls[entry]()
+        assert jobs not in backend._services
 
     def test_backend_service_takes_only_jobs(self, backend, tmp_path):
         # options would be silently ignored by a service cached under
-        # the same worker count; build an ExecutionService instead
+        # the same worker count
         with pytest.raises(TypeError):
             backend.execution_service(2, store=str(tmp_path))
 
@@ -649,556 +622,408 @@ class TestServiceConfiguration:
             assert backend.execution_service(3) is three
         finally:
             backend.close_services()
-        # closing tears the cached services down; the next call builds
-        # a fresh one
-        with pytest.raises(BackendError):
-            two.submit(CircuitJob(ghz(3), shots=SHOTS, seed=1))
+        # closing shuts the cached services down for good and drops
+        # them; the next call builds anew
+        assert two.closed and three.closed
+        with pytest.raises(BackendError, match="shut down"):
+            two.run_batch([ghz(3)], [1], shots=SHOTS)
         fresh = backend.execution_service(2)
         try:
             assert fresh is not two
         finally:
             backend.close_services()
 
-
-# ---------------------------------------------------------------------------
-# pooled scheduling: mixed-method batches and trajectory fan-out
-# ---------------------------------------------------------------------------
-
-def ghz(qubits: int) -> QuantumCircuit:
-    circuit = QuantumCircuit(qubits, name=f"ghz{qubits}")
-    circuit.h(0)
-    for qubit in range(qubits - 1):
-        circuit.cx(qubit, qubit + 1)
-    circuit.measure_all()
-    return circuit
-
-
-def mixed_jobs() -> list[CircuitJob]:
-    """Cheap stabilizer jobs interleaved with density-matrix jobs."""
-    return [
-        CircuitJob(
-            circuit=ghz(3),
-            shots=SHOTS,
-            seed=11 + index,
-            method="stabilizer" if index % 2 else "density_matrix",
-            with_noise=not index % 2,
+    def test_stats_schema(self, backend, tmp_path):
+        # a pooled batch reports itself twice, with the same numbers:
+        # Result.metadata["service"] and one ``batch`` record
+        sink = tmp_path / "records.jsonl"
+        set_record_sink(sink)
+        try:
+            result = backend.run([ghz(2)] * 5, shots=SHOTS, seed=3, jobs=2)
+        finally:
+            set_record_sink(None)
+        meta = result.metadata["service"]
+        assert set(meta) == {"circuits", "workers", "shards", "wall_seconds"}
+        (batch,) = [
+            row for row in iter_records(sink) if row["kind"] == "batch"
+        ]
+        assert set(batch) == {
+            "kind", "ts", "jobs", "workers", "shards", "wall_seconds",
+        }
+        assert (batch["jobs"], batch["workers"], batch["shards"]) == (
+            meta["circuits"], meta["workers"], meta["shards"]
+        ) == (5, 2, 2)
+        assert batch["wall_seconds"] == pytest.approx(
+            meta["wall_seconds"], abs=1e-3
         )
-        for index in range(6)
-    ]
 
+    def test_backend_with_live_pool_pickles(self, backend, sweep_circuits):
+        # workers get the live backend by pickle; one with a running
+        # pool pickles without it, and the copy runs the same counts
+        circuits = sweep_circuits[:2]
+        pooled = backend.run(circuits, shots=SHOTS, seed=7, jobs=2)
+        assert backend._services
+        copy = pickle.loads(pickle.dumps(backend))
+        assert copy._services == {}
+        assert len(copy.noise_model.superop_cache) == 0
+        assert pickled(
+            copy.run(circuits, shots=SHOTS, seed=7).experiments
+        ) == pickled(pooled.experiments)
+
+    def test_close_services_joins_every_worker(self):
+        fresh = FakeGuadalupe()
+        circuits = [ghz(2), ghz(2), ghz(2)]
+        fresh.run(circuits, shots=SHOTS, seed=2, jobs=2)
+        fresh.run(circuits, shots=SHOTS, seed=2, jobs=3)
+        workers = pool_processes(fresh, 2) + pool_processes(fresh, 3)
+        assert len(workers) == 5
+        fresh.close_services()
+        fresh.close_services()  # idempotent
+        assert not any(process.is_alive() for process in workers)
+        alive = {child.pid for child in multiprocessing.active_children()}
+        assert alive.isdisjoint(process.pid for process in workers)
+
+
+# ---------------------------------------------------------------------------
+# pooled batches
+# ---------------------------------------------------------------------------
 
 @pytest.mark.slow
 class TestPooledScheduling:
     def test_mixed_batch_byte_identical_to_inline(self, backend):
-        jobs = mixed_jobs()
-        with ExecutionService(backend, jobs=2) as pooled:
-            pooled_results, meta = pooled.run_jobs(jobs)
-        with ExecutionService(backend, jobs=1) as inline:
-            inline_results, inline_meta = inline.run_jobs(jobs)
-        assert [pickle.dumps(e) for e in pooled_results] == [
-            pickle.dumps(e) for e in inline_results
-        ]
-        assert meta["scheduler"]["shards_planned"] == len(
-            plan_shards(len(jobs), 2)
-        )
-        assert meta["scheduler"]["shard_imbalance"] >= 1.0
-        assert inline_meta["scheduler"] == {}
-
-    def test_queue_wait_metric_recorded(self, backend):
-        clear_metrics()
-        with ExecutionService(backend, jobs=2) as service:
-            service.run_jobs(mixed_jobs())
-            histograms = service.stats()["metrics"]["histograms"]
-        assert any(
-            "service.queue_wait_seconds" in str(key)
-            for key in histograms
-        )
-        assert not any(
-            "shard_queue_wait" in str(key) for key in histograms
-        )
-
-    def test_trajectory_fanout_honors_shards_per_worker(self, backend):
-        """Regression: fan-out once hardcoded shards_per_worker=2."""
-        trajectories = 24
-        job = CircuitJob(
-            circuit=ghz(3),
-            shots=SHOTS,
-            seed=7,
-            method="trajectory",
-            trajectories=trajectories,
-        )
-        for spw in (2, 3):
-            with ExecutionService(
-                backend, jobs=2, shards_per_worker=spw
-            ) as service:
-                _, meta = service.run_jobs([job])
-            expected = len(plan_shards(trajectories, 2, shards_per_worker=spw))
-            assert meta["trajectory_subjobs"] == expected
-        assert len(plan_shards(trajectories, 2, shards_per_worker=2)) != len(
-            plan_shards(trajectories, 2, shards_per_worker=3)
-        )
+        circuits = [ghz(2), ghz(3), ghz(4), ghz(3), ghz(2)]
+        for kwargs in (
+            dict(method="density_matrix"),
+            dict(method="trajectory", trajectories=8),
+            dict(method="stabilizer", with_noise=False),
+            dict(method="auto"),
+        ):
+            inline = backend.run(circuits, shots=SHOTS, seed=11, **kwargs)
+            pooled = backend.run(
+                circuits, shots=SHOTS, seed=11, jobs=2, **kwargs
+            )
+            assert [pickle.dumps(e) for e in pooled.experiments] == [
+                pickle.dumps(e) for e in inline.experiments
+            ], kwargs
 
     def test_scheduler_meta_describes_the_count_plan(self, backend):
-        with ExecutionService(backend, jobs=2) as service:
-            _, meta = service.run_jobs(mixed_jobs())
-        scheduler = meta["scheduler"]
-        assert set(scheduler) == {
-            "shards_planned", "actual_shard_seconds", "shard_imbalance",
-        }
-        # fault-free: one measured wall per planned shard
-        walls = scheduler["actual_shard_seconds"]
-        assert len(walls) == scheduler["shards_planned"]
-        assert all(wall >= 0.0 for wall in walls)
-        # slowest over mean: 1.0 when level, at most the shard count
-        assert 1.0 <= scheduler["shard_imbalance"] <= len(walls)
+        circuits = [ghz(2)] * 5
+        result = backend.run(circuits, shots=SHOTS, seed=3, jobs=2)
+        meta = result.metadata["service"]
+        assert set(meta) == {"circuits", "workers", "shards", "wall_seconds"}
+        assert (meta["circuits"], meta["workers"], meta["shards"]) == (
+            5, 2, len(shard_bounds(5, 2))
+        )
+        assert meta["wall_seconds"] > 0.0
 
-    def test_plan_span_and_imbalance_gauge(self, backend):
-        clear_metrics()
-        with ExecutionService(backend, jobs=2) as service:
+    def test_pooled_batch_dispatches_the_count_plan(self, backend):
+        # one pool task per shard_bounds shard, collected in order
+        for count, jobs in ((2, 2), (5, 2), (2, 3), (7, 3)):
+            circuits = [ghz(2 + index % 3) for index in range(count)]
             with collect_trace("plan") as trace:
-                _, meta = service.run_jobs(mixed_jobs())
-            gauges = service.stats()["metrics"]["gauges"]
-        scheduler = meta["scheduler"]
-        (plan,) = trace.find("scheduler.plan")
-        assert plan.attributes["units"] == len(mixed_jobs())
-        assert plan.attributes["shards"] == scheduler["shards_planned"]
-        assert plan.attributes["actual_seconds"] == (
-            scheduler["actual_shard_seconds"]
-        )
-        assert plan.attributes["imbalance"] == scheduler["shard_imbalance"]
-        assert gauges["shard.imbalance"] == pytest.approx(
-            scheduler["shard_imbalance"], abs=1e-6
-        )
+                result = backend.run(
+                    circuits, shots=SHOTS, seed=count, jobs=jobs
+                )
+            sizes = [b - a for a, b in shard_bounds(count, jobs)]
+            meta = result.metadata["service"]
+            assert (meta["circuits"], meta["shards"]) == (count, len(sizes))
+            dispatches = trace.find("shard.dispatch")
+            assert [d.attributes["circuits"] for d in dispatches] == sizes
+        backend.close_services()
 
-    def test_pooled_batch_dispatches_the_count_plan(
-        self, backend, sweep_circuits
+    @pytest.mark.parametrize(
+        "with_readout_error", [True, False], ids=["readout", "no_readout"]
+    )
+    @pytest.mark.parametrize(
+        "with_noise", [True, False], ids=["noisy", "noiseless"]
+    )
+    @pytest.mark.parametrize(
+        "method",
+        ["auto", "density_matrix", "statevector", "stabilizer", "trajectory"],
+    )
+    def test_every_run_option_matches_inline(
+        self, backend, method, with_noise, with_readout_error
     ):
-        jobs = SweepJob(sweep_circuits, shots=SHOTS, seed=5).jobs()
-        with ExecutionService(backend, jobs=2) as service:
-            _, meta = service.run_jobs(jobs)
-            dispatched = service.stats()["shards_dispatched"]
-        planned = len(plan_shards(len(jobs), 2))
-        assert meta["scheduler"]["shards_planned"] == planned
-        assert dispatched == planned
+        # the options reach every worker: the pooled batch returns the
+        # inline batch's experiments, or raises the inline error
+        kwargs = dict(
+            shots=SHOTS, seed=12, method=method, with_noise=with_noise,
+            with_readout_error=with_readout_error,
+        )
+        circuits = [ghz(2), ghz(3), ghz(4)]
+        inline = outcome(backend, circuits, **kwargs)
+        assert outcome(backend, circuits, jobs=2, **kwargs) == inline
+        # relaxation is not a Pauli channel: only the noisy stabilizer
+        # run fails
+        failing = method == "stabilizer" and with_noise
+        assert isinstance(inline, tuple) is failing
 
-    def test_max_pending_splits_planned_shards(self, backend):
-        # plan_shards(6, 2, shards_per_worker=1) gives two shards of 3;
-        # a bound of 2 in-flight jobs splits each into 2 + 1
-        jobs = mixed_jobs()
-        with ExecutionService(
-            backend, jobs=2, shards_per_worker=1, max_pending=2
-        ) as pooled:
-            pooled_results, meta = pooled.run_jobs(jobs)
-        with ExecutionService(backend, jobs=1) as inline:
-            inline_results, _ = inline.run_jobs(jobs)
-        assert meta["scheduler"]["shards_planned"] == 4
-        assert [pickle.dumps(e) for e in pooled_results] == [
-            pickle.dumps(e) for e in inline_results
+    @pytest.mark.parametrize(
+        "recording", [False, True], ids=["unrecorded", "recorded"]
+    )
+    @pytest.mark.parametrize("tracing", [False, True], ids=["untraced", "traced"])
+    def test_workers_follow_the_parents_telemetry(
+        self, backend, tmp_path, tracing, recording
+    ):
+        circuits = [ghz(2), ghz(3), ghz(2)]
+        reference = backend.run(circuits, shots=SHOTS, seed=4)
+        sink = tmp_path / "records.jsonl"
+        with ExitStack() as stack:
+            if recording:
+                set_record_sink(sink)
+                stack.callback(set_record_sink, None)
+            if tracing:
+                trace = stack.enter_context(collect_trace("flags"))
+            pooled = backend.run(circuits, shots=SHOTS, seed=4, jobs=2)
+        assert pickled(pooled.experiments) == pickled(reference.experiments)
+        if tracing:
+            dispatched = trace.find("shard.dispatch")
+            assert sum(d.attributes["circuits"] for d in dispatched) == 3
+            assert len(trace.find("engine.execute")) == 3
+        kinds = [row["kind"] for row in iter_records(sink)]
+        assert kinds.count("execute") == (3 if recording else 0)
+        assert kinds.count("batch") == (1 if recording else 0)
+
+    def test_worker_metrics_merge_into_the_parent(self, backend):
+        # each shard ships its metrics delta home: the parent's engine
+        # counter grows by the batch size, as if it had run inline
+        def executions():
+            counters = metrics_snapshot()["counters"]
+            return sum(
+                value for key, value in counters.items()
+                if key.startswith("engine.executions")
+            )
+
+        circuits = [ghz(2), ghz(3), ghz(4), ghz(3)]
+        backend.run(circuits[:2], shots=SHOTS, seed=1, jobs=2)  # warm
+        before = executions()
+        backend.run(circuits, shots=SHOTS, seed=5, jobs=2)
+        assert executions() - before == len(circuits)
+
+    def test_warm_up_runs_once_per_worker(self):
+        fresh = FakeGuadalupe()
+        circuits = [ghz(3), ghz(2), ghz(3), ghz(2)]
+        try:
+            with collect_trace("first") as first:
+                fresh.run(circuits, shots=SHOTS, seed=1, jobs=2)
+            with collect_trace("second") as second:
+                fresh.run(circuits, shots=SHOTS, seed=2, jobs=2)
+        finally:
+            fresh.close_services()
+        traces = (first, second)
+        warmed = [
+            warm.attributes["worker_pid"]
+            for trace in traces for warm in trace.find("worker.warm")
         ]
+        # the warm-up rides with a worker's first shard only, whichever
+        # batch that falls in
+        assert warmed and len(warmed) == len(set(warmed)) <= 2
+        assert set(warmed) == {
+            dispatch.attributes["worker_pid"]
+            for trace in traces for dispatch in trace.find("shard.dispatch")
+        }
 
 
 # ---------------------------------------------------------------------------
-# fault tolerance: chaos tests against the deterministic fault harness
+# failures stay loud: errors reach the caller, dead workers drop the pool
 # ---------------------------------------------------------------------------
-#
-# The invariant under test everywhere below: recovery is *silent* with
-# respect to results.  Whatever the injected failure — worker SIGKILL,
-# transient exceptions, hung shards, poison jobs, a dying store — the
-# surviving jobs' counts must be byte-identical to a clean ``jobs=1``
-# run, because retries re-execute the same pre-resolved seeds.
 
-@pytest.fixture(scope="module")
-def fault_jobs(sweep_circuits):
-    return SweepJob(sweep_circuits, shots=SHOTS, seed=7).jobs()
-
-
-@pytest.fixture(scope="module")
-def clean_counts(backend, fault_jobs):
-    """The jobs=1 no-faults reference every chaos test compares to."""
-    with ExecutionService(backend) as service:
-        experiments, meta = service.run_jobs(fault_jobs)
-    assert meta["faults"]["retries"] == 0
-    return counts_of(experiments)
+#: runs that fail the same way inline and in a worker, by error source
+#: (the qubit budget one under ``density_budget(2)``)
+FAILING_RUNS = {
+    "qubit_budget": (BackendError, dict(method="density_matrix", seed=1)),
+    "generator_seed": (
+        SimulatorError,
+        dict(
+            method="trajectory", trajectories="auto",
+            seeds=[np.random.default_rng(i) for i in range(2)],
+        ),
+    ),
+    "non_pauli_noise": (BackendError, dict(method="stabilizer", seed=1)),
+    "unknown_method": (BackendError, dict(method="bogus", seed=1)),
+}
 
 
 class TestFaultPolicy:
+    """The pool's policy on failure: bad input fails before a worker
+    starts, a failing circuit runs once, and the caller gets the error
+    the inline run raises, on every run."""
+
     def test_rule_validation(self):
-        with pytest.raises(BackendError):
-            FaultRule("explode")
-        with pytest.raises(BackendError):
-            FaultRule("transient", scope="everywhere")
-        with pytest.raises(BackendError):
-            FaultRule("transient", rate=1.5)
-        with pytest.raises(BackendError):
-            FaultRule("transient", max_attempts=0)
-        with pytest.raises(BackendError):
-            FaultRule("delay", delay_seconds=-1.0)
+        fresh = FakeGuadalupe()
+        service = fresh.execution_service(2)
+        for circuits, seeds in (([], []), ([ghz(2)] * 3, [1, 2])):
+            with pytest.raises(BackendError, match="one seed per circuit"):
+                service.run_batch(circuits, seeds, shots=SHOTS)
+        with pytest.raises(BackendError, match="jobs must be >= 1"):
+            fresh.run([ghz(2)] * 2, shots=SHOTS, seed=1, jobs=0)
+        assert service._executor is None  # no worker was started
+        fresh.close_services()
 
-    def test_decisions_are_deterministic(self):
-        policy = FaultPolicy(
-            rules=(FaultRule("transient", rate=0.5, max_attempts=None),),
-            seed=11,
-        )
-        decisions = [
-            bool(policy.matching("job", unit, attempt))
-            for unit in range(20)
-            for attempt in range(3)
-        ]
-        assert decisions == [
-            bool(policy.matching("job", unit, attempt))
-            for unit in range(20)
-            for attempt in range(3)
-        ]
-        assert any(decisions) and not all(decisions)
-        # a different seed must reshuffle which (unit, attempt) pairs fire
-        other = FaultPolicy(
-            rules=(FaultRule("transient", rate=0.5, max_attempts=None),),
-            seed=12,
-        )
-        assert decisions != [
-            bool(other.matching("job", unit, attempt))
-            for unit in range(20)
-            for attempt in range(3)
-        ]
+    def test_decisions_are_deterministic(self, backend):
+        # the same failing batch raises the same error inline, pooled,
+        # and pooled again
+        circuits = [ghz(3), ghz(4)]
+        raised = []
+        with density_budget(3):
+            for jobs in (1, 2, 2):
+                raised.append(
+                    outcome(
+                        backend, circuits, shots=SHOTS, seed=2, jobs=jobs,
+                        method="density_matrix",
+                    )
+                )
+        assert raised[0] == raised[1] == raised[2]
+        error_type, message = raised[0]
+        assert error_type is BackendError
+        assert "4 active qubits" in message
 
-    def test_max_attempts_stops_firing(self):
-        policy = FaultPolicy(rules=(FaultRule("transient", max_attempts=2),))
-        assert policy.matching("job", 0, 0)
-        assert policy.matching("job", 0, 1)
-        assert not policy.matching("job", 0, 2)
-
-    def test_match_tag_restricts_targets(self):
-        policy = FaultPolicy(
-            rules=(FaultRule("permanent", match_tag="poison"),)
-        )
-        assert not policy.matching("job", 0, 0, tag=None)
-        with pytest.raises(PermanentFaultInjected):
-            policy.apply("job", 0, 0, tag="poison")
-
-    def test_kill_downgrades_inline(self):
-        policy = FaultPolicy(rules=(FaultRule("kill"),))
-        # allow_kill=False must never os._exit this very process
-        with pytest.raises(FaultInjected):
-            policy.apply("job", 0, 0, allow_kill=False)
-
-    def test_policy_pickles(self):
-        import pickle
-
-        policy = FaultPolicy(
-            rules=(FaultRule("kill", rate=0.25, max_attempts=3),), seed=5
-        )
-        assert pickle.loads(pickle.dumps(policy)) == policy
+    def test_max_attempts_stops_firing(self, tmp_path):
+        # one attempt per circuit: nothing reruns a failed shard, in a
+        # worker or in this process
+        logged = AttemptLogBackend(tmp_path / "attempts.log")
+        try:
+            with density_budget(3):
+                with pytest.raises(BackendError, match="4 active qubits"):
+                    logged.run(
+                        [ghz(3), ghz(4)], shots=SHOTS, seed=5, jobs=2,
+                        method="density_matrix",
+                    )
+        finally:
+            logged.close_services()
+        assert sorted(logged.worker_runs()) == ["ghz3", "ghz4"]
 
 
 class TestErrorClassification:
-    def test_taxonomy(self):
-        assert classify_error(TransientError("blip")) == "transient"
-        assert classify_error(FaultInjected("blip")) == "transient"
-        assert classify_error(MemoryError()) == "permanent"
-        assert classify_error(ReproError("bad circuit")) == "permanent"
-        assert classify_error(BackendError("bad job")) == "permanent"
-        # unknown infrastructure errors retry (simulation is
-        # side-effect-free, so a bounded retry is always safe)
-        assert classify_error(OSError("pipe")) == "transient"
+    def test_taxonomy(self, backend):
+        # a worker's error keeps its class: simulator-layer failures
+        # stay SimulatorError, backend-layer ones BackendError, and both
+        # are ReproErrors
+        with density_budget(2):
+            for error_type, kwargs in FAILING_RUNS.values():
+                with pytest.raises(ReproError) as info:
+                    backend.run(
+                        [ghz(3), ghz(2)], shots=SHOTS, jobs=2, **kwargs
+                    )
+                assert type(info.value) is error_type
+        assert not issubclass(SimulatorError, BackendError)
+        assert not issubclass(BackendError, SimulatorError)
 
 
-@pytest.mark.faults
 class TestFaultRecoveryInline:
-    def test_transient_blip_retries_to_identical_counts(
-        self, backend, fault_jobs, clean_counts
-    ):
-        policy = FaultPolicy(rules=(FaultRule("transient", max_attempts=1),))
-        with ExecutionService(
-            backend, fault_policy=policy, retry_backoff=0.001
-        ) as service:
-            experiments, meta = service.run_jobs(fault_jobs)
-        assert counts_of(experiments) == clean_counts
-        assert meta["faults"]["retries"] == len(fault_jobs)
-        assert meta["faults"]["transient_errors"] == len(fault_jobs)
-
-    def test_exhausted_retries_quarantine(self, backend, fault_jobs):
-        policy = FaultPolicy(
-            rules=(FaultRule("transient", max_attempts=None),)
-        )
-        with ExecutionService(
-            backend, fault_policy=policy, retries=1, retry_backoff=0.001
-        ) as service:
-            with pytest.raises(QuarantineError) as excinfo:
-                service.run_jobs(fault_jobs)
-        failures = excinfo.value.failures
-        assert [f.index for f in failures] == list(range(len(fault_jobs)))
-        assert all(f.attempts == 2 for f in failures)  # retries + 1
-
-    def test_poison_job_fails_alone(
-        self, backend, fault_jobs, clean_counts
-    ):
-        tagged = [
-            replace(job, tag="poison") if index == 2 else job
-            for index, job in enumerate(fault_jobs)
-        ]
-        policy = FaultPolicy(
-            rules=(
-                FaultRule(
-                    "permanent", max_attempts=None, match_tag="poison"
-                ),
-            )
-        )
-        with ExecutionService(backend, fault_policy=policy) as service:
-            results, meta = service.run_jobs(
-                tagged, return_exceptions=True
-            )
-        assert isinstance(results[2], JobFailure)
-        assert results[2].index == 2
-        survivors = [r for i, r in enumerate(results) if i != 2]
-        reference = [c for i, c in enumerate(clean_counts) if i != 2]
-        assert counts_of(survivors) == reference
-        quarantined = meta["faults"]["quarantined"]
-        assert [entry["index"] for entry in quarantined] == [2]
-
-    def test_quarantine_error_is_descriptive(self, backend, fault_jobs):
-        tagged = [
-            replace(job, tag="poison") if index == 2 else job
-            for index, job in enumerate(fault_jobs)
-        ]
-        policy = FaultPolicy(
-            rules=(
-                FaultRule(
-                    "permanent", max_attempts=None, match_tag="poison"
-                ),
-            )
-        )
-        with ExecutionService(backend, fault_policy=policy) as service:
-            with pytest.raises(QuarantineError) as excinfo:
-                service.run_jobs(tagged)
-        error = excinfo.value
-        assert len(error.failures) == 1
-        assert "PermanentFaultInjected" in error.failures[0].error
-        assert set(error.failures[0].as_dict()) == {
-            "index", "description", "error", "attempts",
-        }
-        assert error.service_meta["faults"]["quarantined"]
+    def test_transient_blip_retries_to_identical_counts(self, backend):
+        # nothing retries on the caller's behalf: a blip (here a qubit
+        # budget briefly too small) raises, and the caller's own retry
+        # returns the clean run's experiments
+        circuits = [ghz(3), ghz(4)]
+        kwargs = dict(shots=SHOTS, seed=8, method="density_matrix")
+        clean = backend.run(circuits, **kwargs)
+        with density_budget(2):
+            with pytest.raises(BackendError, match="active qubits"):
+                backend.run(circuits, **kwargs)
+        retried = backend.run(circuits, **kwargs)
+        assert pickled(retried.experiments) == pickled(clean.experiments)
 
 
-@pytest.mark.faults
 @pytest.mark.slow
 class TestFaultRecoveryPooled:
-    def test_transient_blip_recovers_byte_identical(
-        self, backend, fault_jobs, clean_counts
-    ):
-        policy = FaultPolicy(rules=(FaultRule("transient", max_attempts=1),))
-        with ExecutionService(
-            backend, jobs=2, fault_policy=policy, retry_backoff=0.001
-        ) as service:
-            experiments, meta = service.run_jobs(fault_jobs)
-        assert counts_of(experiments) == clean_counts
-        assert meta["faults"]["retries"] >= 1
-        assert meta["faults"]["pool_rebuilds"] == 0
+    def test_transient_blip_recovers_byte_identical(self, backend):
+        circuits = [ghz(3), ghz(4), ghz(3)]
+        kwargs = dict(shots=SHOTS, seed=8, method="density_matrix")
+        clean = backend.run(circuits, **kwargs)
+        backend.run(circuits, jobs=2, **kwargs)
+        pool = backend.execution_service(2)._executor
+        with density_budget(2):
+            with pytest.raises(BackendError, match="active qubits"):
+                backend.run(circuits, jobs=2, **kwargs)
+        retried = backend.run(circuits, jobs=2, **kwargs)
+        # the circuit's error cost no worker: the same pool ran the retry
+        assert backend.execution_service(2)._executor is pool
+        assert pickled(retried.experiments) == pickled(clean.experiments)
 
-    def test_worker_kill_rebuilds_pool_byte_identical(
-        self, backend, fault_jobs, clean_counts
-    ):
-        # every first attempt dies by os._exit (the moral SIGKILL /
-        # OOM-kill of a live worker mid-batch): the parent must see
-        # BrokenProcessPool, rebuild, and resubmit the lost shards
-        policy = FaultPolicy(rules=(FaultRule("kill", max_attempts=1),))
-        with ExecutionService(
-            backend, jobs=2, fault_policy=policy, retry_backoff=0.001
-        ) as service:
-            experiments, meta = service.run_jobs(fault_jobs)
-        assert counts_of(experiments) == clean_counts
-        assert meta["faults"]["pool_rebuilds"] >= 1
-        assert meta["faults"]["inline_fallback"] is False
+    @pytest.mark.parametrize("source", sorted(FAILING_RUNS))
+    def test_worker_error_equals_inline_error(self, backend, source):
+        error_type, kwargs = FAILING_RUNS[source]
+        circuits = [ghz(3), ghz(2)]
+        with density_budget(2):
+            inline = outcome(backend, circuits, shots=SHOTS, **kwargs)
+            pooled = outcome(backend, circuits, shots=SHOTS, jobs=2, **kwargs)
+        assert pooled == inline
+        assert inline[0] is error_type
 
-    def test_shard_timeout_reclaims_hung_worker(
-        self, backend, fault_jobs, clean_counts
-    ):
-        # first attempts hang far beyond the per-unit budget; the
-        # service must time the shards out, terminate the hung workers
-        # and rerun on a fresh pool
-        policy = FaultPolicy(
-            rules=(
-                FaultRule("delay", delay_seconds=30.0, max_attempts=1),
+    def test_worker_error_reaches_caller_with_its_type(self, backend):
+        circuits = [ghz(3), ghz(3)]
+        backend.run(circuits, shots=SHOTS, seed=1, jobs=2)
+        pool = backend.execution_service(2)._executor
+        # past the density-matrix qubit budget: only the workers run it
+        with pytest.raises(BackendError, match="density_matrix") as info:
+            backend.run(
+                [ghz(15), ghz(15)], shots=SHOTS, seed=1, jobs=2,
+                method="density_matrix",
             )
+        assert "15 active qubits" in str(info.value)
+        # a circuit's own error leaves the pool up
+        again = backend.run(circuits, shots=SHOTS, seed=1, jobs=2)
+        assert backend.execution_service(2)._executor is pool
+        assert counts_of(again.experiments) == counts_of(
+            backend.run(circuits, shots=SHOTS, seed=1).experiments
         )
-        with ExecutionService(
-            backend,
-            jobs=2,
-            fault_policy=policy,
-            retry_backoff=0.001,
-            shard_timeout=2.0,
-        ) as service:
-            experiments, meta = service.run_jobs(fault_jobs)
-        assert counts_of(experiments) == clean_counts
-        assert meta["faults"]["timeouts"] >= 1
-        assert meta["faults"]["pool_rebuilds"] >= 1
+        backend.close_services()
 
-    def test_poison_job_bisected_out_of_shard(
-        self, backend, fault_jobs, clean_counts
-    ):
-        # shards_per_worker=1 packs three jobs per shard, so the poison
-        # job first fails as part of a multi-job shard and must be
-        # narrowed down by bisection before it can be quarantined alone
-        tagged = [
-            replace(job, tag="poison") if index == 1 else job
-            for index, job in enumerate(fault_jobs)
-        ]
-        policy = FaultPolicy(
-            rules=(
-                FaultRule(
-                    "permanent", max_attempts=None, match_tag="poison"
-                ),
-            )
-        )
-        with ExecutionService(
-            backend,
-            jobs=2,
-            shards_per_worker=1,
-            fault_policy=policy,
-            retry_backoff=0.001,
-        ) as service:
-            results, meta = service.run_jobs(
-                tagged, return_exceptions=True
-            )
-        assert isinstance(results[1], JobFailure)
-        survivors = [r for i, r in enumerate(results) if i != 1]
-        reference = [c for i, c in enumerate(clean_counts) if i != 1]
-        assert counts_of(survivors) == reference
-        assert [e["index"] for e in meta["faults"]["quarantined"]] == [1]
-
-    def test_repeated_pool_loss_degrades_to_inline(
-        self, backend, fault_jobs, clean_counts
-    ):
-        # with a zero rebuild budget, the first broken pool must push
-        # the whole remaining batch onto the inline path — where the
-        # kill rule downgrades to a transient and retries succeed
-        policy = FaultPolicy(rules=(FaultRule("kill", max_attempts=2),))
-        with ExecutionService(
-            backend,
-            jobs=2,
-            fault_policy=policy,
-            retry_backoff=0.001,
-            max_pool_rebuilds=0,
-        ) as service:
-            experiments, meta = service.run_jobs(fault_jobs)
-        assert counts_of(experiments) == clean_counts
-        assert meta["faults"]["inline_fallback"] is True
-        assert service.stats()["inline_fallbacks"] == 1
-
-    def test_submit_path_retries_transients(
-        self, backend, fault_jobs, clean_counts
-    ):
-        policy = FaultPolicy(rules=(FaultRule("transient", max_attempts=1),))
-        with ExecutionService(
-            backend, jobs=2, fault_policy=policy, retry_backoff=0.001
-        ) as service:
-            futures = [service.submit(job) for job in fault_jobs]
-            experiments = [f.result(timeout=120) for f in futures]
-        assert counts_of(experiments) == clean_counts
-        assert service.stats()["retries"] >= 1
-
-    def test_warm_failure_surfaces_in_worker_metadata(
-        self, backend, fault_jobs, clean_counts
-    ):
-        # a warm-up failure must not break the pool (jobs still run,
-        # just cold) but must be visible per worker, not swallowed
-        policy = FaultPolicy(
-            rules=(FaultRule("transient", scope="warm", max_attempts=None),)
-        )
-        with ExecutionService(
-            backend, jobs=2, fault_policy=policy
-        ) as service:
-            experiments, meta = service.run_jobs(fault_jobs)
-        assert counts_of(experiments) == clean_counts
-        warm_errors = [
-            worker.get("warm_error")
-            for worker in meta["per_worker"].values()
-        ]
-        assert warm_errors and all(
-            "FaultInjected" in (message or "") for message in warm_errors
+    def test_worker_kill_rebuilds_pool_byte_identical(self):
+        # SIGKILL (an OOM kill) of an idle worker: the next batch raises
+        # BackendError and drops the pool; the one after starts afresh
+        fresh = FakeGuadalupe()
+        circuits = [ghz(3), ghz(2), ghz(3)]
+        reference = fresh.run(circuits, shots=SHOTS, seed=4)
+        try:
+            fresh.run(circuits, shots=SHOTS, seed=4, jobs=2)
+            service = fresh.execution_service(2)
+            victim = pool_processes(fresh, 2)[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=30)
+            assert not victim.is_alive()
+            with pytest.raises(BackendError, match="died"):
+                fresh.run(circuits, shots=SHOTS, seed=4, jobs=2)
+            assert service._executor is None  # the broken pool is gone
+            result = fresh.run(circuits, shots=SHOTS, seed=4, jobs=2)
+            assert victim.pid not in {
+                process.pid for process in pool_processes(fresh, 2)
+            }
+        finally:
+            fresh.close_services()
+        assert counts_of(result.experiments) == counts_of(
+            reference.experiments
         )
 
-
-@pytest.mark.faults
-@pytest.mark.slow
-class TestStoreResilience:
-    def test_crashed_batch_resumes_from_checkpoints(
-        self, backend, fault_jobs, clean_counts, tmp_path
-    ):
-        # first run dies on a poison job, but every completed shard was
-        # already checkpointed; the resubmitted batch must serve the
-        # survivors from the store and execute only the missing job
-        tagged = [
-            replace(job, tag="poison") if index == 2 else job
-            for index, job in enumerate(fault_jobs)
-        ]
-        policy = FaultPolicy(
-            rules=(
-                FaultRule(
-                    "permanent", max_attempts=None, match_tag="poison"
-                ),
-            )
+    def test_warm_failure_surfaces_in_worker_metadata(self):
+        # the warm-up runs the first circuit with the backend's noise,
+        # which a stabilizer run rejects (relaxation is not Pauli); the
+        # noiseless batch itself runs, and each warm span says why
+        fresh = FakeGuadalupe()
+        circuits = [ghz(3), ghz(4)]
+        kwargs = dict(shots=SHOTS, seed=6, method="stabilizer",
+                      with_noise=False)
+        try:
+            with collect_trace("warm") as trace:
+                pooled = fresh.run(circuits, jobs=2, **kwargs)
+        finally:
+            fresh.close_services()
+        # one warm span per worker that ran a shard (a fast worker may
+        # take both shards while the other still warms up)
+        warms = trace.find("worker.warm")
+        assert sorted(warm.attributes["worker_pid"] for warm in warms) == (
+            sorted({d.attributes["worker_pid"]
+                    for d in trace.find("shard.dispatch")})
         )
-        store_root = tmp_path / "store"
-        with ExecutionService(
-            backend,
-            jobs=2,
-            store=ResultStore(store_root),
-            fault_policy=policy,
-        ) as service:
-            with pytest.raises(QuarantineError):
-                service.run_jobs(tagged)
-        assert len(ResultStore(store_root)) == len(fault_jobs) - 1
-        with ExecutionService(
-            backend, jobs=2, store=ResultStore(store_root)
-        ) as resumed:
-            experiments, meta = resumed.run_jobs(fault_jobs)
-        assert counts_of(experiments) == clean_counts
-        assert meta["store_hits"] == len(fault_jobs) - 1
-        assert resumed.stats()["jobs_run"] == 1
-
-    def test_store_write_failure_degrades_not_kills(
-        self, backend, fault_jobs, clean_counts, tmp_path
-    ):
-        class FullDiskStore(ResultStore):
-            def put(self, key, experiment):
-                raise OSError("disk full")
-
-        with ExecutionService(
-            backend, jobs=2, store=FullDiskStore(tmp_path / "bad")
-        ) as service:
-            experiments, meta = service.run_jobs(fault_jobs)
-        assert counts_of(experiments) == clean_counts
-        assert meta["store_degraded"] is True
-        assert service.stats()["store"]["errors"] == 1
-
-    def test_store_read_failure_degrades_not_kills(
-        self, backend, fault_jobs, clean_counts, tmp_path
-    ):
-        class UnreadableStore(ResultStore):
-            def get(self, key):
-                raise OSError("I/O error")
-
-        with ExecutionService(
-            backend, store=UnreadableStore(tmp_path / "bad")
-        ) as service:
-            experiments, meta = service.run_jobs(fault_jobs)
-        assert counts_of(experiments) == clean_counts
-        assert meta["store_degraded"] is True
-
-    def test_torn_store_entry_is_a_counted_miss(
-        self, backend, fault_jobs, tmp_path
-    ):
-        store = ResultStore(tmp_path / "store")
-        with ExecutionService(backend, store=store) as service:
-            service.run_jobs(fault_jobs[:1])
-        (json_path,) = list(store.root.glob("??/*.json"))
-        json_path.write_text("{ torn mid-write")
-        fresh = ResultStore(store.root)
-        with ExecutionService(backend, store=fresh) as service:
-            experiments, _ = service.run_jobs(fault_jobs[:1])
-        assert experiments[0] is not None
-        assert fresh.errors == 1
-        assert fresh.stats()["errors"] == 1
+        assert warms and all(
+            warm.attributes["error"].startswith("BackendError")
+            for warm in warms
+        )
+        inline = fresh.run(circuits, **kwargs)
+        assert counts_of(pooled.experiments) == counts_of(
+            inline.experiments
+        )
 
 
 # ---------------------------------------------------------------------------

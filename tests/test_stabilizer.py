@@ -15,7 +15,6 @@ from repro.circuits import QuantumCircuit
 from repro.circuits.gates import standard_gate
 from repro.exceptions import BackendError, SimulatorError
 from repro.noise import NoiseModel, ReadoutError
-from repro.service import CircuitJob, job_fingerprint
 from repro.simulators import total_variation
 from repro.simulators.stabilizer import (
     StabilizerProgram,
@@ -472,29 +471,9 @@ class TestStabilizerAgreement:
         again = execute_circuit(circuit, target, None, shots=64, seed=3)
         assert dict(again.counts) == dict(result.counts)
 
-    def test_trajectory_slice_rejected_for_stabilizer(self, backend):
-        noise = pauli_noise(backend.num_qubits)
-        with pytest.raises(BackendError, match="trajectory_slice"):
-            execute_circuit(
-                clifford_circuit(4), backend.target, noise, shots=16,
-                seed=0, method="stabilizer", trajectory_slice=(0, 2),
-            )
-
 
 class TestStabilizerService:
-    def test_fingerprint_distinguishes_stabilizer(self):
-        circuit = clifford_circuit(4)
-        keys = {
-            job_fingerprint(
-                CircuitJob(circuit, shots=64, seed=1, method=method), "k"
-            )
-            for method in ("stabilizer", "density_matrix", "trajectory")
-        }
-        assert len(keys) == 3
-
     def test_inline_service_matches_direct_execution(self):
-        from repro.service import ExecutionService
-
         local = FakeGuadalupe()
         local.noise_model = pauli_noise(local.num_qubits)
         circuit = clifford_circuit(13, seed=2)
@@ -502,8 +481,13 @@ class TestStabilizerService:
             circuit, local.target, local.noise_model, shots=256, seed=9,
             method="stabilizer",
         )
-        with ExecutionService(local) as service:
-            job = CircuitJob(circuit, shots=256, seed=9, method="auto")
-            experiment = service.submit(job).result()
-        assert experiment.metadata["method"] == "stabilizer"
-        assert dict(experiment.counts) == dict(direct.counts)
+        try:
+            inline = local.run(circuit, shots=256, seeds=[9])
+            pooled = local.run(
+                [circuit, circuit], shots=256, seeds=[9, 9], jobs=2
+            )
+        finally:
+            local.close_services()
+        for experiment in (inline.experiments[0], *pooled.experiments):
+            assert experiment.metadata["method"] == "stabilizer"
+            assert dict(experiment.counts) == dict(direct.counts)

@@ -5,7 +5,7 @@ for fixed seeds, results are byte-identical with tracing and recording
 enabled or disabled, across every simulation method and worker count —
 the span/record/metric paths never touch the engine's RNG.  On top of
 that: trace trees have the documented shape (every shard dispatch and
-fault event exactly once, parents correct), and records survive torn
+worker warm-up exactly once, parents correct), and records survive torn
 lines.
 """
 
@@ -20,13 +20,6 @@ import pytest
 
 from repro.backends import FakeGuadalupe
 from repro.circuits import QuantumCircuit
-from repro.service import (
-    CircuitJob,
-    ExecutionService,
-    FaultPolicy,
-    FaultRule,
-    ResultStore,
-)
 from repro.telemetry import __main__ as telemetry_cli
 from repro.telemetry import (
     TelemetryError,
@@ -542,31 +535,32 @@ class TestTraceShape:
             set_record_sink(None)
         (root,) = trace.roots
         assert root.name == "backend.run"
-        (run_jobs,) = root.children
-        assert run_jobs.name == "service.run_jobs"
-        assert run_jobs.attributes["jobs"] == 8
         dispatches = [
-            child for child in run_jobs.children
+            child for child in root.children
             if child.name == "shard.dispatch"
         ]
-        # every dispatch span sits directly under service.run_jobs and
-        # together they cover every job index exactly once
+        # every dispatch span sits directly under backend.run, and
+        # together they cover the batch, two contiguous circuits each
         assert dispatches == trace.find("shard.dispatch")
-        indices = []
+        assert [d.attributes["circuits"] for d in dispatches] == [2] * 4
         for dispatch in dispatches:
-            jobs = [
-                s for s in dispatch.iter_spans() if s.name == "job.run"
-            ]
-            assert len(jobs) == dispatch.attributes["jobs"]
-            indices.extend(s.attributes["index"] for s in jobs)
-        assert sorted(indices) == list(range(8))
-        # worker-side engine spans arrived under each job.run
+            (worker_run,) = dispatch.children
+            assert worker_run.name == "backend.run"
+            assert worker_run.attributes["circuits"] == 2
+            assert len(
+                [s for s in dispatch.iter_spans()
+                 if s.name == "engine.execute"]
+            ) == 2
+        # worker-side engine spans arrived, one per circuit
         assert len(trace.find("engine.execute")) == 8
-        # the record sink got one execute row per job plus the batch row
+        # the record sink got one execute row per circuit plus the batch
         rows = list(iter_records(tmp_path / "records.jsonl"))
         kinds = [row["kind"] for row in rows]
         assert kinds.count("execute") == 8
-        assert kinds.count("batch") == 1
+        (batch,) = [row for row in rows if row["kind"] == "batch"]
+        assert (batch["jobs"], batch["workers"], batch["shards"]) == (
+            8, 4, 4
+        )
 
     def test_worker_warm_is_a_dispatch_sibling(self, tmp_path):
         """A worker's warm-up runs before its first shard, outside that
@@ -589,116 +583,14 @@ class TestTraceShape:
         assert sorted(warm_pids) == sorted(
             {dispatch.attributes["worker_pid"] for dispatch in dispatches}
         )
-        (run_jobs,) = trace.find("service.run_jobs")
-        assert all(warm in run_jobs.children for warm in warms)
+        assert all(warm.attributes["error"] is None for warm in warms)
+        (root,) = trace.roots
+        assert all(warm in root.children for warm in warms)
         assert all(
             span_.name != "worker.warm"
             for dispatch in dispatches
             for span_ in dispatch.iter_spans()
         )
-
-    def test_inline_retries_recorded_exactly_once(self, backend):
-        jobs = [
-            CircuitJob(circuit=generic_circuit(3, seed), shots=SHOTS,
-                       seed=seed)
-            for seed in range(4)
-        ]
-        policy = FaultPolicy(
-            rules=(FaultRule("transient", max_attempts=1),)
-        )
-        with ExecutionService(
-            backend, fault_policy=policy, retry_backoff=0.001
-        ) as service:
-            with collect_trace("faults") as trace:
-                _, meta = service.run_jobs(jobs)
-        faults = trace.find("service.fault")
-        by_kind = {}
-        for event in faults:
-            kind = event.attributes["kind"]
-            by_kind[kind] = by_kind.get(kind, 0) + 1
-        # one transient error + one retry per job, each exactly once,
-        # matching the service's own fault counters
-        assert by_kind["transient_errors"] == len(jobs)
-        assert by_kind["retries"] == meta["faults"]["retries"] == len(jobs)
-        (run_jobs,) = trace.find("service.run_jobs")
-        assert all(event in run_jobs.children for event in faults)
-
-    def test_pooled_retries_converge_with_tracing(self, backend):
-        circuits = [generic_circuit(3, seed) for seed in range(4)]
-        jobs = [
-            CircuitJob(circuit=circuit, shots=SHOTS, seed=index)
-            for index, circuit in enumerate(circuits)
-        ]
-        policy = FaultPolicy(
-            rules=(FaultRule("transient", max_attempts=1),)
-        )
-        with ExecutionService(
-            backend, jobs=2, retry_backoff=0.001
-        ) as clean_service:
-            clean, _ = clean_service.run_jobs(jobs)
-        with ExecutionService(
-            backend, jobs=2, fault_policy=policy, retry_backoff=0.001
-        ) as service:
-            with collect_trace("pooled-faults") as trace:
-                experiments, meta = service.run_jobs(jobs)
-        assert [dict(e.counts) for e in experiments] == [
-            dict(e.counts) for e in clean
-        ]
-        assert meta["faults"]["retries"] >= len(jobs)
-        retry_events = [
-            s for s in trace.find("service.fault")
-            if s.attributes["kind"] == "retries"
-        ]
-        assert len(retry_events) == meta["faults"]["retries"]
-        # the jobs that finally ran each appear exactly once at their
-        # final attempt, under a dispatch span
-        final_runs = trace.find("job.run")
-        ran = sorted(s.attributes["index"] for s in final_runs)
-        assert ran == list(range(len(jobs)))
-        assert all(s.attributes["attempt"] >= 1 for s in final_runs)
-
-
-# ---------------------------------------------------------------------------
-# service/store metrics surface (satellite)
-# ---------------------------------------------------------------------------
-
-class TestServiceMetricsSurface:
-    def test_store_counters_reach_snapshot(self, backend, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        job = CircuitJob(circuit=generic_circuit(3, 0), shots=SHOTS,
-                         seed=9)
-        with ExecutionService(backend, store=store) as service:
-            service.run_jobs([job])
-            service.run_jobs([job])
-            stats = service.stats()
-        assert stats["store_degraded"] is False
-        counters = stats["metrics"]["counters"]
-        assert counters["store.misses"] >= 1
-        assert counters["store.puts"] >= 1
-        assert counters["store.hits"] >= 1
-        assert stats["store"]["errors"] == 0
-
-    def test_degraded_store_is_visible(self, backend, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        job = CircuitJob(circuit=generic_circuit(3, 0), shots=SHOTS,
-                         seed=9)
-
-        def explode(key):
-            raise OSError("disk on fire")
-
-        store.get = explode  # degrade on first lookup
-        with ExecutionService(backend, store=store) as service:
-            experiments, _ = service.run_jobs([job])
-            stats = service.stats()
-        assert len(experiments) == 1
-        assert stats["store_degraded"] is True
-        assert stats["metrics"]["gauges"]["store.degraded"] == 1.0
-
-    def test_stats_always_reports_degraded_flag(self, backend):
-        with ExecutionService(backend) as service:
-            stats = service.stats()
-        assert stats["store_degraded"] is False
-        assert "metrics" in stats
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +610,7 @@ class TestLogging:
         )
 
     def test_child_loggers_have_no_handlers_and_propagate(self):
-        for name in ("repro.service", "repro.telemetry"):
+        for name in ("repro.telemetry",):
             child = logging.getLogger(name)
             assert child.handlers == []
             assert child.propagate

@@ -144,6 +144,31 @@ class TestOptimizers:
         result = SPSA(maxiter=200, seed=2).minimize(noisy, [1.0, -1.0])
         assert np.linalg.norm(result.x) < 0.5
 
+    @pytest.mark.parametrize(
+        "optimizer",
+        [COBYLA(maxiter=30), NelderMead(maxiter=40), SPSA(maxiter=10, seed=4)],
+        ids=["cobyla", "nelder_mead", "spsa"],
+    )
+    def test_objective_scored_one_point_per_call(self, optimizer):
+        # every optimizer scores points through the plain callable: an
+        # objective's other attributes (a former batched ``many`` hook
+        # included) are never called
+        points = []
+
+        def objective(x):
+            points.append(np.array(x, dtype=float))
+            return float(np.sum((np.asarray(x) - 0.5) ** 2))
+
+        def many(batch):
+            raise AssertionError("the batched hook must not be called")
+
+        objective.many = many
+        result = optimizer.minimize(objective, [0.0, 1.0])
+        assert result.nfev == len(points) == len(result.history) > 0
+        assert result.history == [
+            float(np.sum((p - 0.5) ** 2)) for p in points
+        ]
+
 
 class TestTrace:
     def test_best_tracking(self):
