@@ -816,7 +816,7 @@ def _smoke_telemetry_artifacts():
 
 
 # ---------------------------------------------------------------------------
-# stabilizer back-end (registry dispatch)
+# stabilizer back-end (auto dispatch)
 # ---------------------------------------------------------------------------
 
 def _clifford_line_circuit(n, measured):
@@ -855,10 +855,10 @@ def test_bench_stabilizer_vs_trajectory_20q_clifford():
 def _run_stabilizer_vs_trajectory(
     num_qubits, shots, trajectories, min_speedup
 ):
-    """The registry-dispatch win: exact tableau vs 2^n trajectories.
+    """The auto-dispatch win: exact tableau vs 2^n trajectories.
 
     A Clifford circuit with Pauli noise past every amplitude budget:
-    the registry resolves ``auto`` to the stabilizer tableau
+    ``auto`` resolves to the stabilizer tableau
     (polynomial per shot) where the old dispatch could only offer
     ``T * 2^n`` trajectory sampling.  Counts are cross-checked within
     the cross-method TV bound before timing.
@@ -1021,8 +1021,8 @@ def _stabilizer_service_counts(circuit, target, noise, shots, jobs):
         backend.close_services()
 
 
-def _smoke_registry_dispatch():
-    """Quick-mode coverage of registry dispatch (no speedup floor).
+def _smoke_auto_dispatch():
+    """Quick-mode coverage of auto dispatch (no speedup floor).
 
     Asserts the auto policy's decisions across the methods' home turfs
     and that a 16-qubit Clifford+Pauli run lands on the tableau and
@@ -1049,14 +1049,14 @@ def _smoke_registry_dispatch():
     wall = time.perf_counter() - t0
     assert result.metadata["method"] == "stabilizer"
     assert sum(result.counts.values()) == 256
-    RESULTS["registry_dispatch_smoke"] = {
+    RESULTS["auto_dispatch_smoke"] = {
         "method": "stabilizer",
         "stabilizer_16q_wall_ms": round(wall * 1e3, 2),
         "note": "auto-dispatch decisions asserted per method; 16q "
         "Clifford+Pauli executes on the tableau",
     }
     _flush()
-    print(f"registry_dispatch_smoke: stabilizer 16q {wall * 1e3:.1f} ms")
+    print(f"auto_dispatch_smoke: stabilizer 16q {wall * 1e3:.1f} ms")
 
 
 def main(argv=None):
@@ -1090,7 +1090,7 @@ def main(argv=None):
         test_bench_kraus_channel()
         test_bench_marginalize()
         _run_trajectory_16q(trajectories=4)
-        _smoke_registry_dispatch()
+        _smoke_auto_dispatch()
         # the engine benches that drive the density walk on a paper
         # model; relaxed floor for the same reason, the tracked 5x
         # assertion runs in the full mode

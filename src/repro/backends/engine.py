@@ -55,40 +55,35 @@ layers repeat those of one of the program's last two replays starts
 from the ρ that replay kept there (:meth:`_DensityProgram.replay`),
 while those states fit in ``_REPLAY_RECORD_BYTES``.
 
-Each registered :class:`~repro.simulators.registry.MethodDescriptor`
-(:mod:`repro.simulators.registry`) carries a capability predicate, a
-cost estimator, a qubit budget and an execute entry point.  This module
-registers the four built-ins on import:
+The simulation back-ends sit in one fixed table, each with a capability
+predicate, a cost estimate, an executor and an active-qubit budget:
 
 * ``"density_matrix"`` — exact mixed-state evolution, ``4**n`` memory;
-  handles every noise process this library models;
+  handles every noise process this library models (14 qubits);
 * ``"statevector"`` — pure-state evolution, ``2**n`` memory; exact for
   circuits whose noise never touches the state (readout assignment
-  error is classical and still applied);
+  error is classical and still applied) (26 qubits);
+* ``"trajectory"`` — Monte Carlo stochastic-wavefunction sampling
+  (:mod:`repro.simulators.trajectory`): ``2**n`` per trajectory,
+  batched ``(B, 2**n)`` kernel, statistically equivalent for
+  Kraus/stochastic noise — the fallback past the density-matrix wall
+  for non-Pauli noise.  ``trajectories="auto"`` (with
+  ``target_error=``) switches it to adaptive allocation (26 qubits);
 * ``"stabilizer"`` — CHP-style Clifford tableau
   (:mod:`repro.simulators.stabilizer`), polynomial memory; exact for
   Clifford circuits whose noise is a Pauli mixture (plus classical
   readout error) — per-shot noise/measurement sampling, so 20+-qubit
-  Clifford workloads run exactly instead of via ``2**n`` trajectories;
-* ``"trajectory"`` — Monte Carlo stochastic-wavefunction sampling
-  (:mod:`repro.simulators.trajectory`): ``2**n`` per trajectory,
-  batched ``(B, 2**n)`` kernel, embarrassingly parallel, statistically
-  equivalent for Kraus/stochastic noise — the fallback past the
-  density-matrix wall for non-Pauli noise.  ``trajectories="auto"``
-  (with ``target_error=``) switches it to adaptive allocation.
+  Clifford workloads run exactly instead of via ``2**n`` trajectories
+  (256 qubits).
 
 ``method="auto"`` (the default) resolves per circuit through
-:func:`select_method`: the cheapest registered method whose predicate
-accepts the circuit and whose budget admits it, exact methods before
-statistical ones, ranked by the registry cost model.  New back-ends
-registered through :func:`repro.simulators.registry.register_method`
-participate with no engine changes.
-
-Per-method active-qubit budgets are configurable
-(:func:`set_method_qubit_budget`; RAM-derived caps via
-:func:`autodetect_method_budgets`); exceeding one raises a
-:class:`~repro.exceptions.BackendError` naming the method in use, its
-escape hatch and the registered alternatives.
+:func:`select_method`: among the methods whose predicate accepts the
+circuit, one within its budget beats one past it, an exact method beats
+the statistical ``trajectory`` while within budget, and then the lower
+cost wins, table order breaking ties.  Running a circuit past its
+method's budget raises a :class:`~repro.exceptions.BackendError` naming
+the method, its budget, its escape hatch and each other method that
+fits and supports the circuit.
 """
 
 from __future__ import annotations
@@ -122,23 +117,6 @@ from repro.simulators.density_matrix import (
     expand_superop,
     superop_plan,
     unitary_superop,
-)
-from repro.simulators.registry import (
-    AUTO_METHOD,
-    MethodDescriptor,
-    adopt_method_budgets,
-    autodetect_method_budgets,
-    available_memory_bytes,
-    check_method_name,
-    check_qubit_budget,
-    default_method_qubit_budgets,
-    method_descriptor,
-    method_names,
-    method_qubit_budget,
-    method_qubit_budgets,
-    rank_methods,
-    register_method,
-    set_method_qubit_budget,
 )
 from repro.simulators.stabilizer import (
     MAX_MEASURED_QUBITS,
@@ -185,15 +163,6 @@ _REPLAY_RECORD_BYTES = 2 << 20
 
 #: the ``superop_cache`` key of a noise model's one replay-records slot
 _REPLAY_RECORDS_KEY = ("density_replay_records",)
-
-
-def __getattr__(name: str):
-    # computed module attributes, always in sync with the live registry
-    if name == "METHODS":
-        return method_names(include_auto=True)
-    if name == "DEFAULT_METHOD_QUBIT_BUDGETS":
-        return default_method_qubit_budgets()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def default_trajectory_count(shots: int) -> int:
@@ -340,7 +309,7 @@ def _resolve_unitary(
 class _CircuitPlan:
     """Method-agnostic execution plan for one circuit.
 
-    Carries the circuit and target it was derived from: the registry's
+    Carries the circuit and target it was derived from: the methods'
     capability predicates and cost estimators receive the plan (plus
     the noise model) and need to inspect instruction content.  The rest
     reads no angle, so it is built once per circuit structure
@@ -596,6 +565,14 @@ def _noise_touches_state(
     )
 
 
+def check_method_name(method: str) -> None:
+    """Raise unless ``method`` is one of :data:`METHODS`."""
+    if method not in METHODS:
+        raise BackendError(
+            f"unknown simulation method {method!r}; choose from {METHODS}"
+        )
+
+
 def select_method(
     circuit: QuantumCircuit,
     target: Target,
@@ -605,24 +582,69 @@ def select_method(
 ) -> str:
     """Resolve ``method`` into a concrete back-end for this circuit.
 
-    The ``auto`` policy asks the simulation-method registry
-    (:func:`repro.simulators.registry.rank_methods`) for the cheapest
-    registered method whose capability predicate accepts the
-    ``(circuit, noise_model)`` pair and whose qubit budget admits it —
-    exact methods before statistical ones, cost-model order within a
-    tier.  With the built-in descriptors that reproduces the historical
-    policy — ``statevector`` when no noise touches the state,
-    ``density_matrix`` within its budget, ``trajectory`` past it — and
-    adds ``stabilizer`` for Clifford circuits with Pauli noise, where
-    the tableau beats every ``2**n`` method.  When no budget admits the
-    circuit, the cheapest supporting method is returned so the budget
-    error raised downstream names the most plausible cap to raise.
+    ``auto`` ranks the methods whose capability predicate accepts the
+    ``(circuit, noise_model)`` pair: a method within its qubit budget
+    before one past it, an exact method before a statistical one while
+    within budget, then lower cost, then table order.  That gives
+    ``statevector`` when no noise touches the state, ``density_matrix``
+    within its budget, ``trajectory`` past it, and ``stabilizer`` for
+    larger Clifford circuits with Pauli noise.  When no budget admits
+    the circuit, the cheapest supporting method wins, exact or not, so
+    the budget error raised downstream names the most plausible one.
     """
     check_method_name(method)
-    if method != AUTO_METHOD:
+    if method != "auto":
         return method
     plan = _plan if _plan is not None else _CircuitPlan(circuit, target)
-    return rank_methods(plan, noise_model)[0].name
+
+    def rank(name: str) -> tuple:
+        entry = _METHODS[name]
+        over_budget = plan.num_local > entry.qubit_budget
+        return (
+            over_budget,
+            entry.statistical and not over_budget,
+            entry.cost(plan, noise_model),
+        )
+
+    # min keeps the first of equal keys, so table order breaks ties;
+    # density_matrix supports every circuit
+    return min(
+        (
+            name
+            for name, entry in _METHODS.items()
+            if entry.supports(plan, noise_model)
+        ),
+        key=rank,
+    )
+
+
+def _check_qubit_budget(
+    method: str, plan: _CircuitPlan, noise_model: NoiseModel | None
+) -> None:
+    """Raise when the circuit's active qubits exceed ``method``'s budget.
+
+    The error names the method, its budget and escape hatch, and each
+    other method whose budget admits the circuit and whose predicate
+    accepts it.
+    """
+    entry = _METHODS[method]
+    num_active = plan.num_local
+    if num_active <= entry.qubit_budget:
+        return
+    alternatives = ", ".join(
+        f"{name} (<= {other.qubit_budget} qubits)"
+        for name, other in _METHODS.items()
+        if name != method
+        and num_active <= other.qubit_budget
+        and other.supports(plan, noise_model)
+    )
+    message = (
+        f"{num_active} active qubits exceed the {entry.qubit_budget}-qubit "
+        f"{method} simulator budget; {entry.escape_hatch}"
+    )
+    if alternatives:
+        message += f"; methods within budget: {alternatives}"
+    raise BackendError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +655,10 @@ def select_method(
 class _ExecutionRequest:
     """Everything one resolved method's executor may need.
 
-    Registry ``execute`` entry points receive ``(plan, request)``;
-    each executor reads the fields relevant to its method and ignores
-    the rest (the trajectory knobs mean nothing to the exact methods,
-    the unitary provider nothing to the stabilizer tableau...).
+    Each method's executor receives ``(plan, request)``, reads the
+    fields relevant to its method and ignores the rest (the trajectory
+    knobs mean nothing to the exact methods, the unitary provider
+    nothing to the stabilizer tableau...).
     """
 
     __slots__ = (
@@ -714,16 +736,14 @@ def execute_circuit(
             resolved = select_method(
                 circuit, target, noise_model, method, _plan=plan
             )
-        descriptor = method_descriptor(resolved)
+        entry = _METHODS[resolved]
         if exec_span:
             exec_span.annotate(
                 method=resolved,
                 qubits=plan.num_local,
                 depth=len(plan.layers),
             )
-        check_qubit_budget(
-            resolved, plan.num_local, plan=plan, noise_model=noise_model
-        )
+        _check_qubit_budget(resolved, plan, noise_model)
 
         if not plan.measured_qubits:
             return ExperimentResult(
@@ -742,7 +762,7 @@ def execute_circuit(
             resolve_trajectory_request(trajectories, target_error, shots)
 
         with telemetry_span("engine.kernel", method=resolved):
-            result = descriptor.execute(
+            result = entry.execute(
                 plan,
                 _ExecutionRequest(
                     noise_model=noise_model,
@@ -1684,7 +1704,7 @@ def execute_circuits(
 
 
 # ---------------------------------------------------------------------------
-# built-in method registration
+# the simulation methods
 # ---------------------------------------------------------------------------
 
 def _supports_any(plan: _CircuitPlan, noise_model) -> bool:
@@ -1724,27 +1744,28 @@ def _supports_stabilizer(plan: _CircuitPlan, noise_model) -> bool:
         return False
     if certified and noise_model is None:
         return True
-    for inst in plan.circuit.instructions:
-        op = inst.operation
-        if isinstance(op, (Barrier, Measure, Delay)):
-            continue
-        if not certified:
-            if isinstance(op, PulseGate):
-                return False
-            cached = getattr(op, "unitary", None)
-            try:
-                matrix = (
-                    np.asarray(cached, dtype=complex)
-                    if cached is not None
-                    else op.matrix()
-                )
-            except Exception:
-                return False
-            if clifford_conjugation_table(matrix) is None:
-                return False
-        if noise_model is not None:
-            for channel in noise_model.gate_channels(op.name, inst.qubits):
-                if channel.num_qubits != len(inst.qubits):
+    # the layers leave out measures and barriers, the lowering delays
+    for layer in _lower_noisy_ops(
+        plan, plan.circuit, noise_model, plan.target
+    ):
+        for gate in layer.gates:
+            op = gate.instruction.operation
+            if not certified:
+                if isinstance(op, PulseGate):
+                    return False
+                cached = getattr(op, "unitary", None)
+                try:
+                    matrix = (
+                        np.asarray(cached, dtype=complex)
+                        if cached is not None
+                        else op.matrix()
+                    )
+                except Exception:
+                    return False
+                if clifford_conjugation_table(matrix) is None:
+                    return False
+            for channel in gate.channels:
+                if channel.num_qubits != len(gate.qubits):
                     # misconfigured width: let an amplitude back-end
                     # raise its loud error instead of running silently
                     # wrong physics here
@@ -1784,57 +1805,61 @@ def _cost_stabilizer(plan: _CircuitPlan, noise_model) -> float:
     return float(_STABILIZER_SHOT_WORK * max(1, plan.num_local) ** 2)
 
 
-register_method(MethodDescriptor(
-    name="density_matrix",
-    supports=_supports_any,
-    cost=_cost_density_matrix,
-    execute=partial(_execute_exact, resolved="density_matrix"),
-    default_qubit_budget=14,
-    escape_hatch=(
+class _Method(NamedTuple):
+    """One simulation back-end of :data:`_METHODS`."""
+
+    #: capability predicate over ``(plan, noise_model)``
+    supports: Callable
+    #: unitless work estimate over ``(plan, noise_model)``
+    cost: Callable
+    #: ``execute(plan, request) -> ExperimentResult``
+    execute: Callable
+    #: most active qubits the method runs
+    qubit_budget: int
+    #: advice the budget error appends
+    escape_hatch: str
+    #: True when counts are statistically equivalent rather than exact
+    #: samples of the requested distribution
+    statistical: bool = False
+
+
+#: every simulation back-end, in the order that breaks ``auto`` ties
+_METHODS = {
+    "density_matrix": _Method(
+        _supports_any,
+        _cost_density_matrix,
+        partial(_execute_exact, resolved="density_matrix"),
+        14,
         "exact mixed-state evolution holds the full 4^n operator — "
         'stochastic noise is statistically equivalent on '
         'method="trajectory", Clifford circuits with Pauli noise are '
         'exact on method="stabilizer", noiseless circuits on '
-        'method="statevector"'
+        'method="statevector"',
     ),
-    state_bytes=lambda num_qubits: 16 << (2 * num_qubits),
-))
-
-register_method(MethodDescriptor(
-    name="statevector",
-    supports=_supports_statevector,
-    cost=_cost_statevector,
-    execute=partial(_execute_exact, resolved="statevector"),
-    default_qubit_budget=26,
-    escape_hatch="pure states scale 2^n",
-    state_bytes=lambda num_qubits: 16 << num_qubits,
-))
-
-register_method(MethodDescriptor(
-    name="trajectory",
-    supports=_supports_any,
-    cost=_cost_trajectory,
-    execute=_execute_trajectory,
-    default_qubit_budget=26,
-    escape_hatch="each trajectory holds a 2^n statevector",
-    statistical=True,
-    state_bytes=lambda num_qubits: 16 << num_qubits,
-))
-
-register_method(MethodDescriptor(
-    name="stabilizer",
-    supports=_supports_stabilizer,
-    cost=_cost_stabilizer,
-    execute=_execute_stabilizer,
-    default_qubit_budget=256,
-    escape_hatch=(
+    "statevector": _Method(
+        _supports_statevector,
+        _cost_statevector,
+        partial(_execute_exact, resolved="statevector"),
+        26,
+        "pure states scale 2^n",
+    ),
+    "trajectory": _Method(
+        _supports_any,
+        _cost_trajectory,
+        _execute_trajectory,
+        26,
+        "each trajectory holds a 2^n statevector",
+        statistical=True,
+    ),
+    "stabilizer": _Method(
+        _supports_stabilizer,
+        _cost_stabilizer,
+        _execute_stabilizer,
+        256,
         "the tableau is polynomial in qubits; this cap only guards "
-        "pathological registers"
+        "pathological registers",
     ),
-    # the packed tableau: two (2n, ceil(n/64)) uint64 word blocks plus
-    # a 2n-byte phase vector — quadratic, so RAM autodetection lifts
-    # the budget to the registry ceiling on any realistic machine
-    state_bytes=lambda num_qubits: (
-        32 * num_qubits * ((num_qubits + 63) // 64) + 2 * num_qubits
-    ),
-))
+}
+
+#: the valid ``method=`` names (the ``--method`` choices)
+METHODS = ("auto", *_METHODS)

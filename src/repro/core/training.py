@@ -87,8 +87,7 @@ class ExecutionPipeline:
     )
 
     def __post_init__(self) -> None:
-        # fail at construction, not hundreds of evaluations in: the
-        # registry knows every valid method (plugins included)
+        # fail at construction, not hundreds of evaluations in
         check_method_name(self.method)
         if self.jobs < 1:
             raise BackendError(f"jobs must be >= 1, got {self.jobs}")

@@ -82,8 +82,8 @@ class HybridWorkflow:
         #: value (:mod:`repro.service`)
         self.jobs = jobs
         #: simulation method + trajectory allocation for every stage's
-        #: executions (PERFORMANCE.md "Simulation methods"); any method
-        #: registered with the simulation-method registry is valid
+        #: executions (PERFORMANCE.md "Simulation methods"), checked
+        #: against ``repro.backends.METHODS`` here
         check_method_name(method)
         self.method = method
         self.trajectories = trajectories

@@ -6,7 +6,7 @@ import argparse
 import sys
 import time
 
-from repro.backends.engine import method_names
+from repro.backends.engine import METHODS
 from repro.experiments import (
     ExperimentConfig,
     convergence,
@@ -69,13 +69,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--method",
-        # the registry is the source of truth: a back-end registered at
-        # import time (plugins included) is immediately a valid choice
-        choices=method_names(include_auto=True),
+        # the engine's method table is the one list of valid names
+        choices=METHODS,
         default="auto",
-        help="simulation method: auto picks the cheapest registered "
-        "back-end whose capability predicate accepts the circuit "
-        "(see PERFORMANCE.md)",
+        help="simulation method: auto picks, per circuit, a method that "
+        "supports it within its qubit budget, exact before statistical, "
+        "then the cheapest (see PERFORMANCE.md)",
     )
     parser.add_argument(
         "--trajectories",

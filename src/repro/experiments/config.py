@@ -30,9 +30,9 @@ class ExperimentConfig:
     #: the PO search's; single evaluations run inline, and results are
     #: seed-identical for any value (:mod:`repro.service`)
     jobs: int = 1
-    #: simulation method for every circuit execution (``--method``);
-    #: any method registered with the simulation-method registry, or
-    #: "auto" to cost-rank them per circuit (PERFORMANCE.md)
+    #: simulation method for every circuit execution (``--method``):
+    #: one of ``repro.backends.METHODS``, where "auto" ranks them per
+    #: circuit (PERFORMANCE.md)
     method: str = "auto"
     #: trajectory count for the trajectory back-end
     #: (``--trajectories N`` pins it, ``--trajectories auto`` adapts it)

@@ -20,19 +20,19 @@ duration search's, two circuits per candidate duration.
   once, when the pool starts, so in-place edits of its noise model or
   device physics made before then reach the workers; after a later
   edit, ``backend.close_services()`` makes the next batch start from
-  the edited backend.  Every shard also carries the parent's
-  per-method qubit budgets, so ``"auto"`` resolves as it does in the
-  parent.
-* **A one-shot warm-up.** A new worker runs the batch's first circuit
-  at one shot (one trajectory) before its first shard, filling the
-  propagator, calibration and noise-channel memos it will hit.  A
+  the edited backend.
+* **A one-shot warm-up.** A new worker runs the first circuit of the
+  batch that started the pool, with that batch's ``method``,
+  ``with_noise`` and ``with_readout_error``, at one shot (one
+  trajectory) before its first shard, filling the propagator,
+  calibration and noise-channel memos it will hit.  A
   failed warm-up is only noted on the ``worker.warm`` span; the
   circuit's own run raises the error.
 * **Loud failures.** A worker's exception reaches the caller with its
   type.  A dead worker raises :class:`~repro.exceptions.BackendError`
   and drops the pool, so the next batch starts a fresh one.  Nothing
   retries or falls back.
-* **Telemetry.** Worker metrics merge into the parent's registry,
+* **Telemetry.** Worker metrics merge into the parent's metrics registry,
   buffered records go to the parent's sink, and when the parent traces,
   each shard's span tree arrives under a ``shard.dispatch`` span, with a
   ``worker.warm`` sibling for a worker's first shard (TELEMETRY.md).

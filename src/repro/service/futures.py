@@ -10,7 +10,6 @@ from collections.abc import Sequence
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import ExitStack
 
-from repro.backends.engine import adopt_method_budgets, method_qubit_budgets
 from repro.exceptions import BackendError
 from repro.telemetry import metrics as telemetry_metrics
 from repro.telemetry import records as telemetry_records
@@ -20,6 +19,9 @@ __all__ = ["ExecutionService", "shard_bounds"]
 
 #: per-process worker state, set once by :func:`_initialize_worker`
 _WORKER: dict = {}
+
+#: the batch's run options its warm-up takes
+_WARM_OPTIONS = ("method", "with_noise", "with_readout_error")
 
 
 def shard_bounds(count: int, workers: int) -> list[tuple[int, int]]:
@@ -38,22 +40,20 @@ def shard_bounds(count: int, workers: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _initialize_worker(
-    backend_blob: bytes, warm_blob: bytes, method_budgets: dict
-) -> None:
-    """Pool initializer: unpickle the backend once and warm its memos."""
+def _initialize_worker(backend_blob: bytes, warm_blob: bytes) -> None:
+    """Pool initializer: unpickle the backend once and warm its memos
+    with the batch's first circuit under the batch's options."""
     # a fork-started child inherits the parent's live telemetry state;
     # shards opt back in per dispatch
     telemetry_spans._reset_state()
     telemetry_records._reset_state()
-    adopt_method_budgets(method_budgets)
     backend = pickle.loads(backend_blob)
-    circuit, method = pickle.loads(warm_blob)
+    circuit, options = pickle.loads(warm_blob)
     start = time.perf_counter()
     error = None
     try:
         backend.run(
-            circuit, shots=1, seeds=[0], method=method, trajectories=1
+            circuit, shots=1, seeds=[0], trajectories=1, **options
         )
     except Exception as exc:  # the circuit's own run raises it
         error = f"{type(exc).__name__}: {exc}"
@@ -68,7 +68,6 @@ def _run_shard(
     circuits: list,
     seeds: list,
     options: dict,
-    method_budgets: dict,
     telemetry: tuple[bool, bool],
 ) -> dict:
     """Pool task: run one contiguous shard on this worker's backend.
@@ -77,7 +76,6 @@ def _run_shard(
     worker collects its spans and records and ships them home with its
     metrics delta.
     """
-    adopt_method_budgets(method_budgets)
     want_spans, want_records = telemetry
     metrics_base = telemetry_metrics.metrics_baseline()
     start = time.perf_counter()
@@ -145,7 +143,7 @@ class ExecutionService:
         #: set by :meth:`shutdown`; a closed service runs no batch
         self.closed = False
 
-    def _pool(self, warm_circuit, method: str) -> ProcessPoolExecutor:
+    def _pool(self, warm_circuit, warm_options: dict) -> ProcessPoolExecutor:
         if self.closed:
             raise BackendError(
                 f"the {self.workers}-process service of "
@@ -157,8 +155,7 @@ class ExecutionService:
                 initializer=_initialize_worker,
                 initargs=(
                     pickle.dumps(self.backend),
-                    pickle.dumps((warm_circuit, method)),
-                    method_qubit_budgets(),
+                    pickle.dumps((warm_circuit, warm_options)),
                 ),
             )
         return self._executor
@@ -184,14 +181,15 @@ class ExecutionService:
             telemetry_spans.tracing_enabled(),
             telemetry_records.recording_enabled(),
         )
-        budgets = method_qubit_budgets()
+        warm_options = {
+            key: options[key] for key in _WARM_OPTIONS if key in options
+        }
         experiments: list = []
         try:
-            pool = self._pool(circuits[0], options.get("method", "auto"))
+            pool = self._pool(circuits[0], warm_options)
             futures = [
                 pool.submit(
-                    _run_shard, circuits[a:b], seeds[a:b], options,
-                    budgets, flags,
+                    _run_shard, circuits[a:b], seeds[a:b], options, flags
                 )
                 for a, b in shards
             ]

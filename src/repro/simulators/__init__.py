@@ -1,23 +1,14 @@
-"""Gate-level simulators and the pluggable simulation-method registry.
+"""Gate-level simulators.
 
 Amplitude simulators (statevector, unitary, density matrix), the Monte
-Carlo trajectory sampler, the CHP-style stabilizer tableau, and the
-registry every execution back-end registers itself with
-(:mod:`repro.simulators.registry`).
+Carlo trajectory sampler and the CHP-style stabilizer tableau.  The
+execution engine's method table (:mod:`repro.backends.engine`) picks
+one of them per circuit.
 """
 
 from repro.simulators.statevector import Statevector, simulate_statevector
 from repro.simulators.unitary import circuit_to_unitary
 from repro.simulators.density_matrix import DensityMatrix
-from repro.simulators.registry import (
-    MethodDescriptor,
-    autodetect_method_budgets,
-    method_descriptor,
-    method_names,
-    register_method,
-    registered_methods,
-    unregister_method,
-)
 from repro.simulators.sampler import (
     counts_to_probabilities,
     probabilities_to_counts,
@@ -46,13 +37,6 @@ __all__ = [
     "simulate_statevector",
     "circuit_to_unitary",
     "DensityMatrix",
-    "MethodDescriptor",
-    "autodetect_method_budgets",
-    "method_descriptor",
-    "method_names",
-    "register_method",
-    "registered_methods",
-    "unregister_method",
     "StabilizerProgram",
     "StabilizerTableau",
     "clifford_conjugation_table",

@@ -3,7 +3,7 @@
 Commands:
 
 - ``report <records.jsonl>`` — aggregate a JSONL record sink into
-  per-method wall-clock stats and batch/fault totals.  A missing or
+  per-method wall-clock stats and batch totals.  A missing or
   unreadable sink exits nonzero.
 - ``profile <trace.json>`` — per span name of a saved trace tree
   (``repro-telemetry-trace-v1``, as ``--trace`` writes it): call count,
@@ -52,11 +52,6 @@ def _cmd_report(args) -> int:
             f"batches: {batches['count']} runs, {batches['jobs']} jobs, "
             f"{batches['wall_seconds']:.2f} s total"
         )
-        if batches["faults"]:
-            faults = ", ".join(
-                f"{k}={v}" for k, v in sorted(batches["faults"].items())
-            )
-            print(f"  faults: {faults}")
     return 0
 
 

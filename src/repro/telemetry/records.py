@@ -186,10 +186,10 @@ def summarize_records(records) -> dict:
     """Aggregate records for the ``repro.telemetry report`` CLI.
 
     Groups ``execute`` records by (method, qubits) with count and
-    wall-clock stats, and totals ``batch`` records' fault counters.
+    wall-clock stats, and totals ``batch`` records' jobs and wall time.
     """
     methods: dict[tuple, dict] = {}
-    batches = {"count": 0, "jobs": 0, "wall_seconds": 0.0, "faults": {}}
+    batches = {"count": 0, "jobs": 0, "wall_seconds": 0.0}
     total = 0
     for payload in records:
         total += 1
@@ -209,10 +209,6 @@ def summarize_records(records) -> dict:
             batches["count"] += 1
             batches["jobs"] += int(payload.get("jobs", 0))
             batches["wall_seconds"] += float(payload.get("wall_seconds", 0.0))
-            for name, value in (payload.get("faults") or {}).items():
-                batches["faults"][name] = batches["faults"].get(name, 0) + int(
-                    value
-                )
     return {
         "total_records": total,
         "methods": {

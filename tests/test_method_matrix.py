@@ -21,7 +21,7 @@ circuit family (the random circuits above are deliberately non-Clifford
 so the amplitude cells keep exercising generic rotations): Clifford
 circuits with depolarizing (Pauli) noise, TV-compared against the exact
 density distribution and against trajectory sampling past the density
-budget, plus the registry's auto-dispatch crossover points.
+budget, plus the auto-dispatch crossover points.
 """
 
 import numpy as np

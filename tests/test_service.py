@@ -20,11 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import (
-    FakeGuadalupe,
-    SimulatedBackend,
-    set_method_qubit_budget,
-)
+from repro.backends import FakeGuadalupe, SimulatedBackend
 from repro.circuits import QuantumCircuit
 from repro.core import (
     ExecutionPipeline,
@@ -109,23 +105,6 @@ def outcome(backend, circuits, **kwargs):
     except ReproError as exc:
         return type(exc), str(exc)
     return pickled(result.experiments)
-
-
-class density_budget:
-    """Shrink the density-matrix qubit budget for a ``with`` block.
-
-    Every shard carries the parent's budgets, so a circuit past the
-    budget fails inside the worker that runs it.
-    """
-
-    def __init__(self, qubits):
-        self.qubits = qubits
-
-    def __enter__(self):
-        set_method_qubit_budget("density_matrix", self.qubits)
-
-    def __exit__(self, *exc):
-        set_method_qubit_budget("density_matrix", None)
 
 
 class AttemptLogBackend(SimulatedBackend):
@@ -828,19 +807,33 @@ class TestPooledScheduling:
 # failures stay loud: errors reach the caller, dead workers drop the pool
 # ---------------------------------------------------------------------------
 
-#: runs that fail the same way inline and in a worker, by error source
-#: (the qubit budget one under ``density_budget(2)``)
+#: a 15-qubit GHZ state on the 16-qubit FakeGuadalupe is past the fixed
+#: 14-qubit density-matrix budget: pinned to ``density_matrix`` it
+#: fails at the budget check, before any simulation
+PAST_BUDGET = ghz(15)
+
+#: runs that fail the same way inline and in a worker, by error source:
+#: the error type, the batch and its run options
 FAILING_RUNS = {
-    "qubit_budget": (BackendError, dict(method="density_matrix", seed=1)),
+    "qubit_budget": (
+        BackendError,
+        [ghz(3), PAST_BUDGET],
+        dict(method="density_matrix", seed=1),
+    ),
     "generator_seed": (
         SimulatorError,
+        [ghz(3), ghz(2)],
         dict(
             method="trajectory", trajectories="auto",
             seeds=[np.random.default_rng(i) for i in range(2)],
         ),
     ),
-    "non_pauli_noise": (BackendError, dict(method="stabilizer", seed=1)),
-    "unknown_method": (BackendError, dict(method="bogus", seed=1)),
+    "non_pauli_noise": (
+        BackendError, [ghz(3), ghz(2)], dict(method="stabilizer", seed=1)
+    ),
+    "unknown_method": (
+        BackendError, [ghz(3), ghz(2)], dict(method="bogus", seed=1)
+    ),
 }
 
 
@@ -863,35 +856,32 @@ class TestFaultPolicy:
     def test_decisions_are_deterministic(self, backend):
         # the same failing batch raises the same error inline, pooled,
         # and pooled again
-        circuits = [ghz(3), ghz(4)]
-        raised = []
-        with density_budget(3):
-            for jobs in (1, 2, 2):
-                raised.append(
-                    outcome(
-                        backend, circuits, shots=SHOTS, seed=2, jobs=jobs,
-                        method="density_matrix",
-                    )
-                )
+        circuits = [ghz(3), PAST_BUDGET]
+        raised = [
+            outcome(
+                backend, circuits, shots=SHOTS, seed=2, jobs=jobs,
+                method="density_matrix",
+            )
+            for jobs in (1, 2, 2)
+        ]
         assert raised[0] == raised[1] == raised[2]
         error_type, message = raised[0]
         assert error_type is BackendError
-        assert "4 active qubits" in message
+        assert "15 active qubits" in message
 
     def test_max_attempts_stops_firing(self, tmp_path):
         # one attempt per circuit: nothing reruns a failed shard, in a
         # worker or in this process
         logged = AttemptLogBackend(tmp_path / "attempts.log")
         try:
-            with density_budget(3):
-                with pytest.raises(BackendError, match="4 active qubits"):
-                    logged.run(
-                        [ghz(3), ghz(4)], shots=SHOTS, seed=5, jobs=2,
-                        method="density_matrix",
-                    )
+            with pytest.raises(BackendError, match="15 active qubits"):
+                logged.run(
+                    [ghz(3), PAST_BUDGET], shots=SHOTS, seed=5, jobs=2,
+                    method="density_matrix",
+                )
         finally:
             logged.close_services()
-        assert sorted(logged.worker_runs()) == ["ghz3", "ghz4"]
+        assert sorted(logged.worker_runs()) == ["ghz15", "ghz3"]
 
 
 class TestErrorClassification:
@@ -899,28 +889,24 @@ class TestErrorClassification:
         # a worker's error keeps its class: simulator-layer failures
         # stay SimulatorError, backend-layer ones BackendError, and both
         # are ReproErrors
-        with density_budget(2):
-            for error_type, kwargs in FAILING_RUNS.values():
-                with pytest.raises(ReproError) as info:
-                    backend.run(
-                        [ghz(3), ghz(2)], shots=SHOTS, jobs=2, **kwargs
-                    )
-                assert type(info.value) is error_type
+        for error_type, circuits, kwargs in FAILING_RUNS.values():
+            with pytest.raises(ReproError) as info:
+                backend.run(circuits, shots=SHOTS, jobs=2, **kwargs)
+            assert type(info.value) is error_type
         assert not issubclass(SimulatorError, BackendError)
         assert not issubclass(BackendError, SimulatorError)
 
 
 class TestFaultRecoveryInline:
     def test_transient_blip_retries_to_identical_counts(self, backend):
-        # nothing retries on the caller's behalf: a blip (here a qubit
-        # budget briefly too small) raises, and the caller's own retry
-        # returns the clean run's experiments
+        # nothing retries on the caller's behalf: a blip (here a batch
+        # with one circuit past the qubit budget) raises, and the
+        # caller's own retry returns the clean run's experiments
         circuits = [ghz(3), ghz(4)]
         kwargs = dict(shots=SHOTS, seed=8, method="density_matrix")
         clean = backend.run(circuits, **kwargs)
-        with density_budget(2):
-            with pytest.raises(BackendError, match="active qubits"):
-                backend.run(circuits, **kwargs)
+        with pytest.raises(BackendError, match="15 active qubits"):
+            backend.run([ghz(3), PAST_BUDGET], **kwargs)
         retried = backend.run(circuits, **kwargs)
         assert pickled(retried.experiments) == pickled(clean.experiments)
 
@@ -933,9 +919,8 @@ class TestFaultRecoveryPooled:
         clean = backend.run(circuits, **kwargs)
         backend.run(circuits, jobs=2, **kwargs)
         pool = backend.execution_service(2)._executor
-        with density_budget(2):
-            with pytest.raises(BackendError, match="active qubits"):
-                backend.run(circuits, jobs=2, **kwargs)
+        with pytest.raises(BackendError, match="15 active qubits"):
+            backend.run([ghz(3), PAST_BUDGET, ghz(3)], jobs=2, **kwargs)
         retried = backend.run(circuits, jobs=2, **kwargs)
         # the circuit's error cost no worker: the same pool ran the retry
         assert backend.execution_service(2)._executor is pool
@@ -943,11 +928,9 @@ class TestFaultRecoveryPooled:
 
     @pytest.mark.parametrize("source", sorted(FAILING_RUNS))
     def test_worker_error_equals_inline_error(self, backend, source):
-        error_type, kwargs = FAILING_RUNS[source]
-        circuits = [ghz(3), ghz(2)]
-        with density_budget(2):
-            inline = outcome(backend, circuits, shots=SHOTS, **kwargs)
-            pooled = outcome(backend, circuits, shots=SHOTS, jobs=2, **kwargs)
+        error_type, circuits, kwargs = FAILING_RUNS[source]
+        inline = outcome(backend, circuits, shots=SHOTS, **kwargs)
+        pooled = outcome(backend, circuits, shots=SHOTS, jobs=2, **kwargs)
         assert pooled == inline
         assert inline[0] is error_type
 
@@ -958,7 +941,7 @@ class TestFaultRecoveryPooled:
         # past the density-matrix qubit budget: only the workers run it
         with pytest.raises(BackendError, match="density_matrix") as info:
             backend.run(
-                [ghz(15), ghz(15)], shots=SHOTS, seed=1, jobs=2,
+                [PAST_BUDGET, PAST_BUDGET], shots=SHOTS, seed=1, jobs=2,
                 method="density_matrix",
             )
         assert "15 active qubits" in str(info.value)
@@ -996,14 +979,15 @@ class TestFaultRecoveryPooled:
             reference.experiments
         )
 
-    def test_warm_failure_surfaces_in_worker_metadata(self):
-        # the warm-up runs the first circuit with the backend's noise,
-        # which a stabilizer run rejects (relaxation is not Pauli); the
-        # noiseless batch itself runs, and each warm span says why
+    def test_warm_up_takes_the_batch_options(self):
+        # the warm-up runs the first circuit with the batch's method,
+        # noise and readout-error options: a noiseless stabilizer batch
+        # warms up, though the backend's relaxation noise is not a
+        # Pauli mixture the tableau could run
         fresh = FakeGuadalupe()
         circuits = [ghz(3), ghz(4)]
         kwargs = dict(shots=SHOTS, seed=6, method="stabilizer",
-                      with_noise=False)
+                      with_noise=False, with_readout_error=False)
         try:
             with collect_trace("warm") as trace:
                 pooled = fresh.run(circuits, jobs=2, **kwargs)
@@ -1017,7 +1001,36 @@ class TestFaultRecoveryPooled:
                     for d in trace.find("shard.dispatch")})
         )
         assert warms and all(
-            warm.attributes["error"].startswith("BackendError")
+            warm.attributes["error"] is None for warm in warms
+        )
+        inline = fresh.run(circuits, **kwargs)
+        assert counts_of(pooled.experiments) == counts_of(
+            inline.experiments
+        )
+
+    def test_warm_failure_surfaces_in_worker_metadata(self):
+        # a batch whose first circuit fails on its own fails every
+        # warm-up and every shard; each worker's failed warm-up rides
+        # with the first shard it returns, here the next batch's
+        fresh = FakeGuadalupe()
+        circuits = [ghz(3), ghz(4)]
+        kwargs = dict(shots=SHOTS, seed=6, method="density_matrix")
+        try:
+            with pytest.raises(BackendError, match="15 active qubits"):
+                fresh.run([PAST_BUDGET, PAST_BUDGET], jobs=2, **kwargs)
+            with collect_trace("warm") as trace:
+                pooled = fresh.run(circuits, jobs=2, **kwargs)
+        finally:
+            fresh.close_services()
+        warms = trace.find("worker.warm")
+        assert sorted(warm.attributes["worker_pid"] for warm in warms) == (
+            sorted({d.attributes["worker_pid"]
+                    for d in trace.find("shard.dispatch")})
+        )
+        assert warms and all(
+            warm.attributes["error"].startswith(
+                "BackendError: 15 active qubits"
+            )
             for warm in warms
         )
         inline = fresh.run(circuits, **kwargs)

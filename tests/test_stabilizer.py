@@ -7,9 +7,7 @@ from repro.backends import (
     FakeGuadalupe,
     Target,
     execute_circuit,
-    method_qubit_budget,
     select_method,
-    set_method_qubit_budget,
 )
 from repro.circuits import QuantumCircuit
 from repro.circuits.gates import standard_gate
@@ -213,8 +211,8 @@ class TestStabilizerDispatch:
     def test_noisy_pauli_clifford_20q_resolves_to_stabilizer(self):
         """The acceptance scenario: 20 Clifford qubits + Pauli noise.
 
-        Past every amplitude budget that could run it exactly, the
-        registry resolves ``auto`` to the tableau.
+        Past every amplitude budget that could run it exactly, ``auto``
+        resolves to the tableau.
         """
         target = Target(20, CouplingMap.from_line(20))
         noise = pauli_noise(20)
@@ -310,20 +308,19 @@ class TestStabilizerDispatch:
                 shots=8, method="stabilizer",
             )
 
-    def test_budget_configurable(self):
-        assert method_qubit_budget("stabilizer") == 256
-        try:
-            set_method_qubit_budget("stabilizer", 3)
-            with pytest.raises(BackendError, match="3-qubit stabilizer"):
-                execute_circuit(
-                    clifford_circuit(4),
-                    Target(4, CouplingMap.from_line(4)),
-                    pauli_noise(4),
-                    shots=8,
-                    method="stabilizer",
-                )
-        finally:
-            assert set_method_qubit_budget("stabilizer", None) == 256
+    def test_budget_is_256_qubits(self):
+        # the budget check runs before the tableau is built, and no
+        # other method's budget admits 257 qubits
+        target = Target(257, CouplingMap.from_line(257))
+        circuit = ghz_clifford(257)
+        with pytest.raises(BackendError) as excinfo:
+            execute_circuit(
+                circuit, target, pauli_noise(257), shots=8,
+                method="stabilizer",
+            )
+        message = str(excinfo.value)
+        assert "257 active qubits exceed the 256-qubit stabilizer" in message
+        assert "within budget" not in message
 
 
 class TestStabilizerAgreement:

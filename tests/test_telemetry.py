@@ -228,8 +228,7 @@ class TestRecords:
                wall_seconds=0.25)
         record("execute", method="statevector", qubits=4,
                wall_seconds=0.75)
-        record("batch", jobs=2, wall_seconds=1.0,
-               faults={"retries": 1})
+        record("batch", jobs=2, workers=2, shards=2, wall_seconds=1.0)
         set_record_sink(None)
         rows = list(iter_records(sink))
         assert [row["kind"] for row in rows] == [
@@ -241,7 +240,9 @@ class TestRecords:
         bucket = summary["methods"]["statevector/q4"]
         assert bucket["count"] == 2
         assert bucket["wall_seconds"] == pytest.approx(1.0)
-        assert summary["batches"]["faults"] == {"retries": 1}
+        assert summary["batches"] == {
+            "count": 1, "jobs": 2, "wall_seconds": 1.0
+        }
 
     def test_disabled_recording_is_a_noop(self, tmp_path):
         record("execute", method="x")
@@ -301,10 +302,10 @@ class TestReportCLI:
          "wall_seconds": 0.25},
         {"kind": "execute", "method": "statevector", "qubits": 4,
          "wall_seconds": 0.75},
-        {"kind": "batch", "jobs": 6, "wall_seconds": 1.5,
-         "faults": {"retries": 1}},
-        {"kind": "batch", "jobs": 2, "wall_seconds": 0.5,
-         "faults": {"retries": 2, "timeouts": 1}},
+        {"kind": "batch", "jobs": 6, "workers": 2, "shards": 2,
+         "wall_seconds": 1.5},
+        {"kind": "batch", "jobs": 2, "workers": 2, "shards": 2,
+         "wall_seconds": 0.5},
     ]
 
     def test_report_json_matches_summary(self, tmp_path, capsys):
@@ -313,9 +314,7 @@ class TestReportCLI:
         printed = json.loads(capsys.readouterr().out)
         assert printed == summarize_records(self.ROWS)
 
-    def test_report_prints_method_batch_and_fault_totals(
-        self, tmp_path, capsys
-    ):
+    def test_report_prints_method_and_batch_totals(self, tmp_path, capsys):
         sink = self._sink(tmp_path, self.ROWS)
         assert telemetry_cli.main(["report", sink]) == 0
         out = capsys.readouterr().out
@@ -324,7 +323,7 @@ class TestReportCLI:
             "statevector/q4: 2 runs, mean 500.00 ms, max 750.00 ms" in out
         )
         assert "batches: 2 runs, 8 jobs, 2.00 s total" in out
-        assert "faults: retries=3, timeouts=1" in out
+        assert "faults" not in out
 
     def test_report_on_empty_sink_reports_zero(self, tmp_path, capsys):
         sink = self._sink(tmp_path, [])
