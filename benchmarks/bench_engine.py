@@ -45,6 +45,7 @@ from repro.backends import (
     execute_circuits,
     select_method,
 )
+from repro.backends.engine import _CircuitPlan, _density_program_key
 from repro.core import HybridGatePulseModel
 from repro.exceptions import BackendError
 from repro.noise import NoiseModel, ReadoutError
@@ -346,19 +347,47 @@ def _superop_passes(fn):
     )
 
 
-def _run_simplex_sweep():
+def _zz_products(backend, circuit):
+    """(kept, held): the ZZ products the compiled density walk of
+    ``circuit`` multiplies by, and how many of them sit in the noise
+    model's superoperator memo.  A program past
+    ``engine._ZZ_PRODUCT_BYTES`` keeps the 2ⁿ factors, so none."""
+    noise = backend.noise_model
+    plan = _CircuitPlan(circuit, backend.target)
+    key = _density_program_key(plan, noise, backend.target)
+    assert key in noise.superop_cache, "the sweep compiled no program"
+    program = noise.superop_cache.get_or_compute(key, None)
+    kept = [
+        row
+        for _shape, row, column in (
+            layer[3] for layer in program.layers if layer[3] is not None
+        )
+        if column is None
+    ]
+    memo = {id(value) for value in noise.superop_cache._data.values()}
+    return len(kept), sum(id(product) in memo for product in kept)
+
+
+def _run_simplex_sweep(task=1, name="simplex_sweep_hybrid_qaoa", repeats=5):
     """COBYLA's opening simplex on a paper model through the density
-    walk: x0, then one coordinate moved per circuit.  A warm replay
-    resumes from the deepest layer one of the two evaluations before it
-    already computed, so it applies fewer passes than the cache-free
-    loop, which walks every layer.  Counts must agree."""
+    walk: x0, then one coordinate moved per circuit.  Counts must agree
+    with the cache-free loop's.
+
+    At task 1's 6 qubits a warm replay resumes from the deepest layer
+    one of the two evaluations before it already computed, so it
+    applies fewer passes than the cache-free loop, which walks every
+    layer, and every ZZ layer multiplies ρ by a product held in the
+    memo.  At task 3's 8 qubits both the replay records and the
+    products are past their byte bounds: every layer is walked, with
+    the 2ⁿ factors."""
     backend = FakeGuadalupe()
-    problem = MaxCutProblem(benchmark_graph(1))
+    problem = MaxCutProblem(benchmark_graph(task))
     model = HybridGatePulseModel(problem, backend.device)
     x0 = np.asarray(model.initial_point(3), dtype=float)
     steps = 0.25 * np.eye(len(x0))
     circuits = [model.build_circuit(x) for x in [x0, *(x0 + steps)]]
     seeds = list(range(len(circuits)))
+    bounded = problem.num_nodes <= 6
     latest = {}
 
     def sweep():
@@ -387,25 +416,35 @@ def _run_simplex_sweep():
 
     sweep()  # compile the program
     walked = _superop_passes(sweep)
+    kept, held = _zz_products(backend, circuits[0])
     full = _superop_passes(seed_loop)
     assert [dict(r.counts) for r in latest["warm"]] == [
         dict(r.counts) for r in latest["uncached"]
     ], "simplex sweep counts differ from the cache-free loop's"
-    assert walked < full, "no simplex step resumed past layer 0"
+    if bounded:
+        assert walked < full, "no simplex step resumed past layer 0"
+        assert kept and held == kept, (
+            f"{held} of {kept} ZZ products held in the memo"
+        )
+    else:
+        assert walked == full and kept == 0, (
+            "a program past the byte bounds resumed or kept ZZ products"
+        )
     row = _record(
-        "simplex_sweep_hybrid_qaoa",
-        _best_of(seed_loop, repeats=3, number=1),
-        _best_of(sweep, repeats=5, number=1),
-        f"x0 then one of {len(x0)} coordinates moved per circuit: warm "
-        "execute_circuits sweep vs per-circuit cache-free loop; counts "
-        "asserted equal",
+        name,
+        _best_of(seed_loop, repeats=max(1, repeats - 2), number=1),
+        _best_of(sweep, repeats=repeats, number=1),
+        f"{problem.num_nodes} qubits, x0 then one of {len(x0)} coordinates "
+        "moved per circuit: warm execute_circuits sweep vs per-circuit "
+        "cache-free loop; counts asserted equal",
     )
     row["superop_passes"] = walked
     row["superop_passes_skipped"] = full - walked
+    row["zz_products_held"] = held
     _flush()
     print(
-        f"simplex_sweep_hybrid_qaoa: {walked} of {full} superop passes "
-        f"walked ({full - walked} skipped)"
+        f"{name}: {walked} of {full} superop passes walked "
+        f"({full - walked} skipped), {held} ZZ products held"
     )
 
 
@@ -1096,6 +1135,7 @@ def main(argv=None):
         # assertion runs in the full mode
         _run_batched_sweep(min_speedup=3.0)
         _run_simplex_sweep()
+        _run_simplex_sweep(3, "simplex_sweep_hybrid_qaoa_8q", repeats=1)
         # relaxed floor: CI containers are slow/noisy, the tracked 3x
         # assertion runs in the full mode
         _run_batched_vs_sequential(
@@ -1120,6 +1160,7 @@ def main(argv=None):
     test_bench_cached_calibration()
     test_bench_batched_sweep()
     _run_simplex_sweep()
+    _run_simplex_sweep(3, "simplex_sweep_hybrid_qaoa_8q", repeats=3)
     test_bench_trajectory_vs_density_10q_sweep()
     test_bench_trajectory_batched_vs_sequential_10q_sweep()
     test_bench_adaptive_allocation_10q()

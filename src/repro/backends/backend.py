@@ -38,6 +38,7 @@ from repro.pulsesim.calibration import (
 )
 from repro.pulsesim.solver import drive_channel_propagator, drive_key
 from repro.telemetry.spans import span as telemetry_span
+from repro.transpiler.template import TEMPLATE_CACHE_SIZE
 from repro.utils.cache import LRUCache, UnhashableKey
 from repro.utils.rng import derive_seed
 
@@ -66,6 +67,12 @@ class SimulatedBackend:
         )
         # worker pools keyed by worker count; see execution_service()
         self._services: dict = {}
+        #: transpile templates of every ExecutionPipeline on this backend,
+        #: keyed by its transpile settings and the circuit structure
+        #: (PERFORMANCE.md "Transpile once per circuit structure")
+        self.transpile_templates = LRUCache(
+            maxsize=TEMPLATE_CACHE_SIZE, name=f"transpile_templates[{name}]"
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -195,9 +202,14 @@ class SimulatedBackend:
         """Pickle support for shipping the backend to pool workers.
 
         Live services hold process pools and never cross the boundary.
+        The transpile templates ship empty: workers only run circuits a
+        pipeline already prepared.
         """
         state = dict(self.__dict__)
         state["_services"] = {}
+        state["transpile_templates"] = LRUCache(
+            maxsize=TEMPLATE_CACHE_SIZE, name=self.transpile_templates.name
+        )
         return state
 
     # ------------------------------------------------------------------

@@ -50,7 +50,9 @@ the angles (parametric gates, pulse gates, ``UnitaryGate``, jitter
 kicks) and applies each pass as one gather and one matmul over a flat
 ρ, which stays in the axis order the previous pass left it in and
 returns to the canonical order once, at the end.  The ZZ diagonal is
-multiplied in that order too.  A replay whose leading jitter-free
+multiplied in that order too, as one 4ⁿ product memoized per (angle,
+order) while a program's products fit in ``_ZZ_PRODUCT_BYTES``, and as
+its two 2ⁿ factors past that.  A replay whose leading jitter-free
 layers repeat those of one of the program's last two replays starts
 from the ρ that replay kept there (:meth:`_DensityProgram.replay`),
 while those states fit in ``_REPLAY_RECORD_BYTES``.
@@ -163,6 +165,13 @@ _REPLAY_RECORD_BYTES = 2 << 20
 
 #: the ``superop_cache`` key of a noise model's one replay-records slot
 _REPLAY_RECORDS_KEY = ("density_replay_records",)
+
+#: most bytes of ZZ products (16 · 4ⁿ each) one compiled density walk
+#: may take from the superoperator memo.  The paper's 6-qubit programs
+#: have 17–20 distinct products, about 1.25 MiB; a program past the bound
+#: (more than 8 products at 7 qubits, 2 at 8, any at 9) keeps the 2ⁿ
+#: factors and multiplies them at every replay
+_ZZ_PRODUCT_BYTES = 2 << 20
 
 
 def default_trajectory_count(shots: int) -> int:
@@ -1024,7 +1033,8 @@ class _DensityProgram:
     order; one ``(gather, low, high)`` per superoperator pass (the
     superoperator in slot ``low``, or the tensor product of slots
     ``low`` and ``high`` on two single qubits); the ZZ crosstalk as
-    ``(shape, row, column)`` factors (:func:`_diagonal_factors`), or
+    ``(shape, row, column)`` factors (:func:`_diagonal_factors`), as
+    ``(shape, row · column, None)`` when the program keeps products, or
     ``None``; and whether the layer is a resume point.  ρ stays in the
     axis order the previous pass left it in; ``final`` gathers it back
     to the canonical order once.
@@ -1139,7 +1149,9 @@ class _DensityProgram:
             if diagonal is not None:
                 shape, row, column = diagonal
                 view = rho.reshape(shape)
-                np.multiply(view, row * column, out=view)
+                np.multiply(
+                    view, row if column is None else row * column, out=view
+                )
                 diagonals += 1
         if remember:
             holder[0] = (self, [(inputs, kept), *records[:1]])
@@ -1163,12 +1175,14 @@ def _compile_density(
     crosstalk of every coupled pair.  The lowering, channel-width checks
     and every pass's gather plan (:func:`superop_plan`, from the axis
     order the pass before leaves) happen here, once.  Static gates, idle
-    relaxations, pairs of them and ZZ diagonals come from the noise
-    model's superoperator memo; parametric gates, pulse gates and
-    ``UnitaryGate`` are left to the replay.  Layers with such gates are
-    resume points until the first one that draws a jitter kick, which
-    is the last; a program whose replay records would pass
-    ``_REPLAY_RECORD_BYTES`` lists none.
+    relaxations, pairs of them, ZZ diagonals and their 4ⁿ products in
+    the axis order ρ has at their layer come from the noise model's
+    superoperator memo; a program whose distinct products would pass
+    ``_ZZ_PRODUCT_BYTES`` keeps the factors instead.  Parametric gates,
+    pulse gates and ``UnitaryGate`` are left to the replay.  Layers with
+    such gates are resume points until the first one that draws a
+    jitter kick, which is the last; a program whose replay records would
+    pass ``_REPLAY_RECORD_BYTES`` lists none.
     """
     num_qubits = plan.num_local
     memo = noise_model.superop_cache if noise_model is not None else None
@@ -1256,22 +1270,35 @@ def _compile_density(
         if len(singles) % 2:
             slot, qubit, _key = singles[-1]
             add_pass(slot, None, [qubit])
-        diagonal = None
         angle = lowered.zz_angle
-        if angle is not None and zz_pairs:
-            diagonal = _diagonal_factors(
-                cached(
-                    (angle, zz_pairs, num_qubits),
-                    partial(_zz_diagonal, angle, zz_pairs, num_qubits),
-                ),
-                order,
-                num_qubits,
-            )
+        zz = (angle, order) if angle is not None and zz_pairs else None
         resume = bool(gates) and not jitter_seen
         jitter_seen = jitter_seen or any(gate.jitter for _slot, gate in gates)
         layers.append(
-            (tuple(operands), tuple(gates), tuple(passes), diagonal, resume)
+            (tuple(operands), tuple(gates), tuple(passes), zz, resume)
         )
+    distinct = {layer[3] for layer in layers} - {None}
+    keep_products = len(distinct) * (16 << 2 * num_qubits) <= _ZZ_PRODUCT_BYTES
+
+    def zz_pass(angle: float, order: tuple[int, ...]) -> tuple:
+        shape, row, column = _diagonal_factors(
+            cached(
+                (angle, zz_pairs, num_qubits),
+                partial(_zz_diagonal, angle, zz_pairs, num_qubits),
+            ),
+            order,
+            num_qubits,
+        )
+        if not keep_products:
+            return shape, row, column
+        return shape, cached(
+            (angle, zz_pairs, num_qubits, order), lambda: row * column
+        ), None
+
+    layers = [
+        (operands, gates, passes, zz and zz_pass(*zz), resume)
+        for operands, gates, passes, zz, resume in layers
+    ]
     resume_points = tuple(
         index for index, layer in enumerate(layers) if layer[4]
     )

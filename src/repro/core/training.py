@@ -27,11 +27,7 @@ from repro.transpiler.passes.cancellation import CommutativeCancellation
 from repro.transpiler.passes.pulse_efficient import PulseEfficientRZZ
 from repro.transpiler.passes.routing import SabreSwap
 from repro.transpiler.passmanager import TranspileContext
-from repro.transpiler.template import (
-    TEMPLATE_CACHE_SIZE,
-    transpile_with_templates,
-)
-from repro.utils.cache import LRUCache
+from repro.transpiler.template import transpile_with_templates
 from repro.utils.rng import derive_seed
 from repro.vqa.cost import CostFunction
 from repro.vqa.optimizers.base import Optimizer
@@ -48,7 +44,8 @@ class ExecutionPipeline:
     :meth:`prepare` transpiles each circuit structure once and binds
     every later evaluation's angles into that template; the result is
     bit-identical to a fresh :meth:`_transpile` (PERFORMANCE.md,
-    "Transpile once per circuit structure").
+    "Transpile once per circuit structure").  The templates sit on the
+    backend, so pipelines with equal transpile settings share them.
     """
 
     backend: SimulatedBackend
@@ -74,17 +71,6 @@ class ExecutionPipeline:
     target_error: float | None = None
     _mitigator_cache: dict = field(default_factory=dict, repr=False)
     _pulse_pass: PulseEfficientRZZ | None = field(default=None, repr=False)
-    #: structure key -> transpile template (PERFORMANCE.md "Transpile
-    #: once per circuit structure"); not an init field, so a replaced
-    #: pipeline starts its own
-    _templates: LRUCache = field(
-        default_factory=lambda: LRUCache(
-            TEMPLATE_CACHE_SIZE, name="transpile_templates"
-        ),
-        init=False,
-        repr=False,
-        compare=False,
-    )
 
     def __post_init__(self) -> None:
         # fail at construction, not hundreds of evaluations in
@@ -109,9 +95,19 @@ class ExecutionPipeline:
     def prepare(self, circuit: QuantumCircuit) -> QuantumCircuit:
         """Route to the fixed layout, then apply the enabled passes,
         from this structure's template when it has one
-        (:mod:`repro.transpiler.template`)."""
+        (:mod:`repro.transpiler.template`).  Templates are keyed by every
+        setting :meth:`_transpile` reads besides the backend."""
+        settings = (
+            tuple(self.resolved_layout(circuit.num_qubits)),
+            self.routing_seed,
+            self.gate_optimization,
+            self.pulse_efficient,
+        )
         return transpile_with_templates(
-            self._templates, circuit, self._transpile
+            self.backend.transpile_templates,
+            circuit,
+            self._transpile,
+            settings,
         )
 
     def _transpile(self, circuit: QuantumCircuit) -> QuantumCircuit:

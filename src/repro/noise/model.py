@@ -63,10 +63,11 @@ class NoiseModel:
         self._readout_subset_cache = LRUCache(maxsize=64, name="readout_subset")
         #: the density back-end's evaluation-invariant maps: superoperators
         #: of parameter-free library gates, pairs of single-qubit maps, ZZ
-        #: diagonals and each circuit structure's compiled walk.  Keyed by
-        #: the channel objects and values they are built from, so
-        #: add_gate_error / set_relaxation / clear_caches and edits of the
-        #: rates change the key instead of serving a stale entry.
+        #: diagonals and their 4ⁿ products, and each circuit structure's
+        #: compiled walk.  Keyed by the channel objects and values they
+        #: are built from, so add_gate_error / set_relaxation /
+        #: clear_caches and edits of the rates change the key instead of
+        #: serving a stale entry.
         self.superop_cache = LRUCache(maxsize=1024, name="superop")
 
     def __getstate__(self) -> dict:
@@ -74,9 +75,9 @@ class NoiseModel:
 
         Everything in it is derived from this model's values and is
         rebuilt on first use.  Its compiled density walks are large
-        (a gather plan per pass, ZZ factors per layer) and a pool worker
-        mostly walks structures its parent never did, so shipping them
-        with the backend only slowed the pool's start.
+        (a gather plan per pass, a ZZ product per layer) and a pool
+        worker mostly walks structures its parent never did, so shipping
+        them with the backend only slowed the pool's start.
         """
         state = dict(self.__dict__)
         state["superop_cache"] = LRUCache(

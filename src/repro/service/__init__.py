@@ -29,9 +29,11 @@ duration search's, two circuits per candidate duration.
   failed warm-up is only noted on the ``worker.warm`` span; the
   circuit's own run raises the error.
 * **Loud failures.** A worker's exception reaches the caller with its
-  type.  A dead worker raises :class:`~repro.exceptions.BackendError`
-  and drops the pool, so the next batch starts a fresh one.  Nothing
-  retries or falls back.
+  type, after every shard has finished and each one that succeeded has
+  been folded in (its telemetry below); the first failing shard's error
+  is raised.  A dead worker raises
+  :class:`~repro.exceptions.BackendError` and drops the pool, so the
+  next batch starts a fresh one.  Nothing retries or falls back.
 * **Telemetry.** Worker metrics merge into the parent's metrics registry,
   buffered records go to the parent's sink, and when the parent traces,
   each shard's span tree arrives under a ``shard.dispatch`` span, with a

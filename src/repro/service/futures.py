@@ -184,7 +184,7 @@ class ExecutionService:
         warm_options = {
             key: options[key] for key in _WARM_OPTIONS if key in options
         }
-        experiments: list = []
+        failures: list[Exception] = []
         try:
             pool = self._pool(circuits[0], warm_options)
             futures = [
@@ -193,17 +193,31 @@ class ExecutionService:
                 )
                 for a, b in shards
             ]
-            for future, (a, b) in zip(futures, shards):
-                shard = future.result()
-                _absorb_telemetry(shard, b - a)
-                experiments.extend(shard["experiments"])
         except BrokenExecutor as exc:
+            futures, failures = [], [exc]
+        # every shard is waited for and each finished one folded in, in
+        # shard order, before the first failure is raised: a shard that
+        # ran keeps its metrics, records and spans whatever its siblings do
+        experiments: list = []
+        for future, (a, b) in zip(futures, shards):
+            try:
+                shard = future.result()
+            except Exception as exc:
+                failures.append(exc)
+                continue
+            _absorb_telemetry(shard, b - a)
+            experiments.extend(shard["experiments"])
+        if any(isinstance(exc, BrokenExecutor) for exc in failures):
             self._drop_pool()
-            raise BackendError(
-                f"a worker of the {self.workers}-process pool of "
-                f"{getattr(self.backend, 'name', '?')!r} died ({exc}); "
-                "the next batch starts a fresh pool"
-            ) from exc
+        if failures:
+            first = failures[0]
+            if isinstance(first, BrokenExecutor):
+                raise BackendError(
+                    f"a worker of the {self.workers}-process pool of "
+                    f"{getattr(self.backend, 'name', '?')!r} died ({first});"
+                    " the next batch starts a fresh pool"
+                ) from first
+            raise first
         meta = {
             "circuits": len(circuits),
             "workers": self.workers,

@@ -3,9 +3,9 @@
 Machine-in-loop training hands :meth:`ExecutionPipeline.prepare
 <repro.core.training.ExecutionPipeline.prepare>` one circuit structure
 per model, with new angles, on every optimizer evaluation.  So a
-structure is transpiled once, on a copy whose parameters and global
-phase are :class:`Slot` objects, and later evaluations bind their
-numbers into that :class:`CircuitTemplate`.
+structure is transpiled once per backend and transpile settings, on a
+copy whose parameters and global phase are :class:`Slot` objects, and
+later evaluations bind their numbers into that :class:`CircuitTemplate`.
 
 A slot is a :class:`~repro.circuits.parameter.ParameterExpression`, so
 gates keep it as a parameter and
@@ -46,8 +46,9 @@ from repro.telemetry.metrics import inc as metric_inc
 from repro.transpiler.passes.rules import ANGLE_TOL, ROTATION_PERIODS
 from repro.utils.cache import LRUCache, caching_enabled
 
-#: structures one pipeline keeps a template for; a training run sends
-#: one structure per model, so this only bounds unusual callers
+#: templates one backend keeps, over every (transpile settings,
+#: structure) pair: a training run sends one structure per model and
+#: stage, so this only bounds unusual callers
 TEMPLATE_CACHE_SIZE = 64
 
 #: a value within ANGLE_TOL of a multiple of this may be a removable
@@ -323,14 +324,17 @@ def transpile_with_templates(
     templates: LRUCache,
     circuit: QuantumCircuit,
     transpile: Callable[[QuantumCircuit], QuantumCircuit],
+    settings: tuple,
 ) -> QuantumCircuit:
     """``transpile(circuit)``, bound from a cached template when possible.
 
-    ``templates`` maps structure keys to templates (or None for a
-    structure that cannot be traced) and must belong to one
-    ``transpile``.  A circuit with symbolic parameters, a structure
-    without a template, and a bind the guard refuses all take
-    ``transpile`` itself; so does every call under
+    ``templates`` maps ``(settings, structure key)`` to templates (or
+    None for a structure that cannot be traced).  It belongs to one
+    backend, and ``settings`` names every other value ``transpile``
+    reads besides the circuit, so transpiles with equal settings share
+    a template.  A circuit with symbolic parameters, a structure without
+    a template, and a bind the guard refuses all take ``transpile``
+    itself; so does every call under
     :class:`~repro.utils.cache.caching_disabled`.
     """
     if not caching_enabled():
@@ -339,7 +343,7 @@ def transpile_with_templates(
     template = None
     if not any(isinstance(v, ParameterExpression) for v in values):
         template = templates.get_or_compute(
-            key, lambda: CircuitTemplate.build(circuit, transpile)
+            (settings, key), lambda: CircuitTemplate.build(circuit, transpile)
         )
     if template is None:
         metric_inc(_METRIC, outcome="untraceable")

@@ -41,6 +41,7 @@ from repro.backends.engine import (
     _relaxation_superop,
     _REPLAY_RECORDS_KEY,
     _resolve_unitary,
+    _ZZ_PRODUCT_BYTES,
     _zz_diagonal,
     _zz_unitary,
 )
@@ -1182,6 +1183,112 @@ class TestResumedReplay:
                 assert_compiled_equals_layer_walk(
                     circuit, guadalupe, noise, seed=step
                 )
+
+
+# ---------------------------------------------------------------------------
+# the ZZ step's 4ⁿ products, memoized within a byte bound
+# ---------------------------------------------------------------------------
+
+def zz_steps(program):
+    """Each ZZ layer's ``(shape, row, column)`` of a compiled walk;
+    ``column`` is ``None`` where ``row`` is the layer's 4ⁿ product."""
+    return [layer[3] for layer in program.layers if layer[3] is not None]
+
+
+def held_products(noise):
+    """The 4ⁿ ZZ products in the noise model's superoperator memo, the
+    entries under ``(angle, pairs, width, axis order)`` keys."""
+    return [
+        value for key, value in noise.superop_cache._data.items()
+        if len(key) == 4 and isinstance(key[0], float)
+    ]
+
+
+def compiled_program(circuit, backend, noise):
+    plan = _CircuitPlan(circuit, backend.target)
+    return _compile_density(plan, circuit, noise, backend.target)
+
+
+class TestZZProducts:
+    """Within ``_ZZ_PRODUCT_BYTES`` a program multiplies ρ by each ZZ
+    layer's product, built once and memoized; ρ and the RNG state still
+    equal the per-layer walk, which forms ``outer(d, d*)`` every time."""
+
+    def test_six_qubit_products_sit_in_the_memo(self, toronto, task1):
+        # COBYLA's first steps on the hybrid model: a compile, then
+        # replays that resume past the layers one step leaves alone
+        noise = copy.deepcopy(toronto.noise_model)
+        model = HybridGatePulseModel(task1, toronto.device)
+        pipeline = ExecutionPipeline(
+            backend=toronto, cost=ExpectedCutCost(task1),
+            gate_optimization=True,
+        )
+        x0 = np.asarray(model.initial_point(3), dtype=float)
+        points = [x0, *(x0 + 0.25 * np.eye(len(x0))), x0]
+        before = metrics_baseline()
+        for step, point in enumerate(points):
+            assert_compiled_equals_layer_walk(
+                pipeline.prepare(model.build_circuit(point)), toronto, noise,
+                toronto.pulse_unitary, seed=step,
+            )
+        counters = metrics_delta(before)["counters"]
+        assert counters["engine.density_programs{outcome=compiled}"] == 1
+        assert counters["engine.density_programs{outcome=resumed}"] == len(
+            points
+        ) - 1
+        circuit = pipeline.prepare(model.build_circuit(x0))
+        program = compiled_program(circuit, toronto, noise)
+        steps = zz_steps(program)
+        assert steps and all(column is None for _s, _r, column in steps)
+        products = {id(row): row for _shape, row, _column in steps}
+        held = {id(product) for product in held_products(noise)}
+        assert set(products) <= held
+        assert all(product.nbytes == 16 << 12 for product in products.values())
+        assert len(products) * (16 << 12) <= _ZZ_PRODUCT_BYTES
+
+    @pytest.mark.parametrize("num_qubits", [7, 8, 9])
+    def test_past_the_bound_keeps_the_factors(self, guadalupe, num_qubits):
+        noise = copy.deepcopy(guadalupe.noise_model)
+        seed = 700 + num_qubits
+        circuit = random_structure_circuit(num_qubits, seed, 1, depth=12)
+        steps = zz_steps(compiled_program(circuit, guadalupe, noise))
+        distinct = {
+            (shape, row.tobytes(), column.tobytes())
+            for shape, row, column in steps
+        }
+        assert len(distinct) * (16 << 2 * num_qubits) > _ZZ_PRODUCT_BYTES
+        for angle_seed in (1, 2):
+            assert_compiled_equals_layer_walk(
+                random_structure_circuit(num_qubits, seed, angle_seed, 12),
+                guadalupe, noise, seed=angle_seed,
+            )
+        assert held_products(noise) == []
+
+    def test_products_within_the_bound_at_seven_qubits(self, guadalupe):
+        # the bound counts bytes, not qubits: 8 products of 256 KiB fit
+        noise = copy.deepcopy(guadalupe.noise_model)
+        circuit = random_structure_circuit(7, 707, 1, depth=8)
+        steps = zz_steps(compiled_program(circuit, guadalupe, noise))
+        assert len(steps) == 8
+        assert all(column is None for _s, _r, column in steps)
+        assert len(held_products(noise)) == 8
+        assert_compiled_equals_layer_walk(circuit, guadalupe, noise)
+
+    def test_nothing_outlives_the_memo(self, toronto, task1):
+        noise = copy.deepcopy(toronto.noise_model)
+        circuit = _prepared(
+            toronto, task1, GateLevelModel(task1), gate_optimization=True
+        )
+        warm = _fused_rho(circuit, toronto, noise)
+        assert held_products(noise)
+        for clone in (copy.deepcopy(noise), pickle.loads(pickle.dumps(noise))):
+            assert held_products(clone) == []
+            assert np.array_equal(_fused_rho(circuit, toronto, clone), warm)
+        noise.clear_caches()
+        assert held_products(noise) == []
+        with caching_disabled():
+            assert np.array_equal(_fused_rho(circuit, toronto, noise), warm)
+        assert held_products(noise) == []
 
 
 def _invalidation_circuit(pulse_duration=320, calibrated=False):

@@ -89,6 +89,15 @@ def ghz(qubits: int) -> QuantumCircuit:
     return circuit
 
 
+def executions():
+    """The parent's ``engine.executions`` total over every method."""
+    counters = metrics_snapshot()["counters"]
+    return sum(
+        value for key, value in counters.items()
+        if key.startswith("engine.executions")
+    )
+
+
 def pool_processes(backend, jobs):
     pool = backend.execution_service(jobs)._executor
     return list(pool._processes.values())
@@ -766,13 +775,6 @@ class TestPooledScheduling:
     def test_worker_metrics_merge_into_the_parent(self, backend):
         # each shard ships its metrics delta home: the parent's engine
         # counter grows by the batch size, as if it had run inline
-        def executions():
-            counters = metrics_snapshot()["counters"]
-            return sum(
-                value for key, value in counters.items()
-                if key.startswith("engine.executions")
-            )
-
         circuits = [ghz(2), ghz(3), ghz(4), ghz(3)]
         backend.run(circuits[:2], shots=SHOTS, seed=1, jobs=2)  # warm
         before = executions()
@@ -868,6 +870,24 @@ class TestFaultPolicy:
         error_type, message = raised[0]
         assert error_type is BackendError
         assert "15 active qubits" in message
+
+    def test_finished_shards_fold_in_before_the_error(self, backend):
+        # the first shard fails at the budget check; the second runs in
+        # the other worker and still reaches the parent's telemetry
+        backend.run([ghz(3), ghz(2)], shots=SHOTS, seed=1, jobs=2)  # warm
+        before = executions()
+        with collect_trace("failing") as trace:
+            with pytest.raises(BackendError, match="15 active qubits"):
+                backend.run(
+                    [PAST_BUDGET, ghz(3)], shots=SHOTS, seed=1, jobs=2,
+                    method="density_matrix",
+                )
+        (dispatch,) = trace.find("shard.dispatch")
+        assert dispatch.attributes["circuits"] == 1
+        assert [
+            span.name for span in dispatch.iter_spans()
+        ].count("engine.execute") == 1
+        assert executions() - before == 1
 
     def test_max_attempts_stops_firing(self, tmp_path):
         # one attempt per circuit: nothing reruns a failed shard, in a

@@ -10,8 +10,11 @@ pass emits unchanged.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,9 +180,10 @@ def _build(num_qubits, ops, angles) -> QuantumCircuit:
 
 @pytest.fixture(scope="module")
 def random_pipelines():
-    """A raw and a GO pipeline shared by every example, so structures of
-    different examples meet in one template cache (a key too coarse to
-    tell them apart would hand one the other's template)."""
+    """A raw and a GO pipeline on one backend, shared by every example,
+    so structures of different examples and both pipelines' settings
+    meet in one template cache (a key too coarse to tell them apart
+    would hand one the other's template)."""
     backend = FakeToronto()
     cost = ExpectedCutCost(MaxCutProblem(benchmark_graph(1)))
     return {
@@ -285,7 +289,8 @@ class TestFallback:
         counts = counts_since(before)
         assert counts["built"] == 0 and counts["bound"] == 0
         assert counts["untraceable"] == 2
-        assert len(pipeline._templates) == 1  # remembered: no template
+        # remembered: no template
+        assert len(pipeline.backend.transpile_templates) == 1
 
     def test_symbolic_circuit_is_transpiled(self):
         from repro.circuits.parameter import Parameter
@@ -302,7 +307,7 @@ class TestFallback:
             repr(i.operation) for i in reference.instructions
         ]
         assert counts_since(before)["untraceable"] == 1
-        assert len(pipeline._templates) == 0
+        assert len(pipeline.backend.transpile_templates) == 0
 
 
 class TestReuse:
@@ -320,7 +325,7 @@ class TestReuse:
         assert counts_since(before) == {
             "built": 1, "bound": 12, "fallback": 0, "untraceable": 0,
         }
-        assert pipeline._templates.stats()["hits"] == 11
+        assert backend.transpile_templates.stats()["hits"] == 11
 
     def test_no_build_when_caching_is_disabled(self, problem):
         backend = FakeToronto()
@@ -335,7 +340,7 @@ class TestReuse:
                     circuit,
                 )
         assert counts_since(before)["built"] == 0
-        assert len(pipeline._templates) == 0
+        assert len(backend.transpile_templates) == 0
 
     def test_bound_circuits_share_no_mutable_state(self, problem):
         backend = FakeToronto()
@@ -348,6 +353,77 @@ class TestReuse:
         for key in ("initial_layout", "final_layout"):
             assert first.metadata[key] == second.metadata[key]
             assert first.metadata[key] is not second.metadata[key]
+
+
+class TestSharedTemplates:
+    """Templates live on the backend, keyed by every setting
+    ``_transpile`` reads: pipelines with equal settings share one, any
+    other pipeline builds its own, and pool workers get none."""
+
+    def _circuit(self, problem, seed=0):
+        model = GateLevelModel(problem)
+        return model.build_circuit(model.initial_point(seed))
+
+    def test_equal_settings_share_one_template(self, problem):
+        backend = FakeToronto()
+        first = _pipeline(backend, problem, gate_optimization=True)
+        second = _pipeline(backend, problem, gate_optimization=True)
+        replaced = replace(first, jobs=3)
+        before = template_counts()
+        for seed, pipeline in enumerate((first, second, replaced)):
+            circuit = self._circuit(problem, seed)
+            assert_same(
+                pipeline.prepare(circuit), pipeline._transpile(circuit),
+                circuit,
+            )
+        assert counts_since(before) == {
+            "built": 1, "bound": 3, "fallback": 0, "untraceable": 0,
+        }
+        assert len(backend.transpile_templates) == 1
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            dict(layout=[1, 2, 3, 5, 8, 11]),
+            dict(routing_seed=12),
+            dict(gate_optimization=True),
+            dict(pulse_efficient=True),
+        ],
+        ids=["layout", "routing_seed", "gate_optimization",
+             "pulse_efficient"],
+    )
+    def test_other_settings_never_share(self, problem, setting):
+        backend = FakeToronto()
+        base = _pipeline(backend, problem)
+        other = _pipeline(backend, problem, **setting)
+        circuit = self._circuit(problem)
+        base.prepare(circuit)
+        before = template_counts()
+        assert_same(other.prepare(circuit), other._transpile(circuit), circuit)
+        counts = counts_since(before)
+        # a pulse-efficient pipeline remembers "no template" instead
+        outcome = "untraceable" if "pulse_efficient" in setting else "built"
+        assert counts[outcome] == 1 and counts["bound"] == (outcome == "built")
+        assert len(backend.transpile_templates) == 2
+
+    def test_pickled_backend_carries_no_template(self, problem):
+        backend = FakeToronto()
+        pipeline = _pipeline(backend, problem)
+        circuit = self._circuit(problem)
+        pipeline.prepare(circuit)
+        assert len(backend.transpile_templates) == 1
+        for clone in (pickle.loads(pickle.dumps(backend)),
+                      copy.deepcopy(backend)):
+            assert len(clone.transpile_templates) == 0
+            assert clone.transpile_templates.name == (
+                backend.transpile_templates.name
+            )
+            copied = _pipeline(clone, problem)
+            assert_same(
+                copied.prepare(circuit), pipeline._transpile(circuit),
+                circuit,
+            )
+        assert len(backend.transpile_templates) == 1
 
 
 class TestSlots:

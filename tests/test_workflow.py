@@ -21,6 +21,7 @@ from repro.exceptions import ProblemError
 from repro.problems import MaxCutProblem, three_regular_6
 from repro.vqa import ExpectedCutCost
 from repro.vqa.optimizers import COBYLA
+from test_transpile_template import assert_same, counts_since, template_counts
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +145,48 @@ class TestDurationSearch:
             binary_search_mixer_duration(
                 model, pipeline, model.initial_point(0), minimum=20
             )
+
+
+class TestSharedTemplates:
+    def test_toronto_column_builds_one_template_per_settings(
+        self, problem, monkeypatch
+    ):
+        # a Table II column: two models through four stages, plus the
+        # hybrid model's PO search.  The GO, M3 and CVaR stages share
+        # one transpile setting, the raw stage and the search another,
+        # so each model's structure is traced twice: 4 builds, not 9
+        backend = FakeToronto()
+        prepare = ExecutionPipeline.prepare
+        prepared = []
+
+        def checked_prepare(pipeline, circuit):
+            bound = prepare(pipeline, circuit)
+            assert_same(bound, pipeline._transpile(circuit), circuit)
+            prepared.append(bound)
+            return bound
+
+        monkeypatch.setattr(ExecutionPipeline, "prepare", checked_prepare)
+        before = template_counts()
+        for model in (
+            GateLevelModel(problem),
+            HybridGatePulseModel(problem, backend.device),
+        ):
+            workflow = HybridWorkflow(
+                problem,
+                backend,
+                model,
+                optimizer_factory=lambda: COBYLA(maxiter=3),
+                shots=128,
+                seed=12,
+            )
+            stages = workflow.run_all()
+            if isinstance(model, HybridGatePulseModel):
+                workflow.pulse_optimization(stages["raw"].train)
+        counts = counts_since(before)
+        assert counts["built"] == 4 and counts["untraceable"] == 0
+        # a bind the guard refuses is transpiled afresh, still checked
+        assert counts["bound"] + counts["fallback"] == len(prepared)
+        assert len(backend.transpile_templates) == 4
 
 
 class TestCrossBackend:
