@@ -13,12 +13,7 @@ reports, per circuit x pipeline::
 Every optimized circuit is *gated* through an equivalence check against
 its original (exact unitary with layout-permutation accounting for
 small widths, fixed-seed engine counts for wide ones) before any ratio
-is recorded — an inequivalent result aborts the bench.  The report also
-records which simulation method ``select_method`` picks for original
-vs optimized under ``auto`` — both noiselessly and under a reference
-Pauli + readout noise model (the stabilizer back-end's domain) —
-surfacing circuits that Clifford-block extraction newly routes to the
-stabilizer method.
+is recorded — an inequivalent result aborts the bench.
 
 Usage::
 
@@ -39,12 +34,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from circuits import SUITE
 
-from repro.backends import Target, select_method
-from repro.noise import NoiseModel, ReadoutError
 from repro.transpiler import CouplingMap, transpile, verify_transpiled
 
 #: bump when entry shapes change so downstream tooling can tell
-SCHEMA = {"name": "bench_transpiler", "version": 1}
+SCHEMA = {"name": "bench_transpiler", "version": 2}
 
 RESULTS: dict[str, dict] = {"schema": dict(SCHEMA)}
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_transpiler.json"
@@ -55,16 +48,6 @@ PIPELINES = {"baseline_l1": 1, "optimized_l2": 2, "optimized_l3": 3}
 #: circuits too wide for exact-unitary checking use fixed-seed counts
 COUNTS_SHOTS = 2048
 COUNTS_SEED = 1234
-
-
-def _reference_noise(num_qubits: int) -> NoiseModel:
-    """Pauli + readout noise (the stabilizer method's domain)."""
-    noise = NoiseModel(num_qubits)
-    noise.add_depolarizing_error("cx", 0.02, 2)
-    for name in ("h", "s", "sx", "x"):
-        noise.add_depolarizing_error(name, 0.002, 1)
-    noise.set_readout_error(ReadoutError.uniform(num_qubits, 0.02))
-    return noise
 
 
 def _ratio(original: int, optimized: int) -> float:
@@ -82,14 +65,10 @@ def _metrics(circuit) -> dict:
 def _bench_circuit(name: str, factory, levels: dict[str, int]) -> dict:
     circuit = factory()
     coupling = CouplingMap.from_line(circuit.num_qubits)
-    target = Target(circuit.num_qubits, coupling)
-    noise = _reference_noise(circuit.num_qubits)
     original = _metrics(circuit)
     entry = {
         "num_qubits": circuit.num_qubits,
         "original": original,
-        "method_original": select_method(circuit, target),
-        "method_original_noisy": select_method(circuit, target, noise),
         "pipelines": {},
     }
     for label, level in levels.items():
@@ -118,22 +97,7 @@ def _bench_circuit(name: str, factory, levels: dict[str, int]) -> dict:
             ),
             "transpile_ms": round(wall * 1e3, 2),
             "equivalence": verdict["method"],
-            "method_optimized": select_method(optimized, target),
-            "method_optimized_noisy": select_method(optimized, target, noise),
-            "clifford_blocks": optimized.metadata.get("clifford_blocks"),
         }
-    newly_stabilizer = any(
-        (
-            p["method_optimized"] == "stabilizer"
-            and entry["method_original"] != "stabilizer"
-        )
-        or (
-            p["method_optimized_noisy"] == "stabilizer"
-            and entry["method_original_noisy"] != "stabilizer"
-        )
-        for p in entry["pipelines"].values()
-    )
-    entry["newly_routes_to_stabilizer"] = newly_stabilizer
     RESULTS[name] = entry
     _print_entry(name, entry)
     return entry
@@ -156,12 +120,7 @@ def _print_entry(name: str, entry: dict) -> None:
             f"{orig['non_local_gates']}, optimized: "
             f"{p['non_local_gates']} ({p['non_local_ratio']})"
         )
-        print(
-            f"  [{label}] equivalence: {p['equivalence']}; method: "
-            f"{entry['method_original']} -> {p['method_optimized']} "
-            f"(noisy: {entry['method_original_noisy']} -> "
-            f"{p['method_optimized_noisy']})"
-        )
+        print(f"  [{label}] equivalence: {p['equivalence']}")
 
 
 def _flush():
@@ -173,18 +132,7 @@ def run_suite(names=None, levels=None):
     levels = PIPELINES if levels is None else levels
     for name in names:
         _bench_circuit(name, SUITE[name], levels)
-    routed = [
-        name
-        for name, entry in RESULTS.items()
-        if name != "schema" and entry["newly_routes_to_stabilizer"]
-    ]
-    RESULTS["schema"]["newly_routed_to_stabilizer"] = routed
     _flush()
-    print(f"newly routed to stabilizer under auto: {routed or 'none'}")
-    assert routed, (
-        "expected at least one suite circuit to newly route to the "
-        "stabilizer method after Clifford-block extraction"
-    )
 
 
 def test_bench_transpiler_suite():

@@ -12,11 +12,8 @@ Two generators:
 * :func:`trotter_echo` — GHZ preparation followed by ``steps`` forward
   Trotter steps and their exact algebraic reverse.  The physical
   content is the Clifford GHZ prep; the echo is pure gate froth that a
-  sound optimizer removes entirely.  Under a Pauli noise model the
-  original (non-Clifford RX/RZZ angles, width past the density-matrix
-  budget) routes to the trajectory sampler, while the optimized
-  remnant is Clifford and routes to the stabilizer back-end — the
-  suite's routing-improvement probe.
+  sound optimizer removes entirely, leaving a Clifford remnant — the
+  suite's collapse probe.
 """
 
 from __future__ import annotations

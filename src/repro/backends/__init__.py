@@ -6,7 +6,6 @@ from repro.backends.engine import (
     METHODS,
     execute_circuit,
     execute_circuits,
-    resolve_trajectory_request,
     select_method,
 )
 from repro.backends.backend import SimulatedBackend
@@ -26,7 +25,6 @@ __all__ = [
     "METHODS",
     "execute_circuit",
     "execute_circuits",
-    "resolve_trajectory_request",
     "select_method",
     "SimulatedBackend",
     "FakeAuckland",

@@ -73,6 +73,11 @@ class SimulatedBackend:
         self.transpile_templates = LRUCache(
             maxsize=TEMPLATE_CACHE_SIZE, name=f"transpile_templates[{name}]"
         )
+        #: M3 mitigators of every ExecutionPipeline on this backend, keyed
+        #: by the noise model's readout error and the measured qubits
+        self.m3_mitigators = LRUCache(
+            maxsize=64, name=f"m3_mitigators[{name}]"
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -93,10 +98,6 @@ class SimulatedBackend:
         seeds: Sequence[int | None] | None = None,
         jobs: int = 1,
         method: str = "auto",
-        trajectories: int | str | None = None,
-        target_error: float | None = None,
-        trajectory_batch: int | None = None,
-        stabilizer_shot_batch: int | None = None,
     ) -> Result:
         """Execute one or more circuits and return sampled counts.
 
@@ -109,15 +110,8 @@ class SimulatedBackend:
 
         ``method`` picks the simulation back-end per circuit
         (``"auto"`` — the default — resolves via
-        :func:`~repro.backends.engine.select_method`);
-        ``trajectories`` / ``target_error`` / ``trajectory_batch``
-        configure the trajectory back-end.
-        ``trajectories="auto"`` enables adaptive allocation: rounds of
-        trajectories run until the counts-distribution standard error
-        meets ``target_error`` (see PERFORMANCE.md).
-        ``stabilizer_shot_batch`` bounds the tableau back-end's
-        phase-batched shot kernel (``1`` = the sequential reference;
-        counts are byte-identical at every value).
+        :func:`~repro.backends.engine.select_method`: ``statevector``
+        when no noise touches the state, ``density_matrix`` otherwise).
 
         ``jobs > 1`` splits a batch of two or more circuits across the
         backend's persistent :class:`~repro.service.ExecutionService`
@@ -147,10 +141,6 @@ class SimulatedBackend:
                 shots=shots,
                 with_readout_error=with_readout_error,
                 method=method,
-                trajectories=trajectories,
-                target_error=target_error,
-                trajectory_batch=trajectory_batch,
-                stabilizer_shot_batch=stabilizer_shot_batch,
             )
             if jobs > 1 and len(circuits) > 1:
                 experiments, meta = self.execution_service(jobs).run_batch(
@@ -202,13 +192,17 @@ class SimulatedBackend:
         """Pickle support for shipping the backend to pool workers.
 
         Live services hold process pools and never cross the boundary.
-        The transpile templates ship empty: workers only run circuits a
-        pipeline already prepared.
+        The transpile templates and M3 mitigators ship empty: workers
+        only run circuits a pipeline already prepared, and mitigation
+        runs in the pipeline's process.
         """
         state = dict(self.__dict__)
         state["_services"] = {}
         state["transpile_templates"] = LRUCache(
             maxsize=TEMPLATE_CACHE_SIZE, name=self.transpile_templates.name
+        )
+        state["m3_mitigators"] = LRUCache(
+            maxsize=self.m3_mitigators.maxsize, name=self.m3_mitigators.name
         )
         return state
 

@@ -58,34 +58,21 @@ from the ρ that replay kept there (:meth:`_DensityProgram.replay`),
 while those states fit in ``_REPLAY_RECORD_BYTES``.
 
 The simulation back-ends sit in one fixed table, each with a capability
-predicate, a cost estimate, an executor and an active-qubit budget:
+predicate, an executor and an active-qubit budget:
 
 * ``"density_matrix"`` — exact mixed-state evolution, ``4**n`` memory;
   handles every noise process this library models (14 qubits);
 * ``"statevector"`` — pure-state evolution, ``2**n`` memory; exact for
   circuits whose noise never touches the state (readout assignment
-  error is classical and still applied) (26 qubits);
-* ``"trajectory"`` — Monte Carlo stochastic-wavefunction sampling
-  (:mod:`repro.simulators.trajectory`): ``2**n`` per trajectory,
-  batched ``(B, 2**n)`` kernel, statistically equivalent for
-  Kraus/stochastic noise — the fallback past the density-matrix wall
-  for non-Pauli noise.  ``trajectories="auto"`` (with
-  ``target_error=``) switches it to adaptive allocation (26 qubits);
-* ``"stabilizer"`` — CHP-style Clifford tableau
-  (:mod:`repro.simulators.stabilizer`), polynomial memory; exact for
-  Clifford circuits whose noise is a Pauli mixture (plus classical
-  readout error) — per-shot noise/measurement sampling, so 20+-qubit
-  Clifford workloads run exactly instead of via ``2**n`` trajectories
-  (256 qubits).
+  error is classical and still applied) (26 qubits).
 
 ``method="auto"`` (the default) resolves per circuit through
-:func:`select_method`: among the methods whose predicate accepts the
-circuit, one within its budget beats one past it, an exact method beats
-the statistical ``trajectory`` while within budget, and then the lower
-cost wins, table order breaking ties.  Running a circuit past its
-method's budget raises a :class:`~repro.exceptions.BackendError` naming
-the method, its budget, its escape hatch and each other method that
-fits and supports the circuit.
+:func:`select_method`: ``statevector`` when no noise touches the state,
+``density_matrix`` otherwise (and for a circuit without active qubits,
+which evolves nothing).  Running a circuit past its method's
+budget raises a :class:`~repro.exceptions.BackendError` naming the
+method, its budget, its escape hatch and the other method when it fits
+and supports the circuit.
 """
 
 from __future__ import annotations
@@ -120,20 +107,7 @@ from repro.simulators.density_matrix import (
     superop_plan,
     unitary_superop,
 )
-from repro.simulators.stabilizer import (
-    MAX_MEASURED_QUBITS,
-    StabilizerProgram,
-    clifford_conjugation_table,
-    pauli_channel_terms,
-    run_stabilizer_program,
-)
 from repro.simulators.statevector import Statevector
-from repro.simulators.trajectory import (
-    TrajectoryProgram,
-    run_trajectories,
-    run_trajectories_adaptive,
-    sample_jitter_kicks,
-)
 from repro.telemetry.metrics import inc as metric_inc, observe as metric_observe
 from repro.telemetry.records import record as telemetry_record, recording_enabled
 from repro.telemetry.spans import span as telemetry_span
@@ -143,19 +117,6 @@ from repro.utils.kernels import ApplyPlan, apply_plan, marginalize
 from repro.utils.rng import as_generator, derive_seed
 
 UnitaryProvider = Callable[[Instruction, tuple[int, ...]], np.ndarray]
-
-#: default trajectory count when ``trajectories`` is unspecified: enough
-#: for percent-level statistics without drowning the 2**n advantage
-DEFAULT_TRAJECTORIES = 128
-
-#: default counts-distribution precision for ``trajectories="auto"``
-DEFAULT_TARGET_ERROR = 0.02
-
-#: adaptive allocation grows in rounds of this many trajectories
-ADAPTIVE_ROUND_TRAJECTORIES = 32
-
-#: hard ceiling on adaptive trajectory growth (also capped by shots)
-ADAPTIVE_MAX_TRAJECTORIES = 1024
 
 #: most bytes a compiled density walk's replay records may hold: the ρ
 #: before each resume point, for two replays (2 · resume points ·
@@ -173,64 +134,22 @@ _REPLAY_RECORDS_KEY = ("density_replay_records",)
 #: factors and multiplies them at every replay
 _ZZ_PRODUCT_BYTES = 2 << 20
 
+#: share of the measure window the measured qubits relax for before
+#: their state is read out
+_READOUT_RELAXATION_FRACTION = 0.5
 
-def default_trajectory_count(shots: int) -> int:
-    """Trajectory count used when the caller does not pin one."""
-    return max(1, min(int(shots), DEFAULT_TRAJECTORIES))
-
-
-def resolve_trajectory_request(
-    trajectories: int | str | None,
-    target_error: float | None,
-    shots: int,
-) -> tuple[int | None, float | None]:
-    """Normalise the (trajectories, target_error) pair of knobs.
-
-    Returns ``(fixed_count, None)`` for a fixed-count run or
-    ``(None, target_error)`` for adaptive allocation.  ``"auto"``
-    selects adaptive allocation (``target_error`` defaults to
-    :data:`DEFAULT_TARGET_ERROR`); a bare ``target_error`` implies
-    ``"auto"``; ``target_error`` alongside a pinned integer count is a
-    contradiction and is rejected.
-    """
-    if isinstance(trajectories, str):
-        if trajectories != "auto":
-            raise BackendError(
-                f"trajectories must be an int, None or 'auto', got "
-                f"{trajectories!r}"
-            )
-        error = DEFAULT_TARGET_ERROR if target_error is None else target_error
-        if error <= 0:
-            raise BackendError("target_error must be > 0")
-        return None, float(error)
-    if target_error is not None:
-        if trajectories is not None:
-            raise BackendError(
-                "target_error requires trajectories='auto' (or leaving "
-                "trajectories unset); a pinned trajectory count cannot "
-                "adapt"
-            )
-        if target_error <= 0:
-            raise BackendError("target_error must be > 0")
-        return None, float(target_error)
-    if trajectories is None:
-        return default_trajectory_count(shots), None
-    total = int(trajectories)
-    if total < 1:
-        raise BackendError("trajectories must be >= 1")
-    return total, None
-
-
-def _zz_unitary(angle: float) -> np.ndarray:
-    """One coupled pair's ZZ crosstalk over a layer, ``exp(-i angle/2 ZZ)``."""
-    return np.diag(np.exp(-1j * angle / 2 * np.array([1.0, -1.0, -1.0, 1.0])))
+_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+#: entangling axis Z_c X_t with the control as the gate's first qubit
+_ZX_AXIS = np.kron(_PAULI_X, _PAULI_Z)
 
 
 def _zz_diagonal(
     angle: float, pairs: tuple[tuple[int, int], ...], width: int
 ) -> np.ndarray:
     """Diagonal of one layer's ZZ crosstalk on the ``width``-qubit
-    register: every coupled pair's :func:`_zz_unitary` at once."""
+    register: every coupled pair's ``exp(-i angle/2 ZZ)`` at once."""
     index = np.arange(1 << width)
     # sum over pairs of Z_a Z_b: +1 where the two bits agree
     zz = sum(1 - 2 * (((index >> a) ^ (index >> b)) & 1) for a, b in pairs)
@@ -318,9 +237,9 @@ def _resolve_unitary(
 class _CircuitPlan:
     """Method-agnostic execution plan for one circuit.
 
-    Carries the circuit and target it was derived from: the methods'
-    capability predicates and cost estimators receive the plan (plus
-    the noise model) and need to inspect instruction content.  The rest
+    Carries the circuit and target it was derived from: the statevector
+    capability predicate receives the plan (plus the noise model) and
+    needs to inspect instruction content.  The rest
     reads no angle, so it is built once per circuit structure
     (:func:`_plan_structure`) and kept in ``target.plan_cache`` under
     :func:`_plan_key`; ``circuit`` is always the evaluation's own.
@@ -502,32 +421,20 @@ def _lower_noisy_ops(
 
 
 def _readout_relaxation(
-    plan: _CircuitPlan, noise_model: NoiseModel | None, fraction: float
+    plan: _CircuitPlan, noise_model: NoiseModel | None
 ) -> tuple[int, list[tuple[int, KrausChannel]]]:
     """The measure window, and ``(local qubit, channel)`` for each
-    measured qubit that relaxes during ``fraction`` of it."""
+    measured qubit that relaxes during
+    ``_READOUT_RELAXATION_FRACTION`` of it."""
     window = plan.target.duration("measure", plan.measured_qubits)
     relaxations = []
-    if noise_model is not None and fraction > 0:
-        effective = int(window * fraction)
+    if noise_model is not None:
+        effective = int(window * _READOUT_RELAXATION_FRACTION)
         for q in plan.measured_qubits:
             channel = noise_model.relaxation_channel(q, effective)
             if channel is not None:
                 relaxations.append((plan.local[q], channel))
     return window, relaxations
-
-
-def _measured_readout(plan: _CircuitPlan, request: _ExecutionRequest):
-    """The measured qubits' readout assignment error, or ``None`` when
-    there is none or the request leaves it out."""
-    noise_model = request.noise_model
-    if (
-        noise_model is not None
-        and request.with_readout_error
-        and noise_model.readout_error is not None
-    ):
-        return noise_model.readout_subset(plan.measured_qubits)
-    return None
 
 
 def _check_channel_width(channel, qubits: Sequence[int]) -> None:
@@ -543,7 +450,7 @@ def _check_channel_width(channel, qubits: Sequence[int]) -> None:
 
 def _jitter_draws(noise_model: NoiseModel, width: int) -> bool:
     """Whether a jittered gate on ``width`` qubits draws a kick
-    (:func:`~repro.simulators.trajectory.sample_jitter_kicks`)."""
+    (:func:`sample_jitter_kicks`)."""
     return noise_model.pulse_jitter_local > 0 or (
         noise_model.pulse_jitter_entangling > 0 and width == 2
     )
@@ -591,40 +498,20 @@ def select_method(
 ) -> str:
     """Resolve ``method`` into a concrete back-end for this circuit.
 
-    ``auto`` ranks the methods whose capability predicate accepts the
-    ``(circuit, noise_model)`` pair: a method within its qubit budget
-    before one past it, an exact method before a statistical one while
-    within budget, then lower cost, then table order.  That gives
-    ``statevector`` when no noise touches the state, ``density_matrix``
-    within its budget, ``trajectory`` past it, and ``stabilizer`` for
-    larger Clifford circuits with Pauli noise.  When no budget admits
-    the circuit, the cheapest supporting method wins, exact or not, so
-    the budget error raised downstream names the most plausible one.
+    ``auto`` gives ``statevector`` when the circuit has active qubits
+    and no noise touches their state (:func:`_supports_statevector`),
+    and ``density_matrix`` otherwise: where both run a circuit,
+    ``statevector`` has the larger budget and the lower cost.  A circuit
+    without active qubits evolves nothing and reports ``density_matrix``,
+    the table's first entry.
     """
     check_method_name(method)
     if method != "auto":
         return method
     plan = _plan if _plan is not None else _CircuitPlan(circuit, target)
-
-    def rank(name: str) -> tuple:
-        entry = _METHODS[name]
-        over_budget = plan.num_local > entry.qubit_budget
-        return (
-            over_budget,
-            entry.statistical and not over_budget,
-            entry.cost(plan, noise_model),
-        )
-
-    # min keeps the first of equal keys, so table order breaks ties;
-    # density_matrix supports every circuit
-    return min(
-        (
-            name
-            for name, entry in _METHODS.items()
-            if entry.supports(plan, noise_model)
-        ),
-        key=rank,
-    )
+    if plan.num_local and _supports_statevector(plan, noise_model):
+        return "statevector"
+    return "density_matrix"
 
 
 def _check_qubit_budget(
@@ -662,37 +549,22 @@ def _check_qubit_budget(
 
 @dataclass
 class _ExecutionRequest:
-    """Everything one resolved method's executor may need.
-
-    Each method's executor receives ``(plan, request)``, reads the
-    fields relevant to its method and ignores the rest (the trajectory
-    knobs mean nothing to the exact methods, the unitary provider
-    nothing to the stabilizer tableau...).
-    """
+    """Everything one resolved method's executor reads; each method's
+    executor receives ``(plan, request)``."""
 
     __slots__ = (
         "noise_model",
         "shots",
         "seed",
         "unitary_provider",
-        "readout_relaxation_fraction",
         "with_readout_error",
-        "trajectories",
-        "target_error",
-        "trajectory_batch",
-        "stabilizer_shot_batch",
     )
 
     noise_model: NoiseModel | None
     shots: int
     seed: int | None | np.random.Generator
     unitary_provider: UnitaryProvider | None
-    readout_relaxation_fraction: float
     with_readout_error: bool
-    trajectories: int | str | None
-    target_error: float | None
-    trajectory_batch: int | None
-    stabilizer_shot_batch: int | None
 
 
 def execute_circuit(
@@ -702,13 +574,8 @@ def execute_circuit(
     shots: int = 1024,
     seed: int | None | np.random.Generator = None,
     unitary_provider: UnitaryProvider | None = None,
-    readout_relaxation_fraction: float = 0.5,
     with_readout_error: bool = True,
     method: str = "auto",
-    trajectories: int | str | None = None,
-    target_error: float | None = None,
-    trajectory_batch: int | None = None,
-    stabilizer_shot_batch: int | None = None,
 ) -> ExperimentResult:
     """Run one circuit and sample measurement outcomes.
 
@@ -721,21 +588,8 @@ def execute_circuit(
     ``method="statevector"`` on a noisy circuit deliberately drops every
     channel that would act on the state (readout error still applies) —
     that is the noiseless escape hatch, not an approximation of the
-    noise.  ``trajectories`` pins the trajectory back-end's trajectory
-    count; ``trajectories="auto"`` (or a bare ``target_error``) switches the
-    trajectory back-end to adaptive allocation: trajectories run in
-    rounds until the estimated counts-distribution standard error drops
-    to ``target_error``.  ``trajectory_batch`` bounds how many
-    trajectories the batched kernel stacks per call (``1`` = the
-    sequential reference loop; counts are byte-identical either way).
-    ``stabilizer_shot_batch`` is the tableau back-end's analogue: how
-    many shots its phase-batched kernel stacks per round — likewise
-    byte-identical at every value, with ``1`` the sequential reference.
+    noise.
     """
-    if trajectory_batch is not None and trajectory_batch < 1:
-        raise BackendError("trajectory_batch must be >= 1")
-    if stabilizer_shot_batch is not None and stabilizer_shot_batch < 1:
-        raise BackendError("stabilizer_shot_batch must be >= 1")
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
     with telemetry_span("engine.execute", shots=int(shots)) as exec_span:
@@ -764,12 +618,6 @@ def execute_circuit(
                 },
             )
 
-        if resolved != "trajectory":
-            # like a pinned ``trajectories=`` count, the adaptive knobs
-            # configure the trajectory back-end only — but reject malformed
-            # values eagerly so typos don't ride along silently
-            resolve_trajectory_request(trajectories, target_error, shots)
-
         with telemetry_span("engine.kernel", method=resolved):
             result = entry.execute(
                 plan,
@@ -778,12 +626,7 @@ def execute_circuit(
                     shots=shots,
                     seed=seed,
                     unitary_provider=unitary_provider,
-                    readout_relaxation_fraction=readout_relaxation_fraction,
                     with_readout_error=with_readout_error,
-                    trajectories=trajectories,
-                    target_error=target_error,
-                    trajectory_batch=trajectory_batch,
-                    stabilizer_shot_batch=stabilizer_shot_batch,
                 ),
             )
     wall = time.perf_counter() - wall_start
@@ -799,7 +642,6 @@ def execute_circuit(
             depth=len(plan.layers),
             channels=_noise_channel_count(plan, noise_model),
             shots=int(shots),
-            trajectories=result.metadata.get("trajectories"),
             wall_seconds=wall,
             cpu_seconds=time.process_time() - cpu_start,
         )
@@ -848,9 +690,7 @@ def _execute_exact(
             request.unitary_provider,
             plan.target,
         )
-    window, relaxations = _readout_relaxation(
-        plan, effective_noise, request.readout_relaxation_fraction
-    )
+    window, relaxations = _readout_relaxation(plan, effective_noise)
     for qubit, channel in relaxations:
         state.apply_channel(channel, [qubit])
 
@@ -859,8 +699,13 @@ def _execute_exact(
         [plan.local[q] for q in plan.measured_qubits],
         plan.num_local,
     )
-    readout = _measured_readout(plan, request)
-    if readout is not None:
+    noise_model = request.noise_model
+    if (
+        noise_model is not None
+        and request.with_readout_error
+        and noise_model.readout_error is not None
+    ):
+        readout = noise_model.readout_subset(plan.measured_qubits)
         marginal = readout.apply_to_probabilities(marginal)
 
     counts_raw = rng.multinomial(request.shots, marginal / marginal.sum())
@@ -1354,15 +1199,52 @@ def _is_static(op: Instruction) -> bool:
     return isinstance(op, StandardGate) and not op.params
 
 
+def sample_jitter_kicks(
+    num_qubits: int,
+    sigma_local: float,
+    sigma_entangling: float,
+    rng: np.random.Generator,
+) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """Random pulse-jitter kicks for an uncalibrated pulse gate.
+
+    Returns ``(kick_matrix, relative_positions)`` pairs, where positions
+    index into the gate's qubit tuple.  The draw order (three normals
+    per qubit for the local kick, then one for the entangling kick)
+    matches the historical density-matrix engine bit-for-bit, so fixed
+    seeds reproduce the seed path's results.
+    """
+    kicks: list[tuple[np.ndarray, tuple[int, ...]]] = []
+    if sigma_local > 0:
+        for position in range(num_qubits):
+            hx, hy, hz = rng.normal(0.0, sigma_local / 2, 3)
+            norm = math.sqrt(hx * hx + hy * hy + hz * hz)
+            if norm < 1e-15:
+                continue
+            kick = (
+                math.cos(norm) * np.eye(2)
+                - 1j
+                * math.sin(norm)
+                / norm
+                * (hx * _PAULI_X + hy * _PAULI_Y + hz * _PAULI_Z)
+            )
+            kicks.append((kick, (position,)))
+    if sigma_entangling > 0 and num_qubits == 2:
+        angle = rng.normal(0.0, sigma_entangling)
+        kick = (
+            math.cos(angle / 2) * np.eye(4)
+            - 1j * math.sin(angle / 2) * _ZX_AXIS
+        )
+        kicks.append((kick, (0, 1)))
+    return kicks
+
+
 def _jitter_unitary(
     width: int, noise_model: NoiseModel, rng: np.random.Generator
 ) -> np.ndarray | None:
     """The jitter kicks of one uncalibrated pulse gate as one unitary.
 
-    The kicks come from
-    :func:`repro.simulators.trajectory.sample_jitter_kicks`, which the
-    trajectory back-end replays too, so RNG consumption is identical
-    across methods.  ``None`` when no kick was drawn.
+    The kicks come from :func:`sample_jitter_kicks`.  ``None`` when no
+    kick was drawn.
     """
     total = None
     for kick, positions in sample_jitter_kicks(
@@ -1437,230 +1319,6 @@ def _assemble_counts(
     return Counts(counts)
 
 
-# ---------------------------------------------------------------------------
-# trajectory back-end
-# ---------------------------------------------------------------------------
-
-def _compile_trajectory_program(
-    plan: _CircuitPlan,
-    noise_model: NoiseModel | None,
-    unitary_provider: UnitaryProvider | None,
-    readout_relaxation_fraction: float,
-) -> tuple[TrajectoryProgram, int]:
-    """The lowered circuit (:func:`_lower_noisy_ops`) as a replayable
-    step program.
-
-    Compiled once per circuit and replayed per trajectory, so unitary
-    resolution (including pulse-gate propagators) is paid once.
-    Returns ``(program, total_duration)`` with the measure window
-    included in the duration.
-    """
-    program = TrajectoryProgram(plan.num_local)
-    for layer in _lower_noisy_ops(
-        plan, plan.circuit, noise_model, plan.target
-    ):
-        for _index, inst, qubits, channels, jitter in layer.gates:
-            matrix = _resolve_unitary(
-                inst.operation, inst.qubits, unitary_provider
-            )
-            program.unitary(matrix, qubits)
-            for channel in channels:
-                _check_channel_width(channel, qubits)
-                program.channel(channel.kraus_ops, qubits)
-            if jitter:
-                program.jitter(
-                    qubits,
-                    noise_model.pulse_jitter_local,
-                    noise_model.pulse_jitter_entangling,
-                )
-        for qubit, channel in enumerate(layer.relaxations):
-            if channel is not None:
-                program.channel(channel.kraus_ops, [qubit])
-        if layer.zz_angle is not None:
-            rzz = _zz_unitary(layer.zz_angle)
-            for la, lb, _a, _b in plan.coupled_local_pairs:
-                program.unitary(rzz, [la, lb])
-    window, relaxations = _readout_relaxation(
-        plan, noise_model, readout_relaxation_fraction
-    )
-    for qubit, channel in relaxations:
-        program.channel(channel.kraus_ops, [qubit])
-    return program, sum(plan.layer_durations) + window
-
-
-def _execute_trajectory(
-    plan: _CircuitPlan, request: _ExecutionRequest
-) -> ExperimentResult:
-    shots = request.shots
-    total, resolved_target_error = resolve_trajectory_request(
-        request.trajectories, request.target_error, shots
-    )
-    with telemetry_span("engine.compile", method="trajectory"):
-        program, total_duration = _compile_trajectory_program(
-            plan,
-            request.noise_model,
-            request.unitary_provider,
-            request.readout_relaxation_fraction,
-        )
-    readout = _measured_readout(plan, request)
-    measured_positions = [plan.local[q] for q in plan.measured_qubits]
-    adaptive_info = None
-    if total is None:
-        with telemetry_span("trajectory.run", adaptive=True) as run_span:
-            outcome_counts, adaptive_info = run_trajectories_adaptive(
-                program,
-                shots,
-                request.seed,
-                measured_positions=measured_positions,
-                readout=readout,
-                target_error=resolved_target_error,
-                round_size=ADAPTIVE_ROUND_TRAJECTORIES,
-                max_trajectories=ADAPTIVE_MAX_TRAJECTORIES,
-                batch_size=request.trajectory_batch,
-            )
-            total = adaptive_info["trajectories"]
-            if run_span:
-                run_span.annotate(trajectories=total)
-    else:
-        with telemetry_span(
-            "trajectory.run", adaptive=False, trajectories=total
-        ):
-            outcome_counts = run_trajectories(
-                program,
-                shots,
-                total,
-                request.seed,
-                measured_positions=measured_positions,
-                readout=readout,
-                batch_size=request.trajectory_batch,
-            )
-    observed = sorted(outcome_counts)
-    counts = _assemble_counts(
-        observed, [outcome_counts[i] for i in observed], plan.measured_clbits
-    )
-    metadata = _result_metadata(plan, "trajectory")
-    metadata["trajectories"] = total
-    if adaptive_info is not None:
-        # flat scalar keys keep the metadata JSON-serialisable
-        metadata["adaptive"] = True
-        metadata["adaptive_rounds"] = adaptive_info["rounds"]
-        metadata["adaptive_target_error"] = adaptive_info["target_error"]
-        metadata["adaptive_achieved_error"] = adaptive_info[
-            "achieved_error"
-        ]
-        metadata["adaptive_converged"] = adaptive_info["converged"]
-    return ExperimentResult(counts, total_duration, metadata=metadata)
-
-
-# ---------------------------------------------------------------------------
-# stabilizer back-end
-# ---------------------------------------------------------------------------
-
-def _stabilizer_channel(
-    program: StabilizerProgram, channel, qubits: Sequence[int]
-) -> None:
-    """Lower one Kraus channel into the program, or fail diagnosably."""
-    _check_channel_width(channel, qubits)
-    terms = pauli_channel_terms(channel.kraus_ops)
-    if terms is None:
-        raise BackendError(
-            f"noise channel {channel.name!r} is not a Pauli mixture; "
-            f"the stabilizer method supports Pauli channels (plus "
-            f"classical readout error) only — method='auto' falls back "
-            f"to trajectory for this noise"
-        )
-    program.channel(terms, qubits)
-
-
-def _compile_stabilizer_program(
-    plan: _CircuitPlan,
-    noise_model: NoiseModel | None,
-    unitary_provider: UnitaryProvider | None,
-    readout_relaxation_fraction: float,
-) -> tuple[StabilizerProgram, int]:
-    """The lowered circuit (:func:`_lower_noisy_ops`) on the Clifford
-    tableau, in the trajectory program's step order.
-
-    Every gate must conjugate Paulis to Paulis and every channel must
-    be a Pauli mixture, otherwise a :class:`BackendError` names the
-    offending piece (``auto`` dispatch never gets here — its capability
-    predicate already rejected the circuit — so these errors only reach
-    callers who pinned ``method="stabilizer"`` explicitly).
-    """
-    program = StabilizerProgram(plan.num_local)
-    for layer in _lower_noisy_ops(
-        plan, plan.circuit, noise_model, plan.target
-    ):
-        for _index, inst, qubits, channels, jitter in layer.gates:
-            matrix = _resolve_unitary(
-                inst.operation, inst.qubits, unitary_provider
-            )
-            table = clifford_conjugation_table(matrix)
-            if table is None:
-                raise BackendError(
-                    f"{inst.operation.name!r} on qubits "
-                    f"{tuple(inst.qubits)} is not a Clifford operation; "
-                    f"method='stabilizer' simulates Clifford circuits only"
-                )
-            program.clifford(table, qubits)
-            for channel in channels:
-                _stabilizer_channel(program, channel, qubits)
-            if jitter and _jitter_draws(noise_model, len(qubits)):
-                raise BackendError(
-                    "pulse-transfer jitter is a coherent kick, not a "
-                    "Pauli channel; method='stabilizer' cannot model it"
-                )
-        for qubit, channel in enumerate(layer.relaxations):
-            if channel is not None:
-                _stabilizer_channel(program, channel, [qubit])
-        if layer.zz_angle is not None:
-            table = clifford_conjugation_table(_zz_unitary(layer.zz_angle))
-            if table is None:
-                raise BackendError(
-                    f"ZZ-crosstalk rotation of {layer.zz_angle:.6f} rad "
-                    f"is not a Clifford operation; method='stabilizer' "
-                    f"cannot model continuous crosstalk"
-                )
-            for la, lb, _a, _b in plan.coupled_local_pairs:
-                program.clifford(table, [la, lb])
-    window, relaxations = _readout_relaxation(
-        plan, noise_model, readout_relaxation_fraction
-    )
-    for qubit, channel in relaxations:
-        _stabilizer_channel(program, channel, [qubit])
-    return program, sum(plan.layer_durations) + window
-
-
-def _execute_stabilizer(
-    plan: _CircuitPlan, request: _ExecutionRequest
-) -> ExperimentResult:
-    with telemetry_span("engine.compile", method="stabilizer"):
-        program, total_duration = _compile_stabilizer_program(
-            plan,
-            request.noise_model,
-            request.unitary_provider,
-            request.readout_relaxation_fraction,
-        )
-    with telemetry_span("stabilizer.run", shots=int(request.shots)):
-        outcome_counts, per_shot = run_stabilizer_program(
-            program,
-            request.shots,
-            request.seed,
-            [plan.local[q] for q in plan.measured_qubits],
-            readout=_measured_readout(plan, request),
-            shot_batch=request.stabilizer_shot_batch,
-        )
-    observed = sorted(outcome_counts)
-    counts = _assemble_counts(
-        observed, [outcome_counts[i] for i in observed], plan.measured_clbits
-    )
-    metadata = _result_metadata(plan, "stabilizer")
-    # True when counts came from per-shot noise/measurement sampling
-    # (exact i.i.d. draws); False for the single-multinomial exact path
-    metadata["per_shot_sampling"] = per_shot
-    return ExperimentResult(counts, total_duration, metadata=metadata)
-
-
 def execute_circuits(
     circuits: Sequence[QuantumCircuit],
     target: Target,
@@ -1669,13 +1327,8 @@ def execute_circuits(
     seed: int | None | np.random.Generator = None,
     seeds: Sequence[int | None | np.random.Generator] | None = None,
     unitary_provider: UnitaryProvider | None = None,
-    readout_relaxation_fraction: float = 0.5,
     with_readout_error: bool = True,
     method: str = "auto",
-    trajectories: int | str | None = None,
-    target_error: float | None = None,
-    trajectory_batch: int | None = None,
-    stabilizer_shot_batch: int | None = None,
 ) -> list[ExperimentResult]:
     """Run a batch of circuits, amortizing shared derivation work.
 
@@ -1692,9 +1345,8 @@ def execute_circuits(
     ``derive_seed(seed, "batch", index)`` (a Generator is shared
     sequentially, which is likewise identical to sequential calls).
 
-    ``method`` / ``trajectories`` / ``target_error`` /
-    ``trajectory_batch`` / ``stabilizer_shot_batch`` apply uniformly to
-    every circuit of the batch (``"auto"`` resolves per circuit).
+    ``method`` applies to every circuit of the batch (``"auto"``
+    resolves per circuit).
     """
     circuits = list(circuits)
     if seeds is not None:
@@ -1718,13 +1370,8 @@ def execute_circuits(
             shots=shots,
             seed=circuit_seed,
             unitary_provider=unitary_provider,
-            readout_relaxation_fraction=readout_relaxation_fraction,
             with_readout_error=with_readout_error,
             method=method,
-            trajectories=trajectories,
-            target_error=target_error,
-            trajectory_batch=trajectory_batch,
-            stabilizer_shot_batch=stabilizer_shot_batch,
         )
         for circuit, circuit_seed in zip(circuits, seeds)
     ]
@@ -1735,7 +1382,7 @@ def execute_circuits(
 # ---------------------------------------------------------------------------
 
 def _supports_any(plan: _CircuitPlan, noise_model) -> bool:
-    """Density matrix and trajectory handle every modelled noise."""
+    """The density matrix handles every modelled noise."""
     return True
 
 
@@ -1743,148 +1390,33 @@ def _supports_statevector(plan: _CircuitPlan, noise_model) -> bool:
     return not _noise_touches_state(plan, noise_model)
 
 
-def _supports_stabilizer(plan: _CircuitPlan, noise_model) -> bool:
-    """Clifford circuit + Pauli-mixture noise (readout error is fine).
-
-    Pulse gates are rejected outright: continuous pulse propagators are
-    never exactly Clifford, and probing them here would mean simulating
-    the pulse.  The per-gate checks are cached by matrix content
-    (:func:`~repro.simulators.stabilizer.clifford_conjugation_table`),
-    so repeated dispatch over a sweep re-pays nothing.
-    """
-    if len(plan.measured_qubits) > MAX_MEASURED_QUBITS:
-        # outcome indices pack into int64 counts downstream
-        return False
-    if noise_model is not None and (
-        noise_model.has_relaxation or noise_model.zz_crosstalk_ghz
-    ):
-        return False
-    # transpiler certificate: CliffordBlockAnalysis tags the maximal
-    # Clifford prefix with the same per-gate oracle used below, so a
-    # size-matched tag answers the gate scan without re-running it
-    tag = plan.circuit.metadata.get("clifford_blocks")
-    certified = (
-        isinstance(tag, dict)
-        and tag.get("size") == len(plan.circuit.instructions)
-    )
-    if certified and not tag.get("full"):
-        return False
-    if certified and noise_model is None:
-        return True
-    # the layers leave out measures and barriers, the lowering delays
-    for layer in _lower_noisy_ops(
-        plan, plan.circuit, noise_model, plan.target
-    ):
-        for gate in layer.gates:
-            op = gate.instruction.operation
-            if not certified:
-                if isinstance(op, PulseGate):
-                    return False
-                cached = getattr(op, "unitary", None)
-                try:
-                    matrix = (
-                        np.asarray(cached, dtype=complex)
-                        if cached is not None
-                        else op.matrix()
-                    )
-                except Exception:
-                    return False
-                if clifford_conjugation_table(matrix) is None:
-                    return False
-            for channel in gate.channels:
-                if channel.num_qubits != len(gate.qubits):
-                    # misconfigured width: let an amplitude back-end
-                    # raise its loud error instead of running silently
-                    # wrong physics here
-                    return False
-                if pauli_channel_terms(channel.kraus_ops) is None:
-                    return False
-    return True
-
-
-#: nominal per-(qubit^2) work the cost model charges the tableau
-#: back-end.  The 2**n amplitude kernels are vectorised and
-#: cache-friendly, so per "element" they are orders of magnitude
-#: cheaper than tableau row updates; this constant is calibrated so the
-#: pure-state path keeps winning noiseless Clifford circuits up to its
-#: 26-qubit budget (2**26 < _STABILIZER_SHOT_WORK * 26**2) while the
-#: tableau takes over from the density matrix at ~13 qubits and owns
-#: everything past the exact-method budgets.  The shot-batched packed
-#: kernel (PR 8) made the tableau much faster in wall-clock, but these
-#: crossover points are part of the seeded-dispatch contract — do not
-#: retune them as a side effect of kernel work.
-_STABILIZER_SHOT_WORK = 1 << 17
-
-
-def _cost_statevector(plan: _CircuitPlan, noise_model) -> float:
-    return float(1 << plan.num_local)
-
-
-def _cost_density_matrix(plan: _CircuitPlan, noise_model) -> float:
-    return float(1 << (2 * plan.num_local))
-
-
-def _cost_trajectory(plan: _CircuitPlan, noise_model) -> float:
-    return float(DEFAULT_TRAJECTORIES * (1 << plan.num_local))
-
-
-def _cost_stabilizer(plan: _CircuitPlan, noise_model) -> float:
-    return float(_STABILIZER_SHOT_WORK * max(1, plan.num_local) ** 2)
-
-
 class _Method(NamedTuple):
     """One simulation back-end of :data:`_METHODS`."""
 
     #: capability predicate over ``(plan, noise_model)``
     supports: Callable
-    #: unitless work estimate over ``(plan, noise_model)``
-    cost: Callable
     #: ``execute(plan, request) -> ExperimentResult``
     execute: Callable
     #: most active qubits the method runs
     qubit_budget: int
     #: advice the budget error appends
     escape_hatch: str
-    #: True when counts are statistically equivalent rather than exact
-    #: samples of the requested distribution
-    statistical: bool = False
 
 
-#: every simulation back-end, in the order that breaks ``auto`` ties
+#: every simulation back-end
 _METHODS = {
     "density_matrix": _Method(
         _supports_any,
-        _cost_density_matrix,
         partial(_execute_exact, resolved="density_matrix"),
         14,
         "exact mixed-state evolution holds the full 4^n operator — "
-        'stochastic noise is statistically equivalent on '
-        'method="trajectory", Clifford circuits with Pauli noise are '
-        'exact on method="stabilizer", noiseless circuits on '
-        'method="statevector"',
+        'noiseless circuits run on method="statevector"',
     ),
     "statevector": _Method(
         _supports_statevector,
-        _cost_statevector,
         partial(_execute_exact, resolved="statevector"),
         26,
         "pure states scale 2^n",
-    ),
-    "trajectory": _Method(
-        _supports_any,
-        _cost_trajectory,
-        _execute_trajectory,
-        26,
-        "each trajectory holds a 2^n statevector",
-        statistical=True,
-    ),
-    "stabilizer": _Method(
-        _supports_stabilizer,
-        _cost_stabilizer,
-        _execute_stabilizer,
-        256,
-        "the tableau is polynomial in qubits; this cap only guards "
-        "pathological registers",
     ),
 }
 

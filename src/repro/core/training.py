@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -45,7 +46,9 @@ class ExecutionPipeline:
     every later evaluation's angles into that template; the result is
     bit-identical to a fresh :meth:`_transpile` (PERFORMANCE.md,
     "Transpile once per circuit structure").  The templates sit on the
-    backend, so pipelines with equal transpile settings share them.
+    backend, so pipelines with equal transpile settings share them; so
+    do the M3 mitigators, keyed by the readout error they were built
+    from and the measured qubits.
     """
 
     backend: SimulatedBackend
@@ -63,13 +66,6 @@ class ExecutionPipeline:
     #: simulation method for every execution ("auto" dispatches per
     #: circuit; see PERFORMANCE.md "Simulation methods")
     method: str = "auto"
-    #: trajectory count for the trajectory back-end: an int pins it,
-    #: "auto" adapts it per circuit, None = default
-    trajectories: int | str | None = None
-    #: counts-distribution precision adaptive allocation stops at
-    #: (implies trajectories="auto"; see PERFORMANCE.md)
-    target_error: float | None = None
-    _mitigator_cache: dict = field(default_factory=dict, repr=False)
     _pulse_pass: PulseEfficientRZZ | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -174,8 +170,6 @@ class ExecutionPipeline:
             seeds=engine_seeds,
             jobs=self.jobs,
             method=self.method,
-            trajectories=self.trajectories,
-            target_error=self.target_error,
         )
         return result.experiments
 
@@ -210,12 +204,13 @@ class ExecutionPipeline:
                 physical = tuple(
                     clbit_map[c] for c in sorted(clbit_map)
                 )
-                mitigator = self._mitigator_cache.get(physical)
-                if mitigator is None:
-                    mitigator = M3Mitigator.from_backend(
-                        self.backend, physical
-                    )
-                    self._mitigator_cache[physical] = mitigator
+                readout = getattr(
+                    self.backend.noise_model, "readout_error", None
+                )
+                mitigator = self.backend.m3_mitigators.get_or_compute(
+                    (readout, physical),
+                    partial(M3Mitigator.from_backend, self.backend, physical),
+                )
                 quasi = mitigator.apply(counts)
                 scores = quasi.nearest_probability_distribution()
                 info["mitigated"] = scores

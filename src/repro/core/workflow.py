@@ -64,8 +64,6 @@ class HybridWorkflow:
         seed: int | None = None,
         jobs: int = 1,
         method: str = "auto",
-        trajectories: int | str | None = None,
-        target_error: float | None = None,
     ) -> None:
         self.problem = problem
         self.backend = backend
@@ -81,13 +79,11 @@ class HybridWorkflow:
         #: (today the PO search's); results are seed-identical for any
         #: value (:mod:`repro.service`)
         self.jobs = jobs
-        #: simulation method + trajectory allocation for every stage's
-        #: executions (PERFORMANCE.md "Simulation methods"), checked
-        #: against ``repro.backends.METHODS`` here
+        #: simulation method for every stage's executions
+        #: (PERFORMANCE.md "Simulation methods"), checked against
+        #: ``repro.backends.METHODS`` here
         check_method_name(method)
         self.method = method
-        self.trajectories = trajectories
-        self.target_error = target_error
 
     # ------------------------------------------------------------------
     def _pipeline(self, stage: str) -> ExecutionPipeline:
@@ -108,8 +104,6 @@ class HybridWorkflow:
             shots=self.shots,
             jobs=self.jobs,
             method=self.method,
-            trajectories=self.trajectories,
-            target_error=self.target_error,
         )
 
     def run_stage(self, stage: str) -> StageResult:

@@ -27,18 +27,6 @@ DRIVERS = {
 }
 
 
-def _trajectories_arg(value: str):
-    """``--trajectories`` accepts an integer count or the word 'auto'."""
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}"
-        ) from None
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -72,26 +60,9 @@ def main(argv: list[str] | None = None) -> int:
         # the engine's method table is the one list of valid names
         choices=METHODS,
         default="auto",
-        help="simulation method: auto picks, per circuit, a method that "
-        "supports it within its qubit budget, exact before statistical, "
-        "then the cheapest (see PERFORMANCE.md)",
-    )
-    parser.add_argument(
-        "--trajectories",
-        type=_trajectories_arg,
-        default=None,
-        metavar="N|auto",
-        help="trajectory count for method=trajectory: an integer pins "
-        "it (default: min(shots, 128)); 'auto' adapts the count per "
-        "circuit until --target-error is met",
-    )
-    parser.add_argument(
-        "--target-error",
-        type=float,
-        default=None,
-        help="counts-distribution standard error adaptive trajectory "
-        "allocation stops at (implies --trajectories auto; "
-        "default 0.02 when auto is requested bare)",
+        help="simulation method: auto picks, per circuit, statevector "
+        "when no noise touches the state and density_matrix otherwise "
+        "(see PERFORMANCE.md)",
     )
     parser.add_argument(
         "--trace",
@@ -112,16 +83,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if isinstance(args.trajectories, int) and args.trajectories < 1:
-        parser.error("--trajectories must be >= 1 or 'auto'")
-    if args.target_error is not None:
-        if args.target_error <= 0:
-            parser.error("--target-error must be > 0")
-        if isinstance(args.trajectories, int):
-            parser.error(
-                "--target-error requires --trajectories auto "
-                "(or omitting --trajectories)"
-            )
 
     config = ExperimentConfig(
         shots=args.shots,
@@ -130,8 +91,6 @@ def main(argv: list[str] | None = None) -> int:
         quick=args.quick,
         jobs=args.jobs,
         method=args.method,
-        trajectories=args.trajectories,
-        target_error=args.target_error,
     )
     names = sorted(DRIVERS) if args.experiment == "all" else [args.experiment]
     if args.telemetry_records is not None:

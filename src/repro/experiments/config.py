@@ -31,15 +31,9 @@ class ExperimentConfig:
     #: seed-identical for any value (:mod:`repro.service`)
     jobs: int = 1
     #: simulation method for every circuit execution (``--method``):
-    #: one of ``repro.backends.METHODS``, where "auto" ranks them per
+    #: one of ``repro.backends.METHODS``, where "auto" picks one per
     #: circuit (PERFORMANCE.md)
     method: str = "auto"
-    #: trajectory count for the trajectory back-end
-    #: (``--trajectories N`` pins it, ``--trajectories auto`` adapts it)
-    trajectories: int | str | None = None
-    #: counts-distribution precision adaptive allocation stops at
-    #: (``--target-error``; implies ``--trajectories auto``)
-    target_error: float | None = None
 
     def __post_init__(self) -> None:
         if self.quick:

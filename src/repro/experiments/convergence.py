@@ -49,8 +49,6 @@ def run(
         shots=config.shots,
         jobs=config.jobs,
         method=config.method,
-        trajectories=config.trajectories,
-        target_error=config.target_error,
     )
     models = {
         "gate": (GateLevelModel(problem), config.maxiter),

@@ -54,8 +54,6 @@ def run(
         shots=config.shots,
         jobs=config.jobs,
         method=config.method,
-        trajectories=config.trajectories,
-        target_error=config.target_error,
     )
     maximum = problem.maximum_cut()
 

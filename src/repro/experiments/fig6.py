@@ -52,8 +52,6 @@ def run(config: ExperimentConfig | None = None) -> Fig6Result:
                 seed=seed,
                 jobs=config.jobs,
                 method=config.method,
-                trajectories=config.trajectories,
-                target_error=config.target_error,
             )
             result.ars[(backend_name, task, "gate")] = (
                 gate_workflow.run_stage("m3").approximation_ratio
@@ -69,8 +67,6 @@ def run(config: ExperimentConfig | None = None) -> Fig6Result:
                 seed=seed,
                 jobs=config.jobs,
                 method=config.method,
-                trajectories=config.trajectories,
-                target_error=config.target_error,
             )
             # Step I on the raw-trained parameters, then the optimized
             # (GO + M3) stage with the compressed mixer

@@ -64,8 +64,6 @@ def run(
                 ),
                 jobs=config.jobs,
                 method=config.method,
-                trajectories=config.trajectories,
-                target_error=config.target_error,
             )
             stage_results = workflow.run_all(STAGES)
             for stage, stage_result in stage_results.items():

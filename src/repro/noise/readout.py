@@ -109,9 +109,7 @@ class ReadoutError:
     ) -> int:
         """One stochastic assignment of a prepared outcome index.
 
-        Draws exactly one uniform per qubit, in qubit order — the one
-        sampling convention every per-shot path (counts corruption
-        here, the stabilizer back-end's shot loop) shares.
+        Draws exactly one uniform per qubit, in qubit order.
         """
         noisy = 0
         for q in range(self.num_qubits):

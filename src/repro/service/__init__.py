@@ -23,11 +23,10 @@ duration search's, two circuits per candidate duration.
   the edited backend.
 * **A one-shot warm-up.** A new worker runs the first circuit of the
   batch that started the pool, with that batch's ``method``,
-  ``with_noise`` and ``with_readout_error``, at one shot (one
-  trajectory) before its first shard, filling the propagator,
-  calibration and noise-channel memos it will hit.  A
-  failed warm-up is only noted on the ``worker.warm`` span; the
-  circuit's own run raises the error.
+  ``with_noise`` and ``with_readout_error``, at one shot before its
+  first shard, filling the propagator, calibration and noise-channel
+  memos it will hit.  A failed warm-up is only noted on the
+  ``worker.warm`` span; the circuit's own run raises the error.
 * **Loud failures.** A worker's exception reaches the caller with its
   type, after every shard has finished and each one that succeeded has
   been folded in (its telemetry below); the first failing shard's error

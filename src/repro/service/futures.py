@@ -52,9 +52,7 @@ def _initialize_worker(backend_blob: bytes, warm_blob: bytes) -> None:
     start = time.perf_counter()
     error = None
     try:
-        backend.run(
-            circuit, shots=1, seeds=[0], trajectories=1, **options
-        )
+        backend.run(circuit, shots=1, seeds=[0], **options)
     except Exception as exc:  # the circuit's own run raises it
         error = f"{type(exc).__name__}: {exc}"
     _WORKER["backend"] = backend

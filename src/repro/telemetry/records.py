@@ -9,7 +9,7 @@ and feed the ``python -m repro.telemetry report`` CLI.
 Record kinds:
 
 - ``execute`` — one simulated circuit: resolved method, qubits, depth,
-  channel count, shots/trajectories, wall/CPU seconds.
+  channel count, shots, wall/CPU seconds.
 - ``batch`` — one pooled ``ExecutionService.run_batch`` call: circuit,
   worker and shard counts, wall seconds.
 

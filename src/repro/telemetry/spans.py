@@ -2,9 +2,9 @@
 
 A *span* is one named, timed region of work (wall clock plus process CPU
 time, with free-form attributes); spans nest, and one traced execution
-produces a **trace tree** covering circuit compile, method selection,
-kernel execution, trajectory rounds, shard dispatch and worker
-warm-up (see TELEMETRY.md for the span schema).
+produces a **trace tree** covering circuit planning, method selection,
+kernel execution, shard dispatch and worker warm-up (see TELEMETRY.md
+for the span schema).
 
 Tracing is **off by default and off the RNG path entirely**: the span
 API never draws entropy, never mutates execution state, and every

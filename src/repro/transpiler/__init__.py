@@ -18,7 +18,6 @@ from repro.transpiler.passes.cancellation import (
     CommutativeCancellation,
     SelfInverseCancellation,
 )
-from repro.transpiler.passes.clifford_blocks import CliffordBlockAnalysis
 from repro.transpiler.passes.commutation import CommutationReorder, gates_commute
 from repro.transpiler.passes.fusion import PhaseGadgetFusion
 from repro.transpiler.passes.resynthesis import SingleQubitResynthesis
@@ -49,7 +48,6 @@ __all__ = [
     "preset_pass_manager",
     "transpile",
     "BasisTranslation",
-    "CliffordBlockAnalysis",
     "CommutationReorder",
     "CommutativeCancellation",
     "PhaseGadgetFusion",

@@ -13,7 +13,6 @@ from repro.transpiler.passes.cancellation import (
     CommutativeCancellation,
     SelfInverseCancellation,
 )
-from repro.transpiler.passes.clifford_blocks import CliffordBlockAnalysis
 from repro.transpiler.passes.fusion import PhaseGadgetFusion
 from repro.transpiler.passes.layout import SabreLayout
 from repro.transpiler.passes.resynthesis import SingleQubitResynthesis
@@ -77,10 +76,6 @@ def preset_pass_manager(
     cancellation, fusion, single-qubit run resynthesis).
     Level 3: level 2 with more SABRE trials and a second post-basis
     optimization round.
-
-    Levels 1+ finish with :class:`CliffordBlockAnalysis`, which tags
-    (never rewrites) the circuit so ``select_method`` can certify
-    Clifford circuits for the stabilizer back-end without rescanning.
     """
     if optimization_level not in (0, 1, 2, 3):
         raise TranspilerError(
@@ -104,8 +99,6 @@ def preset_pass_manager(
             pm.append(CommutativeCancellation())
             pm.append(PhaseGadgetFusion())
             pm.append(SingleQubitResynthesis(basis))
-    if optimization_level >= 1:
-        pm.append(CliffordBlockAnalysis())
     return pm
 
 

@@ -203,7 +203,12 @@ def verify_transpiled(
     shots: int = 2048,
     seed: int = 1234,
 ) -> dict:
-    """Strongest affordable equivalence check, as a report dict."""
+    """Strongest affordable equivalence check, as a report dict.
+
+    The counts check runs noiselessly on the engine's statevector, so
+    past its 26-qubit budget no back-end runs it and the engine's
+    budget error propagates.
+    """
     if transpiled.num_qubits <= max_unitary_qubits:
         method = "unitary"
         equivalent = transpiled_unitary_equivalent(original, transpiled)

@@ -26,15 +26,42 @@ from circuits import (  # noqa: E402
     wstate,
 )
 
-from repro.backends import Target, select_method  # noqa: E402
-from repro.backends.engine import execute_circuit  # noqa: E402
+from repro.backends import Target  # noqa: E402
+from repro.backends.engine import (  # noqa: E402
+    _CircuitPlan,
+    _evolve_exact,
+    execute_circuit,
+)
 from repro.circuits import QuantumCircuit  # noqa: E402
-from repro.noise import NoiseModel, ReadoutError  # noqa: E402
+from repro.exceptions import BackendError  # noqa: E402
 from repro.simulators import (  # noqa: E402
     circuit_to_unitary,
     simulate_statevector,
 )
-from repro.transpiler import CliffordBlockAnalysis, CouplingMap, transpile  # noqa: E402
+from repro.transpiler import CouplingMap, transpile  # noqa: E402
+
+#: gates that map Paulis to Paulis whatever their operands
+CLIFFORD_GATES = {
+    "h", "s", "sdg", "x", "y", "z", "sx", "sxdg", "cx", "cz", "swap",
+}
+
+
+def _is_clifford(circuit) -> bool:
+    """Every gate is a Clifford by name, or an ``rz`` whose angle is a
+    multiple of pi/2; measures and barriers are Clifford-compatible."""
+    for inst in circuit.instructions:
+        op = inst.operation
+        if op.name in ("measure", "barrier"):
+            continue
+        if op.name == "rz":
+            quarter_turns = float(op.params[0]) / (math.pi / 2)
+            if not math.isclose(
+                quarter_turns, round(quarter_turns), abs_tol=1e-9
+            ):
+                return False
+        elif op.name not in CLIFFORD_GATES:
+            return False
+    return True
 
 
 def _counts(circuit, shots=200, seed=11):
@@ -132,27 +159,10 @@ class TestTrotterEcho:
         out = transpile(
             qc, CouplingMap.from_line(6), optimization_level=2, seed=7
         )
-        tag = out.metadata["clifford_blocks"]
-        assert tag["full"], f"echo did not collapse: {tag}"
+        assert not _is_clifford(qc)
+        names = sorted({i.operation.name for i in out.instructions})
+        assert _is_clifford(out), f"echo did not collapse: {names}"
         assert out.size() < qc.size() // 2
-
-    def test_echo_newly_routes_to_stabilizer_under_noise(self):
-        # width past the density-matrix budget, so the original
-        # (non-Clifford as written) needs trajectories while the
-        # optimized (collapsed-to-Clifford) circuit wins on stabilizer
-        n = 20
-        qc = trotter_echo(n, steps=2)
-        target = Target(n, CouplingMap.from_line(n))
-        noise = NoiseModel(n)
-        noise.add_depolarizing_error("cx", 0.02, 2)
-        noise.set_readout_error(ReadoutError.uniform(n, 0.02))
-        before = select_method(qc, target, noise)
-        out = transpile(
-            qc, CouplingMap.from_line(n), optimization_level=2, seed=7
-        )
-        after = select_method(out, target, noise)
-        assert before != "stabilizer"
-        assert after == "stabilizer"
 
 
 class TestSuiteRegistry:
@@ -187,6 +197,45 @@ class TestSuiteRegistry:
             ), name
 
     def test_qec_circuit_is_fully_clifford(self):
-        circuit = SUITE["qec_d5"]()
-        tag = CliffordBlockAnalysis()(circuit).metadata["clifford_blocks"]
-        assert tag["full"]
+        assert _is_clifford(SUITE["qec_d5"]())
+
+
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_suite_circuit_on_both_exact_methods(name):
+    """``auto`` runs every noiseless suite circuit on ``statevector``.
+    Up to 8 qubits the density matrix evolves it to the same outcome
+    distribution (to float rounding: a few 1e-15 can flip one seeded
+    multinomial draw, so counts are not compared) in the same duration;
+    past its 14-qubit budget, pinning it raises the budget error naming
+    ``statevector``.  (The 13-qubit ``qec_d5`` fits the budget but takes
+    tens of seconds as a density matrix, so it is compared nowhere.)"""
+    circuit = SUITE[name]()
+    width = max(circuit.num_qubits, 2)
+    target = Target(width, CouplingMap.full(width))
+    auto = execute_circuit(
+        circuit, target, shots=200, seed=11, with_readout_error=False
+    )
+    assert auto.metadata["method"] == "statevector"
+    assert sum(auto.counts.values()) == 200
+    if circuit.num_qubits <= 8:
+        plan = _CircuitPlan(circuit, target)
+        (sv, sv_duration), (dm, dm_duration) = (
+            _evolve_exact(
+                plan, circuit, method, None, np.random.default_rng(0),
+                None, target,
+            )
+            for method in ("statevector", "density_matrix")
+        )
+        np.testing.assert_allclose(
+            dm.probabilities(), sv.probabilities(), rtol=0, atol=1e-12
+        )
+        assert dm_duration == sv_duration
+    elif circuit.num_qubits > 14:
+        with pytest.raises(
+            BackendError,
+            match="methods within budget: statevector",
+        ):
+            execute_circuit(
+                circuit, target, shots=200, seed=11,
+                method="density_matrix",
+            )

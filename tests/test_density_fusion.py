@@ -27,6 +27,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from repro.backends import FakeGuadalupe, FakeToronto
 from repro.backends.engine import (
@@ -43,10 +44,10 @@ from repro.backends.engine import (
     _resolve_unitary,
     _ZZ_PRODUCT_BYTES,
     _zz_diagonal,
-    _zz_unitary,
+    sample_jitter_kicks,
 )
 from repro.circuits import QuantumCircuit
-from repro.circuits.gates import Delay, PulseGate
+from repro.circuits.gates import Delay, PulseGate, standard_gate
 from repro.core import (
     ExecutionPipeline,
     GateLevelModel,
@@ -65,7 +66,6 @@ from repro.simulators.density_matrix import (
     expand_superop,
     unitary_superop,
 )
-from repro.simulators.trajectory import sample_jitter_kicks
 from repro.telemetry.metrics import metrics_baseline, metrics_delta
 from repro.utils.cache import caching_disabled
 from repro.utils.kernels import apply_matrix_flat, apply_plan
@@ -80,6 +80,11 @@ TOLERANCE = 1e-12
 # ---------------------------------------------------------------------------
 # the unfused reference walk
 # ---------------------------------------------------------------------------
+
+def _zz_unitary(angle: float) -> np.ndarray:
+    """One coupled pair's ZZ crosstalk over a layer, ``exp(-i angle/2 ZZ)``."""
+    return np.diag(np.exp(-1j * angle / 2 * np.array([1.0, -1.0, -1.0, 1.0])))
+
 
 def _one_sided(rho, matrix, qubits, side):
     """``matrix`` on the row (side 'L') or its conjugate on the column
@@ -641,6 +646,82 @@ def test_jitter_kick_embedding(toronto):
         expected = kick if expected is None else kick @ expected
     assert np.array_equal(_jitter_unitary(2, noise, rng), expected)
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+_PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+class TestSampleJitterKicks:
+    """What an uncalibrated pulse gate's jitter draws: per qubit a local
+    rotation ``exp(-i h·σ)`` with ``h ~ N(0, σ_local/2)^3``, then, on a
+    two-qubit gate only, a cross-resonance over-rotation ``rzx(θ)`` with
+    ``θ ~ N(0, σ_entangling)``, in that draw order (fixed seeds must
+    reproduce the seed path's results)."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_no_sigma_draws_nothing(self, width):
+        rng, untouched = np.random.default_rng(3), np.random.default_rng(3)
+        assert sample_jitter_kicks(width, 0.0, 0.0, rng) == []
+        assert rng.bit_generator.state == untouched.bit_generator.state
+
+    def test_local_kicks_are_the_rotations_drawn(self):
+        sigma = 0.3
+        rng, reference = np.random.default_rng(8), np.random.default_rng(8)
+        kicks = sample_jitter_kicks(3, sigma, 0.0, rng)
+        assert [positions for _, positions in kicks] == [(0,), (1,), (2,)]
+        for kick, _ in kicks:
+            h = reference.normal(0.0, sigma / 2, 3)
+            generator = sum(c * pauli for c, pauli in zip(h, _PAULIS))
+            np.testing.assert_allclose(
+                kick, expm(-1j * generator), atol=1e-12
+            )
+            np.testing.assert_allclose(
+                kick.conj().T @ kick, np.eye(2), atol=1e-12
+            )
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_entangling_kick_only_on_two_qubit_gates(self, width):
+        sigma = 0.2
+        rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+        kicks = sample_jitter_kicks(width, 0.0, sigma, rng)
+        if width != 2:
+            assert kicks == []
+        else:
+            ((kick, positions),) = kicks
+            assert positions == (0, 1)
+            theta = reference.normal(0.0, sigma)
+            np.testing.assert_allclose(
+                kick, standard_gate("rzx", [theta]).matrix(), atol=1e-12
+            )
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_draw_order_is_local_then_entangling(self):
+        rng, reference = np.random.default_rng(10), np.random.default_rng(10)
+        kicks = sample_jitter_kicks(2, 0.1, 0.2, rng)
+        assert [positions for _, positions in kicks] == [(0,), (1,), (0, 1)]
+        reference.normal(0.0, 0.05, 3)
+        reference.normal(0.0, 0.05, 3)
+        theta = reference.normal(0.0, 0.2)
+        np.testing.assert_allclose(
+            kicks[2][0], standard_gate("rzx", [theta]).matrix(), atol=1e-12
+        )
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_zero_local_draw_is_skipped(self):
+        # a vanishing rotation is no kick; the entangling draw still is
+        class ZeroDraws:
+            def normal(self, loc, scale, size=None):
+                return 0.0 if size is None else np.zeros(size)
+
+        kicks = sample_jitter_kicks(2, 0.1, 0.2, ZeroDraws())
+        ((kick, positions),) = kicks
+        assert positions == (0, 1)
+        assert np.array_equal(kick, np.eye(4))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import pytest
 
 from repro.backends import FakeGuadalupe, execute_circuit
 from repro.circuits import QuantumCircuit
-from repro.noise import NoiseModel, ReadoutError
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_counts.json"
 
@@ -38,52 +37,9 @@ def golden_circuit(num_qubits: int = 4) -> QuantumCircuit:
     return qc
 
 
-def clifford_golden_circuit(num_qubits: int = 4) -> QuantumCircuit:
-    """The golden circuit's Clifford sibling (rz(0.37) -> s)."""
-    qc = QuantumCircuit(num_qubits, num_qubits)
-    qc.h(0)
-    for i in range(num_qubits - 1):
-        qc.cx(i, i + 1)
-    qc.s(1)
-    qc.sx(2)
-    for i in range(num_qubits):
-        qc.measure(i, i)
-    return qc
-
-
-def golden_pauli_noise(num_qubits: int) -> NoiseModel:
-    """Pauli-mixture noise the stabilizer method simulates exactly."""
-    noise = NoiseModel(num_qubits)
-    noise.add_depolarizing_error("cx", 0.02, 2)
-    for name in ("h", "s", "sx"):
-        noise.add_depolarizing_error(name, 0.002, 1)
-    noise.set_readout_error(ReadoutError.uniform(num_qubits, 0.02))
-    return noise
-
-
 def run_case(backend, case: str):
     """Execute one named golden case; returns the ExperimentResult."""
     circuit = golden_circuit()
-    if case == "stabilizer_noiseless":
-        return execute_circuit(
-            clifford_golden_circuit(), backend.target, None,
-            shots=SHOTS, seed=SEED, method="stabilizer",
-        )
-    if case == "stabilizer_pauli":
-        return execute_circuit(
-            clifford_golden_circuit(), backend.target,
-            golden_pauli_noise(backend.num_qubits),
-            shots=SHOTS, seed=SEED, method="stabilizer",
-        )
-    if case == "stabilizer_pauli_batch7":
-        # the packed kernel's RNG-order invariant: any batch size must
-        # reproduce the sequential per-shot stream byte-for-byte
-        return execute_circuit(
-            clifford_golden_circuit(), backend.target,
-            golden_pauli_noise(backend.num_qubits),
-            shots=SHOTS, seed=SEED, method="stabilizer",
-            stabilizer_shot_batch=7,
-        )
     if case == "statevector_noiseless":
         return execute_circuit(
             circuit, backend.target, None, shots=SHOTS, seed=SEED,
@@ -94,28 +50,12 @@ def run_case(backend, case: str):
             circuit, backend.target, backend.noise_model,
             shots=SHOTS, seed=SEED, method="density_matrix",
         )
-    if case == "trajectory_fixed":
-        return execute_circuit(
-            circuit, backend.target, backend.noise_model,
-            shots=SHOTS, seed=SEED, method="trajectory", trajectories=8,
-        )
-    if case == "trajectory_adaptive":
-        return execute_circuit(
-            circuit, backend.target, backend.noise_model,
-            shots=1024, seed=SEED, method="trajectory",
-            trajectories="auto", target_error=0.05,
-        )
     raise ValueError(case)
 
 
 CASES = [
     "statevector_noiseless",
     "density_matrix_noisy",
-    "trajectory_fixed",
-    "trajectory_adaptive",
-    "stabilizer_noiseless",
-    "stabilizer_pauli",
-    "stabilizer_pauli_batch7",
 ]
 
 
@@ -138,55 +78,6 @@ def test_counts_match_golden_fixture(backend, golden, case):
         f"intended, regenerate tests/fixtures/golden_counts.json"
     )
     assert result.metadata["method"] == entry["method"]
-    if "trajectories" in entry:
-        assert result.metadata["trajectories"] == entry["trajectories"]
-
-
-def test_trajectory_sequential_matches_batched_golden(backend, golden):
-    """The sequential reference path reproduces the batched fixture."""
-    circuit = golden_circuit()
-    sequential = execute_circuit(
-        circuit, backend.target, backend.noise_model,
-        shots=SHOTS, seed=SEED, method="trajectory", trajectories=8,
-        trajectory_batch=1,
-    )
-    assert dict(sequential.counts) == golden["trajectory_fixed"]["counts"]
-
-
-def test_stabilizer_sequential_matches_batched_golden(backend, golden):
-    """``stabilizer_shot_batch`` never perturbs seeded counts.
-
-    The sequential reference (batch=1) reproduces the golden pauli
-    fixture, and the batch=7 fixture entry is the *same* counts — the
-    packed kernel consumes the per-shot RNG stream in the historical
-    order whatever the batch size.
-    """
-    sequential = execute_circuit(
-        clifford_golden_circuit(), backend.target,
-        golden_pauli_noise(backend.num_qubits),
-        shots=SHOTS, seed=SEED, method="stabilizer",
-        stabilizer_shot_batch=1,
-    )
-    assert dict(sequential.counts) == golden["stabilizer_pauli"]["counts"]
-    assert (
-        golden["stabilizer_pauli_batch7"]["counts"]
-        == golden["stabilizer_pauli"]["counts"]
-    )
-
-
-def test_stabilizer_noiseless_golden_is_statevector_identical(
-    backend, golden
-):
-    """The tableau's deterministic path shares the exact sampling step,
-    so its noiseless golden counts ARE the statevector counts."""
-    statevector = execute_circuit(
-        clifford_golden_circuit(), backend.target, None,
-        shots=SHOTS, seed=SEED, method="statevector",
-    )
-    assert (
-        dict(statevector.counts)
-        == golden["stabilizer_noiseless"]["counts"]
-    )
 
 
 def regenerate() -> None:
@@ -198,8 +89,6 @@ def regenerate() -> None:
             "counts": dict(result.counts),
             "method": result.metadata["method"],
         }
-        if "trajectories" in result.metadata:
-            entry["trajectories"] = result.metadata["trajectories"]
         payload[case] = entry
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
     FIXTURE.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

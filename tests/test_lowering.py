@@ -193,16 +193,16 @@ def test_measure_window_is_the_per_qubit_maximum():
         for clbit, q in enumerate(measured):
             qc.measure(q, clbit)
         plan = _CircuitPlan(qc, tgt)
-        window, relaxations = _readout_relaxation(plan, noise, 0.5)
+        window, relaxations = _readout_relaxation(plan, noise)
         assert window == max(durations[q] for q in measured)
+        # the measured qubits relax for half the window
         effective = int(window * 0.5)
         assert relaxations == [
             (plan.local[q], noise.relaxation_channel(q, effective))
             for q in measured
             if q != NO_T1
         ]
-        assert _readout_relaxation(plan, noise, 0.0) == (window, [])
-        assert _readout_relaxation(plan, None, 0.5) == (window, [])
+        assert _readout_relaxation(plan, None) == (window, [])
 
 
 def test_noise_touches_state_reads_the_lowered_gates():

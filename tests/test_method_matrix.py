@@ -2,26 +2,28 @@
 
 One parametrized gauntlet every simulation back-end change must pass:
 randomized circuits x {noiseless, relaxation, readout} noise x
-{4, 8, 12} qubits, asserting
+{4, 8, 12} qubits, asserting the ``auto`` resolution per cell and
+**byte-identity**, at fixed seeds, wherever two paths are exact for the
+same distribution:
 
-* **byte-identity** where methods are exact for the same distribution —
-  density matrix vs statevector when no noise touches the state, and
-  batched vs sequential trajectory execution (every batch size, and a
-  batch split across pool workers) at fixed seeds;
-* **TV-bounded agreement** where the relation is statistical —
-  trajectory sampling against the exact density-matrix distribution.
+* density matrix vs statevector when no noise touches the state;
+* ``auto`` vs the method it resolves to;
+* a parameter sweep through the memo layers (plans, channels, compiled
+  density walks) vs the same runs with caching disabled;
+* a batch split across pool workers vs direct execution;
+* a measurement into reversed classical bits vs the straight one, key
+  for key reversed.
 
 Density-matrix executions are capped at 8 qubits: a 12-qubit density
 matrix is 4^12 ~ 16.7M amplitudes and would dominate the tier-1 wall
-clock for no extra coverage — the 12-qubit cells exercise the 2^n
-methods, which is exactly the regime the trajectory back-end exists for.
+clock for no extra coverage, so the 12-qubit relaxation cells (the only
+12-qubit cells that resolve to the density matrix) skip every check that
+executes.
 
-``TestStabilizerColumn`` adds the tableau back-end's column on its own
-circuit family (the random circuits above are deliberately non-Clifford
-so the amplitude cells keep exercising generic rotations): Clifford
-circuits with depolarizing (Pauli) noise, TV-compared against the exact
-density distribution and against trajectory sampling past the density
-budget, plus the auto-dispatch crossover points.
+:func:`test_auto_is_statevector_exactly_when_supported` checks the
+``auto`` rule itself on those widths and noise kinds, plus 16 qubits
+(past the density budget), depolarizing gate noise and random Clifford
+circuits.
 """
 
 import numpy as np
@@ -30,11 +32,14 @@ import pytest
 from repro.backends import (
     FakeGuadalupe,
     execute_circuit,
+    execute_circuits,
     select_method,
 )
+from repro.backends.backend import SimulatedBackend
+from repro.backends.engine import _CircuitPlan, _supports_statevector
 from repro.circuits import QuantumCircuit
 from repro.noise import NoiseModel, ReadoutError
-from repro.simulators import total_variation
+from repro.utils.cache import caching_disabled
 
 QUBITS = [4, 8, 12]
 NOISES = ["noiseless", "relaxation", "readout"]
@@ -54,8 +59,6 @@ def pooled_backends(backend):
     """``noise_kind -> backend`` on the same target and device, carrying
     that cell's noise model; each keeps one ``jobs=2`` pool for the
     module."""
-    from repro.backends.backend import SimulatedBackend
-
     built = {}
 
     def get(noise_kind):
@@ -73,8 +76,15 @@ def pooled_backends(backend):
         pooled.close_services()
 
 
-def random_circuit(num_qubits: int, seed: int) -> QuantumCircuit:
-    """A seeded random layered circuit on a line of ``num_qubits``."""
+def random_circuit(
+    num_qubits: int, seed: int, reverse_clbits: bool = False
+) -> QuantumCircuit:
+    """A seeded random layered circuit on a line of ``num_qubits``.
+
+    Qubit ``q`` is measured into clbit ``q``, or into clbit
+    ``num_qubits - 1 - q`` with ``reverse_clbits`` (the measurements
+    keep their order either way).
+    """
     rng = np.random.default_rng(seed)
     qc = QuantumCircuit(num_qubits, num_qubits)
     for layer in range(3):
@@ -85,7 +95,7 @@ def random_circuit(num_qubits: int, seed: int) -> QuantumCircuit:
         for q in range(offset, num_qubits - 1, 2):
             qc.cx(q, q + 1)
     for q in range(num_qubits):
-        qc.measure(q, q)
+        qc.measure(q, num_qubits - 1 - q if reverse_clbits else q)
     return qc
 
 
@@ -97,6 +107,11 @@ def make_noise(kind: str, num_qubits: int) -> NoiseModel | None:
         noise.set_relaxation(80_000.0, 60_000.0, 0.222)
     elif kind == "readout":
         noise.set_readout_error(ReadoutError.uniform(num_qubits, 0.03))
+    elif kind == "depolarizing":
+        noise.add_depolarizing_error("cx", 0.02, 2)
+        for name in ("h", "s", "sdg", "x", "sx", "z"):
+            noise.add_depolarizing_error(name, 0.002, 1)
+        noise.set_readout_error(ReadoutError.uniform(num_qubits, 0.02))
     else:  # pragma: no cover - parametrization guard
         raise ValueError(kind)
     return noise
@@ -104,6 +119,13 @@ def make_noise(kind: str, num_qubits: int) -> NoiseModel | None:
 
 def counts_of(result):
     return dict(result.counts)
+
+
+def skip_past_density_cap(num_qubits: int, noise_kind: str) -> None:
+    """Skip a cell whose runs resolve to a density matrix past
+    :data:`DENSITY_CAP` (only relaxation touches the state here)."""
+    if noise_kind == "relaxation" and num_qubits > DENSITY_CAP:
+        pytest.skip("density-matrix cost capped at 8 qubits")
 
 
 @pytest.mark.parametrize("noise_kind", NOISES)
@@ -122,54 +144,6 @@ class TestMethodMatrix:
         else:
             # readout assignment error is classical: still pure-state
             assert resolved == "statevector"
-
-    def test_trajectory_batched_byte_identical_to_sequential(
-        self, backend, num_qubits, noise_kind, circuit_seed
-    ):
-        """Every batch size reproduces the per-trajectory loop exactly."""
-        circuit = random_circuit(num_qubits, circuit_seed)
-        noise = make_noise(noise_kind, backend.num_qubits)
-        reference = execute_circuit(
-            circuit, backend.target, noise, shots=512, seed=7,
-            method="trajectory", trajectories=12, trajectory_batch=1,
-        )
-        for batch in (2, 5, 12, None):
-            run = execute_circuit(
-                circuit, backend.target, noise, shots=512, seed=7,
-                method="trajectory", trajectories=12,
-                trajectory_batch=batch,
-            )
-            assert counts_of(run) == counts_of(reference), (
-                f"trajectory_batch={batch} diverged from the sequential "
-                f"path at {num_qubits}q/{noise_kind}"
-            )
-            assert run.duration == reference.duration
-
-    def test_trajectory_worker_split_byte_identical(
-        self, backend, pooled_backends, num_qubits, noise_kind,
-        circuit_seed,
-    ):
-        """A batch split across pool workers, at any batch size, equals
-        direct execution circuit for circuit."""
-        circuit = random_circuit(num_qubits, circuit_seed)
-        noise = make_noise(noise_kind, backend.num_qubits)
-        direct = [
-            execute_circuit(
-                circuit, backend.target, noise, shots=512, seed=seed,
-                method="trajectory", trajectories=12,
-            )
-            for seed in (3, 4)
-        ]
-        for batch in (2, None):
-            pooled = pooled_backends(noise_kind).run(
-                [circuit, circuit], shots=512, seeds=[3, 4], jobs=2,
-                method="trajectory", trajectories=12,
-                trajectory_batch=batch,
-            )
-            assert pooled.metadata["service"]["shards"] == 2
-            for got, want in zip(pooled.experiments, direct):
-                assert counts_of(got) == counts_of(want)
-                assert got.metadata == want.metadata
 
     def test_exact_methods_byte_identical(
         self, backend, num_qubits, noise_kind, circuit_seed
@@ -192,217 +166,169 @@ class TestMethodMatrix:
         assert counts_of(sv) == counts_of(dm)
         assert sv.duration == dm.duration
 
-    def test_trajectory_tv_bounded_against_density(
+    def test_auto_runs_the_resolved_method(
         self, backend, num_qubits, noise_kind, circuit_seed
     ):
-        """Trajectory sampling converges to the exact noisy distribution."""
-        if noise_kind != "relaxation":
-            pytest.skip("statistical check targets state-touching noise")
-        if num_qubits > DENSITY_CAP:
-            pytest.skip("density-matrix cost capped at 8 qubits")
-        if circuit_seed != CIRCUIT_SEEDS[0]:
-            pytest.skip("one statistical cell per size keeps tier-1 fast")
+        """``auto`` returns exactly what pinning its resolution returns."""
+        skip_past_density_cap(num_qubits, noise_kind)
         circuit = random_circuit(num_qubits, circuit_seed)
         noise = make_noise(noise_kind, backend.num_qubits)
-        shots = 60_000
-        dm = execute_circuit(
-            circuit, backend.target, noise, shots=shots, seed=1,
-            method="density_matrix",
+        resolved = select_method(circuit, backend.target, noise)
+        auto = execute_circuit(
+            circuit, backend.target, noise, shots=1024, seed=5
         )
-        traj = execute_circuit(
-            circuit, backend.target, noise, shots=shots, seed=2,
-            method="trajectory", trajectories=256,
+        pinned = execute_circuit(
+            circuit, backend.target, noise, shots=1024, seed=5,
+            method=resolved,
         )
-        tv = total_variation(counts_of(dm), counts_of(traj))
-        # fixed seeds: a deterministic statistical check, not a flaky one
-        bound = 0.06 if num_qubits <= 4 else 0.15
-        assert tv < bound, (
-            f"TV(trajectory, density) = {tv:.4f} at {num_qubits}q"
+        assert auto.metadata["method"] == resolved
+        assert counts_of(auto) == counts_of(pinned)
+        assert auto.duration == pinned.duration
+        assert auto.metadata == pinned.metadata
+
+    def test_memoized_sweep_equals_uncached_runs(
+        self, backend, num_qubits, noise_kind, circuit_seed
+    ):
+        """A sweep over one circuit structure (the random angles differ,
+        the layout does not) reuses the plan, the channels and the
+        compiled density walk, and still returns what fresh runs with
+        every cache disabled return."""
+        skip_past_density_cap(num_qubits, noise_kind)
+        sweep = [
+            random_circuit(num_qubits, angles)
+            for angles in (circuit_seed, circuit_seed + 2, circuit_seed)
+        ]
+        seeds = [7, 8, 9]
+        batched = execute_circuits(
+            sweep, backend.target,
+            make_noise(noise_kind, backend.num_qubits),
+            shots=512, seeds=seeds,
         )
+        with caching_disabled():
+            fresh = [
+                execute_circuit(
+                    circuit, backend.target,
+                    make_noise(noise_kind, backend.num_qubits),
+                    shots=512, seed=seed,
+                )
+                for circuit, seed in zip(sweep, seeds)
+            ]
+        for got, want in zip(batched, fresh):
+            assert counts_of(got) == counts_of(want)
+            assert got.duration == want.duration
+            assert got.metadata == want.metadata
+
+    def test_worker_split_byte_identical(
+        self, backend, pooled_backends, num_qubits, noise_kind,
+        circuit_seed,
+    ):
+        """A batch split across pool workers equals direct execution
+        circuit for circuit."""
+        skip_past_density_cap(num_qubits, noise_kind)
+        circuit = random_circuit(num_qubits, circuit_seed)
+        noise = make_noise(noise_kind, backend.num_qubits)
+        direct = [
+            execute_circuit(
+                circuit, backend.target, noise, shots=512, seed=seed
+            )
+            for seed in (3, 4)
+        ]
+        pooled = pooled_backends(noise_kind).run(
+            [circuit, circuit], shots=512, seeds=[3, 4], jobs=2
+        )
+        assert pooled.metadata["service"]["shards"] == 2
+        for got, want in zip(pooled.experiments, direct):
+            assert counts_of(got) == counts_of(want)
+            assert got.metadata == want.metadata
+
+    def test_reversed_clbits_reverse_every_key(
+        self, backend, num_qubits, noise_kind, circuit_seed
+    ):
+        """Where an outcome lands is the clbit map's business only: the
+        same seed draws the same outcomes, each key reversed."""
+        skip_past_density_cap(num_qubits, noise_kind)
+        noise = make_noise(noise_kind, backend.num_qubits)
+        straight, reversed_ = (
+            execute_circuit(
+                random_circuit(num_qubits, circuit_seed, reverse),
+                backend.target, noise, shots=1024, seed=6,
+            )
+            for reverse in (False, True)
+        )
+        assert counts_of(reversed_) == {
+            key[::-1]: count for key, count in counts_of(straight).items()
+        }
+        assert reversed_.metadata["clbit_to_qubit"] == {
+            num_qubits - 1 - q: q for q in range(num_qubits)
+        }
+        assert reversed_.duration == straight.duration
 
 
-# ---------------------------------------------------------------------------
-# the stabilizer column
-# ---------------------------------------------------------------------------
+#: (method, qubits) cells of the readout check, density capped
+READOUT_CELLS = [
+    (method, num_qubits)
+    for num_qubits in QUBITS
+    for method in ("density_matrix", "statevector")
+    if method == "statevector" or num_qubits <= DENSITY_CAP
+]
 
-def random_clifford_circuit(
-    num_qubits: int, seed: int, measured: int | None = None
-) -> QuantumCircuit:
+
+@pytest.mark.parametrize("method, num_qubits", READOUT_CELLS)
+@pytest.mark.parametrize("circuit_seed", CIRCUIT_SEEDS)
+def test_readout_only_noise_is_classical(
+    backend, method, num_qubits, circuit_seed
+):
+    """Under a readout-only model, ``with_readout_error=False`` is the
+    noiseless run byte for byte (the model touches nothing else), and
+    with the error applied the counts move."""
+    circuit = random_circuit(num_qubits, circuit_seed)
+    noise = make_noise("readout", backend.num_qubits)
+    noiseless = execute_circuit(
+        circuit, backend.target, None, shots=2048, seed=4, method=method
+    )
+    disabled = execute_circuit(
+        circuit, backend.target, noise, shots=2048, seed=4, method=method,
+        with_readout_error=False,
+    )
+    applied = execute_circuit(
+        circuit, backend.target, noise, shots=2048, seed=4, method=method
+    )
+    assert counts_of(disabled) == counts_of(noiseless)
+    assert disabled.duration == noiseless.duration
+    assert counts_of(applied) != counts_of(noiseless)
+
+
+def random_clifford_circuit(num_qubits: int, seed: int) -> QuantumCircuit:
     """A seeded random layered Clifford circuit on a line."""
     rng = np.random.default_rng(seed)
     names = ["h", "s", "sdg", "x", "sx", "z"]
-    qc = QuantumCircuit(
-        num_qubits, num_qubits if measured is None else measured
-    )
+    qc = QuantumCircuit(num_qubits, num_qubits)
     for layer in range(3):
         for q in range(num_qubits):
             getattr(qc, names[int(rng.integers(len(names)))])(q)
         for q in range(layer % 2, num_qubits - 1, 2):
             qc.cx(q, q + 1)
-    for c in range(qc.num_clbits):
-        qc.measure(c, c)
+    for q in range(num_qubits):
+        qc.measure(q, q)
     return qc
 
 
-def pauli_noise(num_qubits: int) -> NoiseModel:
-    noise = NoiseModel(num_qubits)
-    noise.add_depolarizing_error("cx", 0.02, 2)
-    for name in ("h", "s", "sdg", "x", "sx", "z"):
-        noise.add_depolarizing_error(name, 0.002, 1)
-    noise.set_readout_error(ReadoutError.uniform(num_qubits, 0.02))
-    return noise
-
-
-class TestStabilizerColumn:
-    def test_auto_dispatch_crossovers(self, backend):
-        """Clifford + Pauli noise: density below ~13 qubits, tableau
-        past it (and past the 14-qubit density budget outright)."""
-        noise = pauli_noise(backend.num_qubits)
-        for num_qubits, expected in (
-            (4, "density_matrix"),
-            (8, "density_matrix"),
-            (13, "stabilizer"),
-            (16, "stabilizer"),
-        ):
-            circuit = random_clifford_circuit(num_qubits, 0)
-            assert (
-                select_method(circuit, backend.target, noise) == expected
-            ), f"{num_qubits}q resolved unexpectedly"
-
-    @pytest.mark.parametrize("num_qubits", [4, 8])
-    def test_stabilizer_tv_bounded_against_density(
-        self, backend, num_qubits
-    ):
-        """Per-shot tableau sampling vs the exact noisy distribution."""
-        circuit = random_clifford_circuit(num_qubits, 0)
-        noise = pauli_noise(backend.num_qubits)
-        shots = 8192
-        dm = execute_circuit(
-            circuit, backend.target, noise, shots=shots, seed=1,
-            method="density_matrix",
-        )
-        st = execute_circuit(
-            circuit, backend.target, noise, shots=shots, seed=2,
-            method="stabilizer",
-        )
-        tv = total_variation(counts_of(dm), counts_of(st))
-        # fixed seeds: a deterministic statistical check, not a flaky one
-        bound = 0.06 if num_qubits <= 4 else 0.15
-        assert tv < bound, (
-            f"TV(stabilizer, density) = {tv:.4f} at {num_qubits}q"
-        )
-
-    def test_stabilizer_tv_bounded_against_trajectory_12q(self, backend):
-        """Past the density cost crossover: tableau vs trajectory."""
-        circuit = random_clifford_circuit(12, 1, measured=5)
-        noise = pauli_noise(backend.num_qubits)
-        shots = 2048
-        st = execute_circuit(
-            circuit, backend.target, noise, shots=shots, seed=1,
-            method="stabilizer",
-        )
-        traj = execute_circuit(
-            circuit, backend.target, noise, shots=shots, seed=2,
-            method="trajectory", trajectories=32,
-        )
-        tv = total_variation(counts_of(st), counts_of(traj))
-        assert tv < 0.15, f"TV(stabilizer, trajectory) = {tv:.4f}"
-
-
-# ---------------------------------------------------------------------------
-# the stabilizer shot-batch column
-# ---------------------------------------------------------------------------
-
-def wide_target(num_qubits: int):
-    from repro.backends import Target
-    from repro.transpiler import CouplingMap
-
-    return Target(num_qubits, CouplingMap.from_line(num_qubits))
-
-
-def readout_only_noise(num_qubits: int) -> NoiseModel:
-    noise = NoiseModel(num_qubits)
-    noise.set_readout_error(ReadoutError.uniform(num_qubits, 0.03))
-    return noise
-
-
-class TestStabilizerShotBatch:
-    """``stabilizer_shot_batch`` is a perf knob, not a sampling knob.
-
-    The packed kernel must return *byte-identical* counts at every
-    batch size — including ``1``, the sequential per-shot reference —
-    on each flavour of stochastic program: Pauli noise (channel draws),
-    noiseless-but-wide (random-measurement draws only; 28 measured
-    qubits overflow the dense-marginal path), and readout-only-wide
-    (readout flip draws).  Splitting a batch across pool workers must
-    not perturb counts either.
-    """
-
-    BATCHES = [1, 7, 512]  # sequential, ragged mid-size, one round
-
-    def _counts(self, circuit, target, noise, batch, seed=7, shots=512):
-        return counts_of(
-            execute_circuit(
-                circuit, target, noise, shots=shots, seed=seed,
-                method="stabilizer", stabilizer_shot_batch=batch,
-            )
-        )
-
-    def _assert_batches_identical(self, circuit, target, noise):
-        reference = self._counts(circuit, target, noise, batch=None)
-        assert sum(reference.values()) == 512
-        for batch in self.BATCHES:
-            assert (
-                self._counts(circuit, target, noise, batch) == reference
-            ), f"shot_batch={batch} diverged from the default kernel"
-
-    def test_pauli_noise_batch_identity(self, backend):
-        self._assert_batches_identical(
-            random_clifford_circuit(14, 3, measured=6),
-            backend.target,
-            pauli_noise(backend.num_qubits),
-        )
-
-    def test_noiseless_wide_batch_identity(self):
-        # 28 measured qubits: past the dense-marginal cap, so the only
-        # randomness is the per-shot random-measurement coin flips
-        self._assert_batches_identical(
-            random_clifford_circuit(28, 5), wide_target(28), None
-        )
-
-    def test_readout_only_wide_batch_identity(self):
-        self._assert_batches_identical(
-            random_clifford_circuit(28, 6),
-            wide_target(28),
-            readout_only_noise(28),
-        )
-
-    def test_worker_split_identity(self):
-        """jobs=2 through the worker pool == direct execution.
-
-        Two copies of one circuit exercise the worker split; the knob
-        rides along to the workers.
-        """
-        from repro.backends.backend import SimulatedBackend
-        from repro.hamiltonian.system import DeviceModel
-
-        target = wide_target(16)
-        noise = pauli_noise(16)
-        circuit = random_clifford_circuit(16, 9, measured=6)
-        direct = self._counts(circuit, target, noise, batch=None, seed=5)
-        device = DeviceModel.uniform(16, coupling_map=target.coupling.edges)
-        backend = SimulatedBackend("stab_batch_split", target, noise, device)
-        try:
-            result = backend.run(
-                [circuit, circuit],
-                shots=512,
-                seeds=[5, 5],
-                jobs=2,
-                method="stabilizer",
-                stabilizer_shot_batch=7,
-            )
-        finally:
-            backend.close_services()
-        assert result.metadata["service"]["workers"] == 2
-        for experiment in result.experiments:
-            assert counts_of(experiment) == direct
+@pytest.mark.parametrize("clifford", [False, True], ids=["random", "clifford"])
+@pytest.mark.parametrize("noise_kind", [*NOISES, "depolarizing"])
+@pytest.mark.parametrize("num_qubits", [*QUBITS, 16])
+def test_auto_is_statevector_exactly_when_supported(
+    backend, num_qubits, noise_kind, clifford
+):
+    """``auto`` resolves to ``statevector`` when its capability predicate
+    accepts the circuit and to ``density_matrix`` otherwise, whatever the
+    width and whether the circuit is Clifford (nothing is simulated)."""
+    circuit = (random_clifford_circuit if clifford else random_circuit)(
+        num_qubits, 0
+    )
+    noise = make_noise(noise_kind, backend.num_qubits)
+    plan = _CircuitPlan(circuit, backend.target)
+    expected = (
+        "statevector" if _supports_statevector(plan, noise)
+        else "density_matrix"
+    )
+    assert select_method(circuit, backend.target, noise) == expected

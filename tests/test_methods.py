@@ -1,4 +1,4 @@
-"""Tests for simulation-method dispatch and the trajectory back-end."""
+"""Tests for simulation-method dispatch and the method table."""
 
 import importlib
 
@@ -17,10 +17,9 @@ from repro.backends.engine import (
     _CircuitPlan,
 )
 from repro.circuits import QuantumCircuit
-from repro.exceptions import BackendError, SimulatorError
+from repro.exceptions import BackendError
 from repro.experiments.__main__ import main as experiments_main
 from repro.noise import NoiseModel, ReadoutError
-from repro.simulators.trajectory import split_shots
 from repro.transpiler import CouplingMap
 
 
@@ -77,26 +76,31 @@ class TestSelectMethod:
             == "density_matrix"
         )
 
-    def test_large_noisy_picks_trajectory(self, backend):
-        qc = line_circuit(16)
+    def test_large_noisy_raises_the_density_budget_error(self, backend):
+        # no statistical fallback past the density budget: auto keeps
+        # the density matrix and the run fails at its budget check
+        qc = line_circuit(15)
         assert (
             select_method(qc, backend.target, backend.noise_model)
-            == "trajectory"
+            == "density_matrix"
+        )
+        with pytest.raises(BackendError) as excinfo:
+            execute_circuit(qc, backend.target, backend.noise_model, shots=1)
+        assert str(excinfo.value).startswith(
+            "15 active qubits exceed the 14-qubit density_matrix simulator "
+            "budget; "
         )
 
     def test_explicit_method_respected(self, backend):
         qc = line_circuit(4)
-        for method in ("density_matrix", "statevector", "trajectory"):
+        for method in ("density_matrix", "statevector"):
             assert (
                 select_method(qc, backend.target, backend.noise_model, method)
                 == method
             )
 
     def test_methods_listed_in_table_order(self):
-        assert METHODS == (
-            "auto", "density_matrix", "statevector", "trajectory",
-            "stabilizer",
-        )
+        assert METHODS == ("auto", "density_matrix", "statevector")
 
     def test_unknown_method_rejected(self, backend):
         # the error lists every valid name
@@ -106,8 +110,7 @@ class TestSelectMethod:
             )
         message = str(excinfo.value)
         assert "unknown simulation method" in message
-        for name in ("auto", "density_matrix", "statevector",
-                     "trajectory", "stabilizer"):
+        for name in ("auto", "density_matrix", "statevector"):
             assert name in message
 
     def test_resolved_method_lands_in_metadata(self, backend):
@@ -125,67 +128,70 @@ def non_clifford_line(n):
     return qc
 
 
-class TestRanking:
-    """The ``auto`` ranking rules of :func:`select_method`: a method
-    within its qubit budget before one past it, exact before statistical
-    while within budget, then lower cost, then table order.
-    (``TestSelectMethod`` has the noiseless and small noisy cases.)"""
+class TestAutoRule:
+    """``auto`` is ``statevector`` when no noise touches the state and
+    ``density_matrix`` otherwise, at every width and for Clifford
+    circuits too.  (``TestSelectMethod`` has the noiseless, readout-only
+    and small noisy cases.)"""
 
-    def test_exact_outranks_cheaper_statistical(self, backend):
-        circuit = non_clifford_line(8)
-        plan = _CircuitPlan(circuit, backend.target)
-        noise = backend.noise_model
-        assert _METHODS["trajectory"].cost(plan, noise) < (
-            _METHODS["density_matrix"].cost(plan, noise)
-        )
-        assert select_method(circuit, backend.target, noise) == (
-            "density_matrix"
-        )
+    def test_noisy_non_clifford_picks_density(self, backend):
+        assert select_method(
+            non_clifford_line(8), backend.target, backend.noise_model
+        ) == "density_matrix"
 
-    def test_within_budget_outranks_over_budget(self, backend):
+    def test_budget_does_not_change_the_pick(self, backend):
         # the density matrix's budget is 14 qubits
         noise = backend.noise_model
-        assert (
-            select_method(non_clifford_line(14), backend.target, noise)
-            == "density_matrix"
-        )
-        assert (
-            select_method(non_clifford_line(15), backend.target, noise)
-            == "trajectory"
-        )
+        for num_qubits in (14, 15):
+            assert select_method(
+                non_clifford_line(num_qubits), backend.target, noise
+            ) == "density_matrix"
 
-    def test_nothing_fits_picks_the_cheapest(self):
-        # 30 noisy non-Clifford qubits: past the density and trajectory
-        # budgets, and neither statevector nor the tableau supports it;
-        # the cheaper trajectory is picked and names its own budget
+    def test_nothing_fits_noisy_raises_density_budget(self):
+        # 30 noisy qubits: past both budgets, and statevector does not
+        # support the noise; the density matrix names its own budget
         target = Target(30, CouplingMap.from_line(30))
         noise = NoiseModel(30)
         noise.add_depolarizing_error("cx", 0.02, 2)
         circuit = non_clifford_line(30)
-        assert select_method(circuit, target, noise) == "trajectory"
-        with pytest.raises(BackendError, match="26-qubit trajectory"):
+        assert select_method(circuit, target, noise) == "density_matrix"
+        with pytest.raises(BackendError, match="14-qubit density_matrix"):
             execute_circuit(circuit, target, noise, shots=1)
 
     def test_nothing_fits_noiseless_picks_statevector(self):
-        # 30 noiseless non-Clifford qubits: past every amplitude budget,
-        # and the tableau cannot run it; statevector is the cheapest
+        # 30 noiseless non-Clifford qubits: past every budget;
+        # statevector supports it and names its own budget
         target = Target(30, CouplingMap.from_line(30))
         assert (
             select_method(non_clifford_line(30), target, None)
             == "statevector"
         )
 
-    def test_noiseless_clifford_past_amplitude_budgets_picks_stabilizer(
-        self,
-    ):
+    def test_noiseless_clifford_past_budgets_picks_statevector(self):
         target = Target(30, CouplingMap.from_line(30))
-        assert select_method(line_circuit(30), target, None) == "stabilizer"
+        assert select_method(line_circuit(30), target, None) == "statevector"
+        with pytest.raises(BackendError, match="26-qubit statevector"):
+            execute_circuit(line_circuit(30), target, None, shots=1)
 
-    def test_table_order_breaks_cost_ties(self, backend):
-        # no active qubit: density 4^0 and statevector 2^0 tie
-        assert select_method(
-            QuantumCircuit(2), backend.target, None
-        ) == "density_matrix"
+    def test_clifford_with_pauli_noise_picks_density(self, backend):
+        # depolarizing gate noise touches the state, Clifford or not
+        noise = depolarizing_noise(backend.num_qubits)
+        for num_qubits in (4, 13):
+            assert select_method(
+                line_circuit(num_qubits), backend.target, noise
+            ) == "density_matrix"
+
+    def test_no_active_qubit_reports_the_table_head(self, backend):
+        # nothing to simulate: the run returns empty counts without
+        # evolving anything and names the table's first method
+        empty = QuantumCircuit(2)
+        for noise in (None, readout_only_noise(backend.num_qubits)):
+            assert select_method(
+                empty, backend.target, noise
+            ) == "density_matrix"
+        result = execute_circuit(empty, backend.target, None, shots=8)
+        assert dict(result.counts) == {}
+        assert result.metadata["method"] == "density_matrix"
 
 
 class TestQubitBudgets:
@@ -201,8 +207,7 @@ class TestQubitBudgets:
             )
         message = str(excinfo.value)
         assert "15 active qubits exceed the 14-qubit density_matrix" in message
-        assert "trajectory" in message
-        assert "statevector" in message
+        assert 'noiseless circuits run on method="statevector"' in message
 
     def test_statevector_budget_enforced(self):
         target = Target(30, CouplingMap.from_line(30))
@@ -211,7 +216,7 @@ class TestQubitBudgets:
             execute_circuit(qc, target, shots=1, method="statevector")
 
     def test_error_lists_each_method_that_fits(self, backend):
-        # noiseless GHZ: every other method supports it within budget
+        # noiseless GHZ: statevector supports it within budget
         with pytest.raises(BackendError) as excinfo:
             execute_circuit(
                 line_circuit(15), backend.target, None, shots=1,
@@ -219,26 +224,21 @@ class TestQubitBudgets:
             )
         message = str(excinfo.value)
         assert message.endswith(
-            "; methods within budget: statevector (<= 26 qubits), "
-            "trajectory (<= 26 qubits), stabilizer (<= 256 qubits)"
+            "; methods within budget: statevector (<= 26 qubits)"
         )
 
-    def test_error_alternatives_respect_capability(self):
-        # a 30q non-Clifford noiseless circuit pinned to statevector:
-        # the tableau cannot run it, so the error must not advertise it
-        circuit = QuantumCircuit(30, 30)
-        for q in range(30):
-            circuit.rz(0.3, q)
-            circuit.sx(q)
-            circuit.measure(q, q)
+    def test_error_alternatives_respect_capability(self, backend):
+        # a noisy 15q circuit pinned to density_matrix: statevector's
+        # budget admits it but its predicate does not, so the error
+        # must not advertise it
         with pytest.raises(BackendError) as excinfo:
             execute_circuit(
-                circuit, Target(30, CouplingMap.from_line(30)), None,
-                shots=1, method="statevector",
+                line_circuit(15), backend.target, backend.noise_model,
+                shots=1, method="density_matrix",
             )
         message = str(excinfo.value)
-        assert "30 active qubits exceed" in message
-        assert "stabilizer" not in message
+        assert "15 active qubits exceed" in message
+        assert "within budget" not in message
 
 
 def depolarizing_noise(num_qubits):
@@ -249,7 +249,7 @@ def depolarizing_noise(num_qubits):
     return noise
 
 
-ALL_METHODS = ["density_matrix", "statevector", "trajectory", "stabilizer"]
+ALL_METHODS = ["density_matrix", "statevector"]
 
 
 class TestMethodTable:
@@ -266,8 +266,6 @@ class TestMethodTable:
         [
             ("density_matrix", 14),
             ("statevector", 26),
-            ("trajectory", 26),
-            ("stabilizer", 256),
         ],
     )
     def test_budget_admits_its_limit(self, method, budget):
@@ -279,18 +277,9 @@ class TestMethodTable:
         [
             (
                 "density_matrix", 14, "holds the full 4^n operator",
-                "statevector (<= 26 qubits), trajectory (<= 26 qubits), "
-                "stabilizer (<= 256 qubits)",
+                "statevector (<= 26 qubits)",
             ),
-            (
-                "statevector", 26, "pure states scale 2^n",
-                "stabilizer (<= 256 qubits)",
-            ),
-            (
-                "trajectory", 26, "each trajectory holds a 2^n statevector",
-                "stabilizer (<= 256 qubits)",
-            ),
-            ("stabilizer", 256, "polynomial in qubits", None),
+            ("statevector", 26, "pure states scale 2^n", None),
         ],
         ids=ALL_METHODS,
     )
@@ -318,14 +307,11 @@ class TestMethodTable:
         "clifford, noise_kind, supporting",
         [
             (True, None, ALL_METHODS),
-            (False, None, ["density_matrix", "statevector", "trajectory"]),
+            (False, None, ALL_METHODS),
             (True, "readout", ALL_METHODS),
-            (
-                True, "depolarizing",
-                ["density_matrix", "trajectory", "stabilizer"],
-            ),
-            (False, "depolarizing", ["density_matrix", "trajectory"]),
-            (True, "relaxation", ["density_matrix", "trajectory"]),
+            (True, "depolarizing", ["density_matrix"]),
+            (False, "depolarizing", ["density_matrix"]),
+            (True, "relaxation", ["density_matrix"]),
         ],
         ids=[
             "noiseless-clifford",
@@ -352,11 +338,6 @@ class TestMethodTable:
             if entry.supports(plan, noise)
         ] == supporting
 
-    def test_only_trajectory_is_statistical(self):
-        assert [
-            name for name, entry in _METHODS.items() if entry.statistical
-        ] == ["trajectory"]
-
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_pinned_method_runs_its_own_back_end(self, backend, method):
         result = execute_circuit(
@@ -376,15 +357,65 @@ class TestMethodTable:
         for name in METHODS:
             assert name in err
 
-    def test_no_registry_module_remains(self):
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.simulators.registry",
+            "repro.simulators.stabilizer",
+            "repro.simulators.trajectory",
+            "repro.transpiler.passes.clifford_blocks",
+        ],
+    )
+    def test_deleted_modules_stay_gone(self, module):
         with pytest.raises(ModuleNotFoundError):
-            importlib.import_module("repro.simulators.registry")
+            importlib.import_module(module)
+
+    def test_no_registry_module_remains(self):
         for module in ("repro.backends", "repro.backends.engine"):
             imported = importlib.import_module(module)
             # no computed module attributes behind METHODS
             assert "__getattr__" not in vars(imported)
             assert not hasattr(imported, "register_method")
             assert not hasattr(imported, "set_method_qubit_budget")
+
+
+class TestChannelWidth:
+    """A gate channel of the wrong width is refused wherever the state
+    evolves under it: acting on a subset of the gate's qubits would be
+    wrong physics.  The statevector escape hatch drops every state
+    channel, so it has nothing to refuse."""
+
+    @staticmethod
+    def _misattached(num_qubits):
+        noise = NoiseModel(num_qubits)
+        noise.add_depolarizing_error("cx", 0.02, 1)
+        return noise
+
+    @pytest.mark.parametrize("method", ["auto", "density_matrix"])
+    def test_one_qubit_channel_on_cx_raises(self, backend, method):
+        with pytest.raises(BackendError) as excinfo:
+            execute_circuit(
+                line_circuit(2), backend.target,
+                self._misattached(backend.num_qubits), shots=8, seed=1,
+                method=method,
+            )
+        assert str(excinfo.value) == (
+            "1-qubit noise channel 'depolarizing(0.02)' attached to a "
+            "2-qubit operation"
+        )
+
+    def test_statevector_escape_hatch_drops_the_channel(self, backend):
+        result = execute_circuit(
+            line_circuit(2), backend.target,
+            self._misattached(backend.num_qubits), shots=64, seed=1,
+            method="statevector",
+        )
+        noiseless = execute_circuit(
+            line_circuit(2), backend.target, None, shots=64, seed=1,
+            method="statevector",
+        )
+        assert dict(result.counts) == dict(noiseless.counts)
+
 
 class TestStatevectorMethod:
     def test_noiseless_counts_byte_identical_to_density(self, backend):
@@ -427,102 +458,18 @@ class TestStatevectorMethod:
         assert sum(result.counts.values()) == 128
 
 
-class TestTrajectoryMethod:
-    def test_split_shots_partition(self):
-        assert split_shots(10, 4) == [3, 3, 2, 2]
-        assert split_shots(3, 8) == [1, 1, 1, 0, 0, 0, 0, 0]
-        assert sum(split_shots(1024, 7)) == 1024
-        with pytest.raises(SimulatorError):
-            split_shots(8, 0)
-
-    def test_counts_converge_to_density_distribution(self, backend):
-        # fixed seeds: deterministic statistical check, not a flaky one
-        qc = line_circuit(3)
-        shots = 120_000
-        dm = execute_circuit(
-            qc, backend.target, backend.noise_model, shots=shots, seed=1,
-            method="density_matrix",
-        )
-        traj = execute_circuit(
-            qc, backend.target, backend.noise_model, shots=shots, seed=2,
-            method="trajectory", trajectories=256,
-        )
-        p = {k: v / shots for k, v in dm.counts.items()}
-        q = {k: v / shots for k, v in traj.counts.items()}
-        tv = 0.5 * sum(
-            abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in set(p) | set(q)
-        )
-        assert tv < 0.05, f"TV(trajectory, density) = {tv:.4f}"
-
-    def test_total_shots_and_duration_preserved(self, backend):
-        qc = line_circuit(4)
-        dm = execute_circuit(
-            qc, backend.target, backend.noise_model, shots=333, seed=4
-        )
-        traj = execute_circuit(
-            qc, backend.target, backend.noise_model, shots=333, seed=4,
-            method="trajectory", trajectories=10,
-        )
-        assert sum(traj.counts.values()) == 333
-        assert traj.duration == dm.duration
-
-    def test_breaks_14_qubit_wall_where_density_refuses(self, backend):
-        qc = line_circuit(16)
-        with pytest.raises(BackendError, match="density_matrix"):
-            execute_circuit(
-                qc, backend.target, backend.noise_model, shots=16,
-                method="density_matrix",
-            )
-        result = execute_circuit(
-            qc, backend.target, backend.noise_model, shots=64, seed=5,
-            method="trajectory", trajectories=4,
-        )
-        assert sum(result.counts.values()) == 64
-        assert result.metadata["method"] == "trajectory"
-
-    def test_zero_trajectories_rejected(self, backend):
-        with pytest.raises(BackendError, match="trajectories"):
-            execute_circuit(
-                line_circuit(3), backend.target, backend.noise_model,
-                shots=16, method="trajectory", trajectories=0,
-            )
-
 class TestServiceIntegration:
-    def test_sweepjob_threads_method_and_trajectories(self):
-        # a pooled batch hands method and trajectory count to every
-        # worker's run
+    def test_pooled_batch_threads_method(self):
+        # a pooled batch hands the method to every worker's run
         backend = FakeGuadalupe()
         try:
             result = backend.run(
                 [line_circuit(3), line_circuit(4)], shots=64, seed=1,
-                jobs=2, method="trajectory", trajectories=7,
+                jobs=2, method="statevector",
             )
         finally:
             backend.close_services()
         assert result.metadata["service"]["shards"] == 2
-        assert [
-            (e.metadata["method"], e.metadata["trajectories"])
-            for e in result.experiments
-        ] == [("trajectory", 7)] * 2
-
-    def test_jobs1_vs_jobsN_identical_for_trajectory(self):
-        circuits = [line_circuit(10), line_circuit(6)]
-        kwargs = dict(
-            shots=256, seed=17, method="trajectory", trajectories=8
-        )
-        reference = FakeGuadalupe().run(circuits, **kwargs)
-        backend = FakeGuadalupe()
-        try:
-            sharded = backend.run(circuits, jobs=2, **kwargs)
-            # one circuit runs inline, whatever its method
-            single = backend.run(circuits[:1], jobs=2, **kwargs)
-        finally:
-            backend.close_services()
-        assert sharded.metadata["service"]["shards"] == 2
-        assert "service" not in single.metadata
-        for got, want in zip(sharded.experiments, reference.experiments):
-            assert dict(got.counts) == dict(want.counts)
-            assert got.metadata == want.metadata
-        assert dict(single.experiments[0].counts) == dict(
-            reference.experiments[0].counts
-        )
+        assert [e.metadata["method"] for e in result.experiments] == [
+            "statevector"
+        ] * 2

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.backends import FakeGuadalupe, SimulatedBackend
 from repro.circuits import QuantumCircuit
+from repro.circuits.gates import PulseGate
 from repro.core import (
     ExecutionPipeline,
     GateLevelModel,
@@ -682,8 +683,7 @@ class TestPooledScheduling:
         circuits = [ghz(2), ghz(3), ghz(4), ghz(3), ghz(2)]
         for kwargs in (
             dict(method="density_matrix"),
-            dict(method="trajectory", trajectories=8),
-            dict(method="stabilizer", with_noise=False),
+            dict(method="statevector", with_noise=False),
             dict(method="auto"),
         ):
             inline = backend.run(circuits, shots=SHOTS, seed=11, **kwargs)
@@ -726,25 +726,21 @@ class TestPooledScheduling:
         "with_noise", [True, False], ids=["noisy", "noiseless"]
     )
     @pytest.mark.parametrize(
-        "method",
-        ["auto", "density_matrix", "statevector", "stabilizer", "trajectory"],
+        "method", ["auto", "density_matrix", "statevector"]
     )
     def test_every_run_option_matches_inline(
         self, backend, method, with_noise, with_readout_error
     ):
         # the options reach every worker: the pooled batch returns the
-        # inline batch's experiments, or raises the inline error
+        # inline batch's experiments
         kwargs = dict(
             shots=SHOTS, seed=12, method=method, with_noise=with_noise,
             with_readout_error=with_readout_error,
         )
         circuits = [ghz(2), ghz(3), ghz(4)]
         inline = outcome(backend, circuits, **kwargs)
+        assert not isinstance(inline, tuple)
         assert outcome(backend, circuits, jobs=2, **kwargs) == inline
-        # relaxation is not a Pauli channel: only the noisy stabilizer
-        # run fails
-        failing = method == "stabilizer" and with_noise
-        assert isinstance(inline, tuple) is failing
 
     @pytest.mark.parametrize(
         "recording", [False, True], ids=["unrecorded", "recorded"]
@@ -814,6 +810,19 @@ class TestPooledScheduling:
 #: fails at the budget check, before any simulation
 PAST_BUDGET = ghz(15)
 
+
+def wrong_width_pulse() -> QuantumCircuit:
+    """A 2-qubit pulse gate carrying a 1-qubit unitary: the density walk
+    refuses it with a ``SimulatorError`` when it builds the gate's
+    superoperator."""
+    gate = PulseGate(schedule=None, num_qubits=2, label="pulse")
+    gate.unitary = np.eye(2, dtype=complex)
+    gate.duration = 160
+    circuit = QuantumCircuit(2, name="wrong_width_pulse")
+    circuit.append(gate, [0, 1])
+    circuit.measure_all()
+    return circuit
+
 #: runs that fail the same way inline and in a worker, by error source:
 #: the error type, the batch and its run options
 FAILING_RUNS = {
@@ -822,16 +831,10 @@ FAILING_RUNS = {
         [ghz(3), PAST_BUDGET],
         dict(method="density_matrix", seed=1),
     ),
-    "generator_seed": (
+    "unitary_shape": (
         SimulatorError,
-        [ghz(3), ghz(2)],
-        dict(
-            method="trajectory", trajectories="auto",
-            seeds=[np.random.default_rng(i) for i in range(2)],
-        ),
-    ),
-    "non_pauli_noise": (
-        BackendError, [ghz(3), ghz(2)], dict(method="stabilizer", seed=1)
+        [ghz(3), wrong_width_pulse()],
+        dict(method="density_matrix", seed=1),
     ),
     "unknown_method": (
         BackendError, [ghz(3), ghz(2)], dict(method="bogus", seed=1)
@@ -1001,12 +1004,12 @@ class TestFaultRecoveryPooled:
 
     def test_warm_up_takes_the_batch_options(self):
         # the warm-up runs the first circuit with the batch's method,
-        # noise and readout-error options: a noiseless stabilizer batch
-        # warms up, though the backend's relaxation noise is not a
-        # Pauli mixture the tableau could run
+        # noise and readout-error options: a noiseless 15-qubit batch
+        # warms up on the statevector, though under the backend's noise
+        # auto would resolve it to the density matrix, past its budget
         fresh = FakeGuadalupe()
-        circuits = [ghz(3), ghz(4)]
-        kwargs = dict(shots=SHOTS, seed=6, method="stabilizer",
+        circuits = [PAST_BUDGET, PAST_BUDGET]
+        kwargs = dict(shots=SHOTS, seed=6, method="auto",
                       with_noise=False, with_readout_error=False)
         try:
             with collect_trace("warm") as trace:
@@ -1027,6 +1030,9 @@ class TestFaultRecoveryPooled:
         assert counts_of(pooled.experiments) == counts_of(
             inline.experiments
         )
+        assert {e.metadata["method"] for e in pooled.experiments} == {
+            "statevector"
+        }
 
     def test_warm_failure_surfaces_in_worker_metadata(self):
         # a batch whose first circuit fails on its own fails every

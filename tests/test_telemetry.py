@@ -46,8 +46,6 @@ from repro.telemetry import (
 
 SHOTS = 64
 
-CLIFFORD_1Q = ["h", "s", "sdg", "x", "y", "z", "sx"]
-
 
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
@@ -74,20 +72,6 @@ def generic_circuit(num_qubits: int, seed: int) -> QuantumCircuit:
         for q in range(num_qubits):
             qc.rz(float(rng.uniform(0, 2 * np.pi)), q)
             qc.sx(q)
-        for q in range(layer % 2, num_qubits - 1, 2):
-            qc.cx(q, q + 1)
-    for q in range(num_qubits):
-        qc.measure(q, q)
-    return qc
-
-
-def clifford_circuit(num_qubits: int, seed: int) -> QuantumCircuit:
-    rng = np.random.default_rng(seed)
-    qc = QuantumCircuit(num_qubits, num_qubits)
-    for layer in range(2):
-        for q in range(num_qubits):
-            name = CLIFFORD_1Q[int(rng.integers(len(CLIFFORD_1Q)))]
-            getattr(qc, name)(q)
         for q in range(layer % 2, num_qubits - 1, 2):
             qc.cx(q, q + 1)
     for q in range(num_qubits):
@@ -463,21 +447,21 @@ class TestProfileCLI:
 # byte-identity: telemetry is observation only
 # ---------------------------------------------------------------------------
 
-#: (method kwargs, circuit family) per back-end; 3 qubits keeps the
+#: (method kwargs, circuit family) per back-end and dispatch path:
+#: ``auto`` resolves the noisy batch to the density matrix, and
+#: ``statevector_readout`` pins the noiseless escape hatch under the
+#: device noise, so only its readout error applies; 3 qubits keeps the
 #: density-matrix cells cheap and every method in budget
 _IDENTITY_CASES = {
+    "auto": (dict(method="auto", with_noise=True), generic_circuit),
     "density_matrix": (
         dict(method="density_matrix", with_noise=True), generic_circuit
     ),
     "statevector": (
         dict(method="statevector", with_noise=False), generic_circuit
     ),
-    "trajectory": (
-        dict(method="trajectory", with_noise=True, trajectories=8),
-        generic_circuit,
-    ),
-    "stabilizer": (
-        dict(method="stabilizer", with_noise=False), clifford_circuit
+    "statevector_readout": (
+        dict(method="statevector", with_noise=True), generic_circuit
     ),
 }
 

@@ -10,7 +10,6 @@ import pytest
 from repro.circuits import QuantumCircuit, standard_gate
 from repro.simulators import circuit_to_unitary
 from repro.transpiler import (
-    CliffordBlockAnalysis,
     CommutationReorder,
     CommutativeCancellation,
     CouplingMap,
@@ -327,57 +326,6 @@ class TestSingleQubitResynthesis:
         qc.h(0)
         out = SingleQubitResynthesis(basis={"u3", "cx"})(qc)
         assert out.size() == 2  # pass is the identity off-basis
-
-
-class TestCliffordBlockAnalysis:
-    def test_full_clifford_tag(self):
-        qc = QuantumCircuit(2, 2)
-        qc.h(0)
-        qc.cx(0, 1)
-        qc.measure_all()
-        tagged = CliffordBlockAnalysis()(qc)
-        tag = tagged.metadata["clifford_blocks"]
-        assert tag["full"] and tag["prefix"] == tag["size"]
-
-    def test_partial_prefix(self):
-        qc = QuantumCircuit(2)
-        qc.h(0)
-        qc.cx(0, 1)
-        qc.t(0)  # non-Clifford
-        qc.h(1)
-        tag = CliffordBlockAnalysis()(qc).metadata["clifford_blocks"]
-        assert tag == {"size": 4, "prefix": 2, "full": False}
-
-    def test_snapped_rz_angles_count_as_clifford(self):
-        qc = QuantumCircuit(1)
-        qc.rz(math.pi / 2, 0)
-        tag = CliffordBlockAnalysis()(qc).metadata["clifford_blocks"]
-        assert tag["full"]
-
-    def test_certificate_drives_stabilizer_support(self):
-        from repro.backends import Target
-        from repro.backends.engine import _CircuitPlan, _supports_stabilizer
-
-        target = Target(2, CouplingMap.from_line(2))
-
-        def support(circuit, tag):
-            circuit.metadata["clifford_blocks"] = tag
-            return _supports_stabilizer(_CircuitPlan(circuit, target), None)
-
-        clifford = QuantumCircuit(2, 2)
-        clifford.h(0)
-        clifford.cx(0, 1)
-        clifford.measure_all()
-        size = len(clifford.instructions)
-        # full certificate -> eligible without a gate scan
-        assert support(clifford, {"size": size, "prefix": size, "full": True})
-        # partial certificate vetoes outright
-        assert not support(clifford, {"size": size, "prefix": 1, "full": False})
-        # stale certificate (size mismatch) is ignored: the scan decides
-        assert support(clifford, {"size": 1, "prefix": 1, "full": True})
-        non_clifford = QuantumCircuit(1)
-        non_clifford.t(0)
-        assert not support(non_clifford, {"size": 7, "prefix": 7, "full": True})
 
 
 class TestRoutingMeasureSafety:

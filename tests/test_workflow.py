@@ -5,6 +5,8 @@ exercised by ``python -m repro.experiments <name>``, which checks it
 against the paper's numbers in ``repro.experiments.config``.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,9 @@ from repro.core import (
     train_model,
 )
 from repro.exceptions import ProblemError
+from repro.experiments import ExperimentConfig, table2
+from repro.mitigation.m3 import M3Mitigator
+from repro.noise import ReadoutError
 from repro.problems import MaxCutProblem, three_regular_6
 from repro.vqa import ExpectedCutCost
 from repro.vqa.optimizers import COBYLA
@@ -202,3 +207,73 @@ class TestCrossBackend:
         )
         result = workflow.run_stage("raw")
         assert 0.0 <= result.approximation_ratio <= 1.0
+
+
+@pytest.fixture
+def mitigator_builds(monkeypatch):
+    """The ``(backend, qubits)`` of every ``M3Mitigator.from_backend``
+    call made while the test runs."""
+    built = []
+    build = M3Mitigator.from_backend.__func__
+
+    def counting(cls, backend, qubits):
+        built.append((backend.name, tuple(qubits)))
+        return build(cls, backend, qubits)
+
+    monkeypatch.setattr(M3Mitigator, "from_backend", classmethod(counting))
+    return built
+
+
+class TestMitigatorMemo:
+    """The M3 mitigators live on the backend, keyed by its readout error
+    and the measured qubits, so every stage pipeline shares them."""
+
+    def test_one_toronto_column_builds_one_mitigator(
+        self, monkeypatch, mitigator_builds
+    ):
+        # gate and hybrid, m3 and cvar stages: one (backend, qubits) pair
+        monkeypatch.setattr(table2, "BACKENDS", ("toronto",))
+        table2.run(ExperimentConfig(quick=True, maxiter=2, shots=64))
+        assert len(mitigator_builds) == 1
+
+    def test_new_readout_error_builds_a_new_mitigator(
+        self, problem, mitigator_builds
+    ):
+        backend = FakeToronto()
+        workflow = HybridWorkflow(
+            problem,
+            backend,
+            GateLevelModel(problem),
+            optimizer_factory=lambda: COBYLA(maxiter=2),
+            shots=64,
+            seed=3,
+        )
+        workflow.run_stage("m3")
+        workflow.run_stage("cvar")
+        assert len(mitigator_builds) == 1
+        noise = backend.noise_model
+        noise.set_readout_error(ReadoutError.uniform(noise.num_qubits, 0.05))
+        workflow.run_stage("cvar")
+        assert len(mitigator_builds) == 2
+        assert mitigator_builds[0] == mitigator_builds[1]
+        (qubits,) = {qubits for _name, qubits in mitigator_builds}
+        current = backend.m3_mitigators.get_or_compute(
+            (noise.readout_error, qubits), lambda: None
+        )
+        assert current.readout.assignment_matrices[0][1, 0] == 0.05
+
+    def test_pickled_backend_ships_no_mitigator(self, problem):
+        backend = FakeToronto()
+        HybridWorkflow(
+            problem,
+            backend,
+            GateLevelModel(problem),
+            optimizer_factory=lambda: COBYLA(maxiter=2),
+            shots=64,
+            seed=3,
+        ).run_stage("m3")
+        assert len(backend.m3_mitigators) == 1
+        copy = pickle.loads(pickle.dumps(backend))
+        assert len(copy.m3_mitigators) == 0
+        assert copy.m3_mitigators.name == backend.m3_mitigators.name
+        assert len(backend.m3_mitigators) == 1
